@@ -98,4 +98,4 @@ from .tutte import (
 )
 from .verify import CheckResult, all_passed, verify_system
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

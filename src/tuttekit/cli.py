@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction as Q
 from typing import List, Optional
@@ -267,12 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tuttekit",
         description="Exact arithmetic Tutte polynomials of classical root systems",
     )
-    default_threads = int(os.environ.get("TUTTEKIT_THREADS", "1"))
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p):
         p.add_argument("--output", choices=("text", "json"), default="text")
-        p.add_argument("--threads", type=int, default=default_threads)
 
     p = sub.add_parser("compute", help="compute one Tutte polynomial")
     p.add_argument("--system", required=True, help="family:n:lattice, e.g. C:2:integer")
@@ -283,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run all cross-checks for a system")
     p.add_argument("--system", required=True)
-    p.add_argument("--method", choices=METHODS, default="all")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--primes", type=int, default=2)
     common(p)

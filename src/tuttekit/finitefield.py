@@ -75,28 +75,19 @@ def find_admissible_prime(divisor: int, min_p: int = 2, cap: int = 100_000) -> i
     )
 
 
-def admissible_divisor(
-    config: VectorConfig, known: Optional[int] = None, sample_checks: int = 64
-) -> int:
-    """The lcm of all subset multiplicities, or a caller-supplied known value.
+def admissible_divisor(config: VectorConfig, known: Optional[int] = None) -> int:
+    """The lcm of all subset multiplicities, or a caller-supplied multiple of it.
 
-    A known value is asserted against a sample of subsets rather than a
-    full 2^|A| sweep.
+    A known value is accepted only if the exact lcm divides it.
     """
+    divisor = multiplicity_lcm(config)
     if known is None:
-        return multiplicity_lcm(config)
-    from .lattice import subset_stats
-
-    n = len(config)
-    rng = np.random.default_rng(0)
-    for _ in range(sample_checks):
-        mask = int(rng.integers(0, 1 << min(n, 62)))
-        indices = [i for i in range(n) if mask >> i & 1]
-        m = subset_stats(config, indices).multiplicity
-        if known % m != 0:
-            raise AdmissibilityError(
-                f"claimed divisor {known} is not a multiple of sampled m(B)={m}"
-            )
+        return divisor
+    if known % divisor != 0:
+        raise AdmissibilityError(
+            f"claimed divisor {known} is not a multiple of the multiplicity "
+            f"lcm {divisor}"
+        )
     return known
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .errors import CapacityError, LatticeMembershipError, SpanError, StructureError
@@ -295,16 +295,75 @@ def subset_stats(config: VectorConfig, subset: Sequence[int]) -> SubsetStats:
     return SubsetStats(rank=rank, multiplicity=mult)
 
 
+def _hnf_add(
+    rows: Tuple[Tuple[int, ...], ...], v: Sequence[int]
+) -> Tuple[Tuple[int, ...], ...]:
+    """Canonical row HNF of the lattice generated by `rows` and `v`.
+
+    `rows` is itself a canonical HNF: echelon form, positive pivots, pivot
+    columns increasing, entries above each pivot reduced into [0, pivot).
+    The pivot columns and pivot values of an echelon basis depend only on
+    the lattice, so the reduced form is unique and serves as its key.
+    """
+    out = [list(r) for r in rows]
+    i = 0
+    while any(v):
+        c = next(j for j, x in enumerate(v) if x)
+        while i < len(out) and any(out[i][:c]):
+            i += 1
+        if i == len(out) or not out[i][c]:
+            out.insert(i, list(v))
+            break
+        # Euclid on the two rows: the row keeps the gcd at c, v gets a 0.
+        h = out[i]
+        while v[c]:
+            q = h[c] // v[c]
+            h, v = v, [x - q * y for x, y in zip(h, v)]
+        out[i] = h
+        i += 1
+    for i, row in enumerate(out):
+        c = next(j for j, x in enumerate(row) if x)
+        if row[c] < 0:
+            out[i] = row = [-x for x in row]
+        for above in range(i):
+            q = out[above][c] // row[c]
+            if q:
+                out[above] = [x - q * y for x, y in zip(out[above], row)]
+    return tuple(tuple(r) for r in out)
+
+
+def sublattice_census(config: VectorConfig) -> List[Tuple[SubsetStats, List[int]]]:
+    """Every distinct sublattice ZB, B a subset of the configuration.
+
+    Returns one (stats, counts) pair per lattice: its rank and multiplicity,
+    and counts[k], the number of k-element subsets B that generate it.
+    The vectors are folded in one at a time over a map from canonical HNF
+    to counts, so the work grows with the number of distinct lattices, not
+    with 2^|A|; one Smith normal form per final lattice gives m(B).
+    """
+    n = len(config)
+    states = {(): [1] + [0] * n}
+    for v in config.coord_matrix:
+        grown = {key: counts[:] for key, counts in states.items()}
+        for key, counts in states.items():
+            target = grown.setdefault(_hnf_add(key, v), [0] * (n + 1))
+            for k in range(n):
+                target[k + 1] += counts[k]
+        states = grown
+    census = []
+    for rows, counts in states.items():
+        mult = 1
+        for f in snf_invariant_factors(rows):
+            mult *= f
+        census.append((SubsetStats(rank=len(rows), multiplicity=mult), counts))
+    return census
+
+
 def multiplicity_lcm(config: VectorConfig, max_vectors: int = 20) -> int:
-    """lcm of m(B) over all subsets B (exhaustive sweep, guarded)."""
+    """lcm of m(B) over all subsets B (guarded by the number of vectors)."""
     n = len(config)
     if n > max_vectors:
         raise CapacityError(
             f"{n} vectors exceeds the exhaustive-sweep guard of {max_vectors}"
         )
-    result = 1
-    for mask in range(1 << n):
-        indices = [i for i in range(n) if mask >> i & 1]
-        m = subset_stats(config, indices).multiplicity
-        result = result * m // gcd(result, m)
-    return result
+    return lcm(*(stats.multiplicity for stats, _ in sublattice_census(config)))

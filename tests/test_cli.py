@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import tuttekit
 from tuttekit.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, format_poly, main
 from tuttekit.poly import MultiPoly
 from tuttekit.tables import parse_poly_terms
@@ -73,6 +76,14 @@ class TestVerify:
         assert code == EXIT_OK
         assert "fail" not in out
 
+    def test_graph_dictionary_becomes_the_baseline(self, capsys):
+        # 25 vectors skip bruteforce and order 2 skips genfun, so the graph
+        # dictionary is the first engine to run.
+        code, out, _ = run(capsys, "verify", "--system", "B:5:integer", "--order", "2")
+        assert code == EXIT_OK
+        assert "fail" not in out
+        assert "graph-dictionary: pass (taken as baseline)" in out
+
     def test_verify_deterministic(self, capsys):
         _, first, _ = run(capsys, "verify", "--system", "C:2:root", "--output", "json")
         _, second, _ = run(capsys, "verify", "--system", "C:2:root", "--output", "json")
@@ -122,3 +133,21 @@ class TestFixturesVerb:
     def test_partial_row_marked(self, capsys):
         _, out, _ = run(capsys, "fixtures")
         assert "B5 weight-tutte [partial]" in out
+
+
+class TestPackage:
+    def test_version_matches_pyproject(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        declared = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
+        assert tuttekit.__version__ == declared.group(1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--system", "C:2:integer", "--threads", "2"],
+            ["verify", "--system", "C:2:integer", "--method", "all"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        code, _, _ = run(capsys, *argv)
+        assert code == EXIT_USAGE

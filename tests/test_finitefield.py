@@ -2,6 +2,7 @@ import pytest
 
 from tuttekit.errors import AdmissibilityError, CapacityError, PrimeSearchError
 from tuttekit.finitefield import (
+    admissible_divisor,
     find_admissible_prime,
     is_prime,
     torus_profile,
@@ -9,6 +10,7 @@ from tuttekit.finitefield import (
     verify_classical_mode,
     verify_finite_field_identity,
 )
+from tuttekit.lattice import LatticeBasis, VectorConfig
 from tuttekit.root_systems import RootSystemSpec, build_config
 from tuttekit.tutte import (
     arithmetic_tutte_bruteforce,
@@ -47,6 +49,19 @@ class TestTorusProfile:
         c = cfg("C", 2, "integer")  # multiplicity lcm 4
         with pytest.raises(AdmissibilityError):
             torus_profile(c, 7)  # 4 does not divide 6
+
+    def test_claimed_divisor_must_be_a_multiple_of_the_lcm(self):
+        # Only B = {(4, 0)} has m(B) = 4; every other subset has m(B) = 1,
+        # so sampling subsets would almost never see the 4.
+        vectors = ((4, 0),) + ((1, 0),) * 19
+        c = VectorConfig(vectors=vectors, lattice=LatticeBasis.standard(2))
+        assert admissible_divisor(c) == 4
+        assert admissible_divisor(c, known=12) == 12
+        for known in (1, 2, 3, 6, 10):
+            with pytest.raises(AdmissibilityError):
+                admissible_divisor(c, known=known)
+        with pytest.raises(AdmissibilityError):
+            torus_profile(c, 3, divisor=2)
 
     def test_point_cap(self):
         c = cfg("B", 3, "integer")
