@@ -2,8 +2,9 @@
 
 All output is deterministic: polynomials print in ascending graded-lex
 order with explicit separators, and JSON uses the canonical encoding with
-sorted keys.  Exit codes: 0 success, 2 verification mismatch, 3 capacity
-guard, 4 usage error.
+sorted keys.  Exit codes: 0 success, 1 computation error (any other package
+error, e.g. an inexact division or no admissible prime), 2 verification
+mismatch, 3 capacity guard, 4 usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import List, Optional
 
 from .errors import CapacityError, StructureError, TutteKitError
 from .finitefield import tutte_via_interpolation
-from .genfun import DEFAULT_ORDER, GenFunRequest, extract_polynomial
+from .genfun import DEFAULT_ORDER, GenFunRequest, expand_genfun
+from .genfun import extract_polynomial, tutte_from_series
 from .invariants import InvariantReport, derive_all
 from .poly import MultiPoly
 from .root_systems import RootSystemSpec, build_config, parse_system
@@ -31,6 +33,7 @@ from .tutte import TuttePolynomial, arithmetic_tutte_bruteforce
 from .verify import FAIL, verify_system
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_MISMATCH = 2
 EXIT_CAPACITY = 3
 EXIT_USAGE = 4
@@ -159,10 +162,11 @@ def cmd_table(args) -> int:
         if r not in ("tutte", "char", "ehrhart"):
             raise StructureError(f"unknown report {r!r}")
     rows = []
+    order = max(DEFAULT_ORDER, args.max_n)  # Z^n coefficients do not depend on it
     for family in "ABCD":
+        series = expand_genfun(GenFunRequest(family, args.lattice, order))
         for n in range(2, args.max_n + 1):
-            req = GenFunRequest(family, args.lattice, max(DEFAULT_ORDER, n))
-            t = extract_polynomial(req, n)
+            t = tutte_from_series(series, family, args.lattice, n)
             entry = {"row": f"{family}{n}"}
             if "tutte" in reports:
                 entry["tutte"] = t
@@ -320,7 +324,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     except TutteKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

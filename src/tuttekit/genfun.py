@@ -144,18 +144,23 @@ def extract_coboundary(
     return CoboundaryPolynomial(poly=psi, rank=rank)
 
 
-def extract_polynomial(req: GenFunRequest, n: int) -> TuttePolynomial:
-    """Tutte polynomial of the rank-n (or n-coordinate, type A) system."""
-    series = expand_genfun(req)
-    psi = extract_coboundary(series, req.family, n)
-    if req.family == "A":
-        ambient = n if req.lattice_kind == "integer" else n - 1
-    else:
-        ambient = n
-    flavor = "classical" if req.lattice_kind == "classical" else "arithmetic"
+def tutte_from_series(
+    series: TruncSeries, family: str, lattice_kind: str, n: int
+) -> TuttePolynomial:
+    """Tutte polynomial of the rank-n (or n-coordinate, type A) system, read
+    from the family series of `expand_genfun`."""
+    psi = extract_coboundary(series, family, n)
+    # Type A has rank n-1; only the integer lattice spans all n coordinates.
+    ambient = n - 1 if family == "A" and lattice_kind != "integer" else n
+    flavor = "classical" if lattice_kind == "classical" else "arithmetic"
     result = tutte_from_coboundary(psi, ambient_rank=ambient, flavor=flavor)
     if not result.poly.has_integer_coefficients():
         raise StructureError(
             f"extracted polynomial has non-integer coefficients: {result.poly}"
         )
     return result
+
+
+def extract_polynomial(req: GenFunRequest, n: int) -> TuttePolynomial:
+    """Tutte polynomial of the rank-n (or n-coordinate, type A) system."""
+    return tutte_from_series(expand_genfun(req), req.family, req.lattice_kind, n)

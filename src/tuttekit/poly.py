@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction as Q
+from operator import add
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .errors import ExactDivisionError, StructureError
@@ -40,6 +41,14 @@ class MultiPoly:
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", canon)
 
+    @classmethod
+    def _trusted(cls, vs: Tuple[str, ...], terms: Dict[Exps, Q]) -> "MultiPoly":
+        """Wrap nonzero Fractions under len(vs)-tuples as they are, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vs)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
 
@@ -68,12 +77,6 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
-
-    def constant_term(self) -> Q:
-        return self.terms.get((0,) * len(self.vars), Q(0))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -124,13 +127,16 @@ class MultiPoly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, Q(0)) + c
-        return MultiPoly(self.vars, terms)
+            s = terms.pop(exps, None)
+            s = c if s is None else s + c
+            if s:
+                terms[exps] = s
+        return MultiPoly._trusted(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -141,14 +147,17 @@ class MultiPoly:
     def __mul__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             c = Q(other)
-            return MultiPoly(self.vars, {e: cc * c for e, cc in self.terms.items()})
+            return MultiPoly._trusted(
+                self.vars, {e: cc * c for e, cc in self.terms.items() if c}
+            )
         self._check_vars(other)
         terms: Dict[Exps, Q] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Q(0)) + c1 * c2
-        return MultiPoly(self.vars, terms)
+                e = tuple(map(add, e1, e2))
+                s = terms.get(e)
+                terms[e] = c1 * c2 if s is None else s + c1 * c2
+        return MultiPoly._trusted(self.vars, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -235,15 +244,6 @@ class MultiPoly:
             total += t
         return total
 
-    def scale_denominator_cleared(self) -> Tuple["MultiPoly", int]:
-        """Return (p * L, L) where L is the lcm of coefficient denominators."""
-        lcm = 1
-        for c in self.terms.values():
-            d = c.denominator
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
-        return self * lcm, lcm
-
     # ------------------------------------------------------------------
     # ordering, printing, serialization
 
@@ -308,8 +308,3 @@ class MultiPoly:
     def from_json(text: str) -> "MultiPoly":
         return MultiPoly.from_json_dict(json.loads(text))
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, Tuple
+from math import comb
+from typing import Dict, List, Tuple
 
 from .errors import CapacityError, ExactDivisionError, StructureError
 from .lattice import VectorConfig, sublattice_census
-from .poly import MultiPoly
+from .poly import MultiPoly, Scalar
 
 TUTTE_VARS = ("x", "y")
 COBOUNDARY_VARS = ("X", "Y")
@@ -150,20 +151,32 @@ def tutte_from_coboundary(
     ambient_rank: int,
     flavor: str = "arithmetic",
 ) -> TuttePolynomial:
-    """Recover M(x, y) from psi: substitute X=(x-1)(y-1), Y=y, divide by (y-1)^r."""
-    xm1ym1 = MultiPoly(
-        TUTTE_VARS, {(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 1}
-    )  # (x-1)(y-1)
-    yv = MultiPoly.var(TUTTE_VARS, "y")
-    substituted = c.poly.substitute({"X": xm1ym1, "Y": yv})
-    ym1 = MultiPoly(TUTTE_VARS, {(0, 1): 1, (0, 0): -1})
-    try:
-        quotient = substituted.divide_exact(ym1**c.rank)
-    except ExactDivisionError as exc:
-        raise ExactDivisionError(
-            "coboundary polynomial is not divisible by (y-1)^rank; "
-            "rank mismatch upstream"
-        ) from exc
-    return TuttePolynomial(
-        poly=quotient, rank=c.rank, ambient_rank=ambient_rank, flavor=flavor
-    )
+    """Recover M(x, y) = psi((x-1)(y-1), y) / (y-1)^r row by row.
+
+    With psi = sum_i X^i P_i(Y), M = sum_i (x-1)^i P_i(y) (y-1)^(i-r), and
+    (y-1)^r divides the whole exactly when (y-1)^(r-i) divides each P_i.
+    """
+    r = c.rank
+    width = c.poly.degree_in("Y") + 1
+    rows: Dict[int, List[Scalar]] = {}  # P_i, lowest degree first
+    for (i, j), coeff in c.poly.terms.items():
+        row = rows.setdefault(i, [0] * width)
+        row[j] = coeff.numerator if coeff.denominator == 1 else coeff
+    terms: Dict[Tuple[int, int], Scalar] = {}
+    for i, p in rows.items():
+        for _ in range(r - i):  # synthetic division by y - 1
+            for k in range(len(p) - 2, -1, -1):
+                p[k] += p[k + 1]
+            if p.pop(0):
+                raise ExactDivisionError(
+                    "coboundary polynomial is not divisible by (y-1)^rank; "
+                    "rank mismatch upstream"
+                )
+        for _ in range(i - r):  # multiplication by y - 1
+            p = [b - a for a, b in zip(p + [0], [0] + p)]
+        for k in range(i + 1):  # (x-1)^i = sum_k C(i, k) (-1)^(i-k) x^k
+            binom = comb(i, k) if (i - k) % 2 == 0 else -comb(i, k)
+            for j, a in enumerate(p):
+                if a:
+                    terms[(k, j)] = terms.get((k, j), 0) + binom * a
+    return TuttePolynomial(MultiPoly(TUTTE_VARS, terms), r, ambient_rank, flavor)

@@ -14,7 +14,7 @@ from typing import List, Optional
 from .errors import CapacityError, PrimeSearchError
 from .finitefield import find_admissible_prime, multiplicity_lcm
 from .finitefield import verify_finite_field_identity
-from .genfun import GenFunRequest, expand_genfun, extract_coboundary
+from .genfun import GenFunRequest, extract_polynomial
 from .lattice import VectorConfig
 from .poly import MultiPoly
 from .root_systems import RootSystemSpec, build_config
@@ -24,7 +24,6 @@ from .tutte import (
     TuttePolynomial,
     arithmetic_tutte_bruteforce,
     coboundary_from_tutte,
-    tutte_from_coboundary,
 )
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
@@ -74,14 +73,7 @@ def verify_system(
     # genfun vs bruteforce
     if spec.n <= order:
         req = GenFunRequest(spec.family, spec.lattice_kind, order)
-        series = expand_genfun(req)
-        psi = extract_coboundary(series, spec.family, spec.n)
-        ambient = (
-            spec.n
-            if (spec.family != "A" or spec.lattice_kind == "integer")
-            else spec.n - 1
-        )
-        gf = tutte_from_coboundary(psi, ambient_rank=ambient)
+        gf = extract_polynomial(req, spec.n)
         if baseline is None:
             baseline = gf
             results.append(CheckResult("genfun", PASS, "taken as baseline"))

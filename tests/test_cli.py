@@ -5,9 +5,27 @@ from pathlib import Path
 import pytest
 
 import tuttekit
-from tuttekit.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, format_poly, main
+from tuttekit import cli
+from tuttekit.cli import (
+    EXIT_CAPACITY,
+    EXIT_ERROR,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_USAGE,
+    format_poly,
+    main,
+)
+from tuttekit.errors import (
+    AdmissibilityError,
+    CapacityError,
+    ExactDivisionError,
+    PrimeSearchError,
+    StructureError,
+    TutteKitError,
+)
 from tuttekit.poly import MultiPoly
 from tuttekit.tables import parse_poly_terms
+from tuttekit.verify import FAIL, CheckResult
 
 
 def run(capsys, *argv):
@@ -70,6 +88,39 @@ class TestCompute:
         assert code == EXIT_CAPACITY
 
 
+class TestExitCodes:
+    def test_success(self, capsys):
+        code, _, err = run(capsys, "compute", "--system", "C:2:integer")
+        assert (code, err) == (EXIT_OK, "")
+
+    @pytest.mark.parametrize(
+        "error,code,prefix",
+        [
+            (ExactDivisionError, EXIT_ERROR, "error:"),
+            (AdmissibilityError, EXIT_ERROR, "error:"),
+            (PrimeSearchError, EXIT_ERROR, "error:"),
+            (TutteKitError, EXIT_ERROR, "error:"),
+            (CapacityError, EXIT_CAPACITY, "capacity:"),
+            (StructureError, EXIT_USAGE, "usage:"),
+        ],
+    )
+    def test_each_error_has_its_code(self, capsys, monkeypatch, error, code, prefix):
+        def fail(*_):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_compute_one", fail)
+        got, out, err = run(capsys, "compute", "--system", "C:2:integer")
+        assert got == code
+        assert out == "" and err == f"{prefix} boom\n"
+
+    def test_mismatch(self, capsys, monkeypatch):
+        failed = [CheckResult("genfun-vs-bruteforce", FAIL)]
+        monkeypatch.setattr(cli, "verify_system", lambda *_, **__: failed)
+        code, out, _ = run(capsys, "verify", "--system", "C:2:integer")
+        assert code == EXIT_MISMATCH
+        assert "genfun-vs-bruteforce: fail" in out
+
+
 class TestVerify:
     def test_verify_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--system", "A:3:weight")
@@ -103,6 +154,16 @@ class TestTable:
         for row in ["A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D2", "D3", "D4"]:
             fx = weight_tutte_fixture(row)
             assert MultiPoly.from_json_dict(rows[row]["tutte"]) == fx.poly
+
+    @pytest.mark.parametrize("lattice", ["integer", "root", "weight"])
+    def test_rows_do_not_depend_on_max_n(self, capsys, lattice):
+        # Each family series is expanded once at order max(8, max_n).
+        argv = ["table", "--lattice", lattice, "--report", "tutte,char,ehrhart"]
+        _, short, _ = run(capsys, *argv, "--max-n", "8")
+        _, long, _ = run(capsys, *argv, "--max-n", "10")
+        head = [line for line in long.splitlines() if int(line.split("\t")[0][1:]) <= 8]
+        assert "\n".join(head) + "\n" == short
+        assert len(head) == 4 * 7
 
     def test_char_ehrhart_report(self, capsys):
         code, out, _ = run(

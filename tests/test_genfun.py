@@ -7,7 +7,13 @@ from tuttekit.genfun import (
     expand_genfun,
     extract_coboundary,
     extract_polynomial,
+    tutte_from_series,
     typeA_weight_series,
+)
+from tuttekit.invariants import (
+    characteristic_polynomial,
+    closed_form_characteristic,
+    weight_characteristic_type_A,
 )
 from tuttekit.root_systems import RootSystemSpec, build_config
 from tuttekit.tables import parse_poly_terms
@@ -80,6 +86,21 @@ class TestAgainstBruteForce:
         gf = extract_polynomial(GenFunRequest(family, "classical", ORDER), 3)
         assert gf.poly == bf.poly
         assert gf.flavor == "classical"
+
+
+class TestClosedFormsToRankTwelve:
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+    def test_integer_lattice(self, family):
+        series = expand_genfun(GenFunRequest(family, "integer", 12))
+        for n in range(2 if family in "AD" else 1, 13):
+            chi = characteristic_polynomial(tutte_from_series(series, family, "integer", n))
+            assert chi == closed_form_characteristic(family, n), n
+
+    def test_type_a_weight_lattice(self):
+        series = expand_genfun(GenFunRequest("A", "weight", 12))
+        for n in range(2, 13):
+            t = tutte_from_series(series, "A", "weight", n)
+            assert characteristic_polynomial(t) == weight_characteristic_type_A(n), n
 
 
 class TestClassicalSeries:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import VARS_XY, nonzero_polys, polys
+from conftest import VARS_XY, fractions, nonzero_polys, polys
 from tuttekit.errors import ExactDivisionError, StructureError
 from tuttekit.poly import MultiPoly
 
@@ -52,6 +52,37 @@ class TestArithmetic:
         assert a * b == b * a
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
+
+
+def assert_canonical(p):
+    """What the public constructor would store: nonzero Fractions under
+    int tuples of the right length."""
+    for exps, c in p.terms.items():
+        assert type(c) is Q and c != 0
+        assert type(exps) is tuple and len(exps) == len(p.vars)
+        assert all(type(e) is int for e in exps)
+    rebuilt = MultiPoly(p.vars, dict(p.terms))
+    assert rebuilt == p
+    as_json = MultiPoly.to_json_dict
+    assert as_json(p, allow_rational=True) == as_json(rebuilt, allow_rational=True)
+    assert p.has_integer_coefficients() == rebuilt.has_integer_coefficients()
+
+
+scalars = st.one_of(st.integers(min_value=-5, max_value=5), fractions())
+
+
+class TestRingOperationsStayCanonical:
+    @given(polys(), polys(), scalars, st.integers(min_value=0, max_value=3))
+    @settings(max_examples=80, deadline=None)
+    def test_results_match_the_public_constructor(self, a, b, s, k):
+        for p in (a + b, a - b, a - a, -a, a * b, a * s, s * a, a + s, s - a, a**k):
+            assert_canonical(p)
+
+    def test_cancelling_terms_are_dropped(self):
+        x = MultiPoly.var(VARS_XY, "x")
+        y = MultiPoly.var(VARS_XY, "y")
+        assert ((x + y) * (x - y)).terms == {(2, 0): Q(1), (0, 2): Q(-1)}
+        assert (x * 0).terms == {} and (x + (-x)).terms == {}
 
 
 class TestDivision:

@@ -1,10 +1,10 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tuttekit.errors import CapacityError
+from tuttekit.errors import CapacityError, ExactDivisionError
 from tuttekit.lattice import LatticeBasis, VectorConfig
 from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config
@@ -12,6 +12,8 @@ from tuttekit.tables import parse_poly_terms
 from tuttekit.tutte import (
     COBOUNDARY_VARS,
     TUTTE_VARS,
+    CoboundaryPolynomial,
+    TuttePolynomial,
     arithmetic_tutte_bruteforce,
     classical_tutte_bruteforce,
     coboundary_from_tutte,
@@ -105,6 +107,67 @@ class TestCoboundaryTransforms:
         t = tutte("C", 2, "root")
         psi = coboundary_from_tutte(t)
         assert psi.poly.evaluate({"X": 1, "Y": 1}) == 1  # psi(1,1) = 1^r
+
+
+def substitute_and_divide(c, ambient_rank, flavor="arithmetic"):
+    """Oracle: the transform by substitution and grlex long division."""
+    xm1ym1 = MultiPoly(TUTTE_VARS, {(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 1})
+    ym1 = MultiPoly(TUTTE_VARS, {(0, 1): 1, (0, 0): -1})
+    substituted = c.poly.substitute({"X": xm1ym1, "Y": MultiPoly.var(TUTTE_VARS, "y")})
+    try:
+        quotient = substituted.divide_exact(ym1**c.rank)
+    except ExactDivisionError as exc:
+        raise ExactDivisionError(
+            "coboundary polynomial is not divisible by (y-1)^rank; "
+            "rank mismatch upstream"
+        ) from exc
+    return TuttePolynomial(quotient, c.rank, ambient_rank, flavor)
+
+
+small_ints = st.integers(min_value=-20, max_value=20)
+
+
+@st.composite
+def tutte_with_rows(draw):
+    """A random integer M(x, y) of x-degree <= r, and extra psi rows of X-degree > r."""
+    r = draw(st.integers(min_value=0, max_value=4))
+    cell = st.tuples(st.integers(0, r), st.integers(0, 5))
+    m = draw(st.dictionaries(cell, small_ints, max_size=10))
+    high = st.tuples(st.integers(r + 1, r + 3), st.integers(0, 5))
+    rows = draw(st.dictionaries(high, small_ints, max_size=4))
+    return TuttePolynomial(MultiPoly(TUTTE_VARS, m), r, r, "arithmetic"), rows
+
+
+class TestCoboundaryToTutteOracle:
+    @given(tutte_with_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_substitute_and_divide(self, case):
+        t, rows = case
+        psi = coboundary_from_tutte(t)
+        back = tutte_from_coboundary(psi, ambient_rank=t.ambient_rank)
+        assert back == t
+        assert back == substitute_and_divide(psi, t.ambient_rank)
+        wide = CoboundaryPolynomial(psi.poly + MultiPoly(COBOUNDARY_VARS, rows), t.rank)
+        assert tutte_from_coboundary(wide, 3, "classical") == substitute_and_divide(
+            wide, 3, "classical"
+        )
+
+    @given(tutte_with_rows(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_non_divisible_psi_raises(self, case, data):
+        t, _ = case
+        assume(t.rank > 0)
+        # (Y-1)^(r-i) never divides P_i(Y) + c*Y^j for i < r and c != 0.
+        i = data.draw(st.integers(0, t.rank - 1))
+        j = data.draw(st.integers(0, 5))
+        c = data.draw(small_ints.filter(bool))
+        psi = coboundary_from_tutte(t).poly + MultiPoly(COBOUNDARY_VARS, {(i, j): c})
+        bad = CoboundaryPolynomial(psi, t.rank)
+        with pytest.raises(ExactDivisionError) as new:
+            tutte_from_coboundary(bad, ambient_rank=t.rank)
+        with pytest.raises(ExactDivisionError) as old:
+            substitute_and_divide(bad, t.rank)
+        assert str(new.value) == str(old.value)
 
 
 class TestEvaluations:
