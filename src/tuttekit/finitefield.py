@@ -1,29 +1,36 @@
-"""Finite-torus point counting for verifying (arithmetic) Tutte polynomials.
+"""Finite-group point counting for verifying (arithmetic) Tutte polynomials.
 
-For a prime p and a lattice of rank d, the torus of characters is
-identified with (F_p^*)^d via the lattice basis.  Each configuration
-vector a, with integer lattice coordinates c, cuts out the hypertorus of
-points t with prod t_i^(c_i) = 1.  Histogramming how many hypertori each
-torus point lies on gives a polynomial identity against the coboundary
-polynomial, valid whenever every subset multiplicity divides p - 1.
+For a lattice of rank d and any q >= 1, the characters Hom(Lambda, Z/q)
+form the group (Z/q)^d, identified through the lattice basis.  A
+configuration vector a with integer lattice coordinates c vanishes at the
+points t with c . t = 0 (mod q).  Histogramming how many vectors vanish at
+each point gives sum_t Y^h(t) = q^(d-r) psi(q, Y), valid whenever every
+subset multiplicity divides q.  Interpolation therefore samples
+q = L, 2L, ..., (r+1)L, with L the multiplicity lcm.  The torus (F_p^*)^d of
+the prime-field checks is the case q = p - 1: F_p^* is cyclic of that
+order, so a generator identifies the two histograms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction as Q
 from typing import Dict, Optional
 
 import numpy as np
 
 from .errors import AdmissibilityError, CapacityError, PrimeSearchError
-from .lattice import VectorConfig, int_matrix_rank, multiplicity_lcm
+from .lattice import VectorConfig, multiplicity_lcm, subset_stats
 from .poly import MultiPoly
-from .tutte import COBOUNDARY_VARS, CoboundaryPolynomial
+from .tutte import (
+    COBOUNDARY_VARS,
+    CoboundaryPolynomial,
+    TuttePolynomial,
+    tutte_from_coboundary,
+)
 
-# Points enumerated per profile; (p-1)^d beyond this refuses to run.
+# Points counted per histogram; q^d beyond this refuses to run.
 DEFAULT_POINT_CAP = 200_000_000
-_CHUNK_THRESHOLD = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -41,9 +48,7 @@ class TorusProfile:
 
     def as_poly(self) -> MultiPoly:
         """The histogram as a polynomial in Y (over the (X, Y) variables)."""
-        return MultiPoly(
-            COBOUNDARY_VARS, {(0, h): c for h, c in self.histogram.items()}
-        )
+        return _histogram_poly(self.histogram)
 
 
 def is_prime(n: int) -> bool:
@@ -91,6 +96,64 @@ def admissible_divisor(config: VectorConfig, known: Optional[int] = None) -> int
     return known
 
 
+def _check_points(q: int, d: int, point_cap: int) -> None:
+    if q**d > point_cap:
+        raise CapacityError(f"q^d = {q}^{d} = {q**d} exceeds point cap {point_cap}")
+
+
+def _group_histogram(config: VectorConfig, q: int) -> Dict[int, int]:
+    """Number of points t of (Z/q)^d at which exactly h vectors vanish, per h.
+
+    The dot products over the trailing d-1 axes are formed once.  Stepping
+    the first coordinate of t then adds c_0 to each of them and subtracts q
+    where that wraps, so memory stays at |A| * q^(d-1) small integers.
+    """
+    n, d = len(config), config.lattice.rank
+    if n == 0 or d == 0:
+        return {0: q**d}
+    # Values stay below 2q, so the smallest unsigned type holding 2q - 2
+    # suffices, and min(s, s - q) reduces s < 2q mod q: s - q wraps around
+    # to a large value exactly when s < q.
+    dtype = next(
+        t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+        if 2 * q - 2 <= np.iinfo(t).max
+    )
+    wrap = dtype(q)
+    coords = np.array([[c % q for c in row] for row in config.coord_matrix])
+    steps = np.arange(q, dtype=np.int64)
+
+    def multiples(axis: int) -> np.ndarray:  # [a, t] = c_{a,axis} * t mod q
+        return (coords[:, axis, None] * steps % q).astype(dtype)
+
+    # In rank 1 there are no trailing axes, and stepping q times through
+    # one-column arrays would cost a numpy call per point: count it at once.
+    stepped = d > 1
+    tail = np.zeros((n, 1), dtype=dtype)
+    for axis in range(1 if stepped else 0, d):
+        tail = tail[:, :, None] + multiples(axis)[:, None, :]
+        tail = np.minimum(tail, tail - wrap).reshape(n, -1)
+
+    head = coords[:, :1].astype(dtype)
+    spare = np.empty_like(tail)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for _ in range(q if stepped else 1):
+        hist += np.bincount(np.count_nonzero(tail == 0, axis=0), minlength=n + 1)
+        tail += head
+        np.subtract(tail, wrap, out=spare)
+        np.minimum(tail, spare, out=tail)
+    return {h: int(c) for h, c in enumerate(hist) if c}
+
+
+def _histogram_poly(histogram: Dict[int, int]) -> MultiPoly:
+    return MultiPoly(COBOUNDARY_VARS, {(0, h): c for h, c in histogram.items()})
+
+
+def _scaled_coboundary(psi: CoboundaryPolynomial, q: int, d: int) -> MultiPoly:
+    """q^(d-r) psi(q, Y), the value the histogram at q must equal."""
+    x_val = MultiPoly.const(COBOUNDARY_VARS, q)
+    return psi.poly.substitute({"X": x_val}) * q ** (d - psi.rank)
+
+
 def torus_profile(
     config: VectorConfig,
     p: int,
@@ -115,56 +178,12 @@ def torus_profile(
 def _enumerate_profile(
     config: VectorConfig, p: int, point_cap: int = DEFAULT_POINT_CAP
 ) -> TorusProfile:
+    """The torus (F_p^*)^d, counted as the group (Z/(p-1))^d."""
     if not is_prime(p):
         raise AdmissibilityError(f"{p} is not prime")
-    q = p - 1
-    d = config.lattice.rank
-    if q**d > point_cap:
-        raise CapacityError(f"(p-1)^d = {q**d} exceeds point cap {point_cap}")
-
-    if len(config) == 0 or d == 0:
-        return TorusProfile(prime=p, rank=d, histogram={0: q**d})
-
-    # Per-vector power tables: table[i][v-1] = v^(c_i mod q) mod p.
-    values = np.arange(1, p, dtype=np.int64)
-    tables = []
-    for coords in config.coord_matrix:
-        axis_tables = [
-            np.array([pow(int(v), c % q, p) for v in values], dtype=np.int64)
-            for c in coords
-        ]
-        tables.append(axis_tables)
-
-    counts = np.zeros(q**d, dtype=np.int16)
-    for axis_tables in tables:
-        # Product over the trailing d-1 axes, then chunk over the first axis
-        # to bound peak memory.
-        tail = axis_tables[-1]
-        for t in reversed(axis_tables[1:-1]):
-            tail = (t[:, None] * tail[None, :]).reshape(-1) % p
-        if d == 1:
-            counts += (axis_tables[0] == 1).astype(np.int16)
-            continue
-        head = axis_tables[0]
-        block = q ** (d - 1)
-        if q**d <= _CHUNK_THRESHOLD:
-            full = (head[:, None] * tail[None, :]).reshape(-1) % p
-            counts += (full == 1).astype(np.int16)
-        else:
-            for i in range(q):
-                chunk = head[i] * tail % p
-                counts[i * block : (i + 1) * block] += (chunk == 1).astype(np.int16)
-
-    hist_counts = np.bincount(counts)
-    histogram = {h: int(c) for h, c in enumerate(hist_counts) if c}
-    return TorusProfile(prime=p, rank=d, histogram=histogram)
-
-
-def _config_rank(config: VectorConfig) -> int:
-    cols = config.coord_matrix
-    if not cols:
-        return 0
-    return int_matrix_rank([list(row) for row in zip(*cols)])
+    q, d = p - 1, config.lattice.rank
+    _check_points(q, d, point_cap)
+    return TorusProfile(prime=p, rank=d, histogram=_group_histogram(config, q))
 
 
 def verify_finite_field_identity(
@@ -176,12 +195,7 @@ def verify_finite_field_identity(
 ) -> bool:
     """Check sum over torus points of Y^h equals q^(d-r) psi(q, Y) exactly."""
     profile = torus_profile(config, p, divisor=divisor)
-    q = profile.q
-    d = config.lattice.rank
-    r = psi.rank
-    x_val = MultiPoly.const(COBOUNDARY_VARS, q)
-    rhs = psi.poly.substitute({"X": x_val}) * q ** (d - r)
-    return profile.as_poly() == rhs
+    return profile.as_poly() == _scaled_coboundary(psi, profile.q, profile.rank)
 
 
 def tutte_via_interpolation(
@@ -189,39 +203,23 @@ def tutte_via_interpolation(
     *,
     divisor: Optional[int] = None,
     point_cap: int = DEFAULT_POINT_CAP,
-    prime_cap: int = 100_000,
-) -> "TuttePolynomial":
-    """Recover the arithmetic Tutte polynomial from torus histograms alone.
+) -> TuttePolynomial:
+    """Recover the arithmetic Tutte polynomial from group histograms alone.
 
-    psi(X, Y) has X-degree at most r, so histograms at r + 1 distinct
-    admissible values q determine it by Lagrange interpolation in X.
+    psi(X, Y) has X-degree at most r, so histograms at the r + 1 admissible
+    values q = L, 2L, ..., (r+1)L determine it by Lagrange interpolation in
+    X.  The largest of them is checked against the point cap before any
+    counting starts.
     """
-    from fractions import Fraction as Q
-
-    from .tutte import TuttePolynomial, tutte_from_coboundary
-
     divisor = admissible_divisor(config, known=divisor)
     d = config.lattice.rank
-    r = _config_rank(config)
-    qs: list = []
-    q = divisor
-    while len(qs) < r + 1 and q <= prime_cap:
-        if is_prime(q + 1):
-            if q**d > point_cap:
-                raise CapacityError(
-                    f"interpolation needs q={q} but (q)^{d} exceeds the point cap"
-                )
-            qs.append(q)
-        q += divisor
-    if len(qs) < r + 1:
-        raise PrimeSearchError(
-            f"could not find {r + 1} admissible q values below {prime_cap}"
-        )
+    r = subset_stats(config, range(len(config))).rank
+    qs = [k * divisor for k in range(1, r + 2)]
+    _check_points(qs[-1], d, point_cap)
 
     samples = []  # (q, psi(q, Y) as MultiPoly over (X, Y))
     for q in qs:
-        profile = _enumerate_profile(config, q + 1, point_cap=point_cap)
-        scaled = profile.as_poly() * Q(1, q ** (d - r))
+        scaled = _histogram_poly(_group_histogram(config, q)) * Q(1, q ** (d - r))
         samples.append((q, scaled))
 
     x_var = MultiPoly.var(COBOUNDARY_VARS, "X")
@@ -237,8 +235,6 @@ def tutte_via_interpolation(
         psi = psi + val * basis * Q(1, denom)
     if not psi.has_integer_coefficients():
         raise AdmissibilityError("interpolated coboundary is not integral")
-    from .tutte import CoboundaryPolynomial
-
     cob = CoboundaryPolynomial(poly=psi, rank=r)
     return tutte_from_coboundary(cob, ambient_rank=d, flavor="arithmetic")
 
@@ -264,9 +260,6 @@ def verify_classical_mode(
             f"multiplicity lcm {divisor} must divide s - 2 = {s - 2}"
         )
     profile = _enumerate_profile(config, s)
-    q = s - 1
-    d = config.lattice.rank
-    r = classical_psi.rank
-    x_val = MultiPoly.const(COBOUNDARY_VARS, q)
-    rhs = classical_psi.poly.substitute({"X": x_val}) * q ** (d - r)
-    return profile.as_poly() == rhs
+    return profile.as_poly() == _scaled_coboundary(
+        classical_psi, profile.q, profile.rank
+    )

@@ -18,6 +18,9 @@ from .errors import CapacityError, LatticeMembershipError, SpanError, StructureE
 
 Vector = Tuple[Q, ...]
 
+# Vector-count guard shared by the subset census and the multiplicity lcm.
+DEFAULT_CAPACITY = 25
+
 
 def _solve_exact(columns: Sequence[Vector], v: Vector) -> List[Q]:
     """Solve sum_j c_j * columns[j] = v exactly; raise SpanError if unsolvable."""
@@ -359,7 +362,7 @@ def sublattice_census(config: VectorConfig) -> List[Tuple[SubsetStats, List[int]
     return census
 
 
-def multiplicity_lcm(config: VectorConfig, max_vectors: int = 20) -> int:
+def multiplicity_lcm(config: VectorConfig, max_vectors: int = DEFAULT_CAPACITY) -> int:
     """lcm of m(B) over all subsets B (guarded by the number of vectors)."""
     n = len(config)
     if n > max_vectors:

@@ -17,13 +17,11 @@ from math import comb
 from typing import Dict, List, Tuple
 
 from .errors import CapacityError, ExactDivisionError, StructureError
-from .lattice import VectorConfig, sublattice_census
+from .lattice import DEFAULT_CAPACITY, VectorConfig, sublattice_census
 from .poly import MultiPoly, Scalar
 
 TUTTE_VARS = ("x", "y")
 COBOUNDARY_VARS = ("X", "Y")
-
-DEFAULT_CAPACITY = 25
 
 
 @dataclass(frozen=True)

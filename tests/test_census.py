@@ -4,15 +4,14 @@
 each of the 2^|A| subsets, summed straight from the definition of M(x, y).
 """
 
-from fractions import Fraction as Q
 from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import configs
 from tuttekit.lattice import (
-    LatticeBasis,
     VectorConfig,
     multiplicity_lcm,
     sublattice_census,
@@ -48,36 +47,6 @@ def sweep(config):
         arithmetic = arithmetic + term * mult_sum
         classical = classical + term * count
     return arithmetic, classical, lcm(*(s.multiplicity for s, _ in stats))
-
-
-@st.composite
-def configs(draw):
-    """<= 8 vectors with lattice coordinates in [-3, 3], in rank 2 or 3.
-
-    Half the time the lattice basis is a random triangular one with
-    half-integer entries above the diagonal instead of the standard basis.
-    """
-    d = draw(st.sampled_from([2, 3]))
-    coords = draw(
-        st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=8)
-    )
-    if draw(st.booleans()):
-        lattice = LatticeBasis.standard(d)
-    else:
-        halves = st.sampled_from([Q(-1), Q(-1, 2), Q(0), Q(1, 2), Q(1)])
-        diagonal = st.sampled_from([1, 2, 3])
-
-        def entry(i, j):
-            return draw(halves) if i < j else draw(diagonal) if i == j else Q(0)
-
-        lattice = LatticeBasis(
-            tuple(tuple(entry(i, j) for i in range(d)) for j in range(d))
-        )
-    vectors = tuple(
-        tuple(sum(c * col[i] for c, col in zip(cs, lattice.basis)) for i in range(d))
-        for cs in coords
-    )
-    return VectorConfig(vectors=vectors, lattice=lattice)
 
 
 class TestAgainstSweep:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import tuttekit
-from tuttekit import cli
+from tuttekit import cli, finitefield
 from tuttekit.cli import (
     EXIT_CAPACITY,
     EXIT_ERROR,
@@ -86,6 +86,19 @@ class TestCompute:
             capsys, "compute", "--system", "B:6:integer", "--method", "graphs"
         )
         assert code == EXIT_CAPACITY
+
+    def test_finitefield_cap_checked_before_counting(self, capsys, monkeypatch):
+        # C5 integer: L = 32, r = d = 5, so the largest group (Z/192)^5
+        # exceeds the point cap.
+        def refuse(*_):
+            raise AssertionError("counted past the point cap")
+
+        monkeypatch.setattr(finitefield, "_group_histogram", refuse)
+        code, out, err = run(
+            capsys, "compute", "--system", "C:5:integer", "--method", "finitefield"
+        )
+        assert (code, out) == (EXIT_CAPACITY, "")
+        assert err.startswith("capacity:")
 
 
 class TestExitCodes:

@@ -1,7 +1,22 @@
-import pytest
+"""Finite-group point counts and interpolation.
 
+`power_table_profile` is the torus enumerator the group count replaced,
+kept verbatim as an oracle: over F_p^* it tests prod t_i^(c_i) = 1
+directly, so it shares no counting code with `_group_histogram`.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import configs
+from tuttekit import finitefield
 from tuttekit.errors import AdmissibilityError, CapacityError, PrimeSearchError
 from tuttekit.finitefield import (
+    DEFAULT_POINT_CAP,
+    TorusProfile,
+    _group_histogram,
     admissible_divisor,
     find_admissible_prime,
     is_prime,
@@ -10,13 +25,76 @@ from tuttekit.finitefield import (
     verify_classical_mode,
     verify_finite_field_identity,
 )
-from tuttekit.lattice import LatticeBasis, VectorConfig
+from tuttekit.lattice import (
+    LatticeBasis,
+    VectorConfig,
+    multiplicity_lcm,
+    subset_stats,
+)
+from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config
 from tuttekit.tutte import (
+    COBOUNDARY_VARS,
     arithmetic_tutte_bruteforce,
     classical_tutte_bruteforce,
     coboundary_from_tutte,
 )
+
+_CHUNK_THRESHOLD = 1 << 22
+
+
+def power_table_profile(
+    config: VectorConfig, p: int, point_cap: int = DEFAULT_POINT_CAP
+) -> TorusProfile:
+    if not is_prime(p):
+        raise AdmissibilityError(f"{p} is not prime")
+    q = p - 1
+    d = config.lattice.rank
+    if q**d > point_cap:
+        raise CapacityError(f"(p-1)^d = {q**d} exceeds point cap {point_cap}")
+
+    if len(config) == 0 or d == 0:
+        return TorusProfile(prime=p, rank=d, histogram={0: q**d})
+
+    # Per-vector power tables: table[i][v-1] = v^(c_i mod q) mod p.
+    values = np.arange(1, p, dtype=np.int64)
+    tables = []
+    for coords in config.coord_matrix:
+        axis_tables = [
+            np.array([pow(int(v), c % q, p) for v in values], dtype=np.int64)
+            for c in coords
+        ]
+        tables.append(axis_tables)
+
+    counts = np.zeros(q**d, dtype=np.int16)
+    for axis_tables in tables:
+        # Product over the trailing d-1 axes, then chunk over the first axis
+        # to bound peak memory.
+        tail = axis_tables[-1]
+        for t in reversed(axis_tables[1:-1]):
+            tail = (t[:, None] * tail[None, :]).reshape(-1) % p
+        if d == 1:
+            counts += (axis_tables[0] == 1).astype(np.int16)
+            continue
+        head = axis_tables[0]
+        block = q ** (d - 1)
+        if q**d <= _CHUNK_THRESHOLD:
+            full = (head[:, None] * tail[None, :]).reshape(-1) % p
+            counts += (full == 1).astype(np.int16)
+        else:
+            for i in range(q):
+                chunk = head[i] * tail % p
+                counts[i * block : (i + 1) * block] += (chunk == 1).astype(np.int16)
+
+    hist_counts = np.bincount(counts)
+    histogram = {h: int(c) for h, c in enumerate(hist_counts) if c}
+    return TorusProfile(prime=p, rank=d, histogram=histogram)
+
+
+def interpolation_points(config):
+    """((r+1)L)^d, the size of the largest group interpolation counts over."""
+    r = subset_stats(config, range(len(config))).rank
+    return ((r + 1) * multiplicity_lcm(config)) ** config.lattice.rank
 
 
 def cfg(family, n, kind):
@@ -124,3 +202,86 @@ class TestInterpolation:
         assert (
             tutte_via_interpolation(c).poly == arithmetic_tutte_bruteforce(c).poly
         )
+
+    def test_reaches_a7_root(self):
+        c = cfg("A", 7, "root")  # 21 vectors, past the old 20-vector lcm guard
+        assert tutte_via_interpolation(c).poly == arithmetic_tutte_bruteforce(c).poly
+
+    def test_samples_multiples_of_the_lcm(self, monkeypatch):
+        # C2 integer: L = 4, r = 2.  q + 1 = 9 is not prime.
+        seen = []
+        count = finitefield._group_histogram
+
+        def spy(config, q):
+            seen.append(q)
+            return count(config, q)
+
+        monkeypatch.setattr(finitefield, "_group_histogram", spy)
+        tutte_via_interpolation(cfg("C", 2, "integer"))
+        assert seen == [4, 8, 12]
+
+    def test_point_cap_checked_before_counting(self, monkeypatch):
+        c = cfg("C", 2, "integer")  # largest group (Z/12)^2
+        tutte_via_interpolation(c, point_cap=144)
+
+        def refuse(*_):
+            raise AssertionError("counted past the point cap")
+
+        monkeypatch.setattr(finitefield, "_group_histogram", refuse)
+        with pytest.raises(CapacityError):
+            tutte_via_interpolation(c, point_cap=143)
+
+
+class TestRandomConfigurations:
+    @given(configs(), st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]))
+    @settings(max_examples=60, deadline=None)
+    def test_group_count_matches_power_tables(self, config, p):
+        expected = power_table_profile(config, p).histogram
+        assert _group_histogram(config, p - 1) == expected
+
+    @pytest.mark.parametrize("p", [127, 131, 257])
+    def test_moduli_past_the_uint8_range(self, p):
+        # q = 126 fits uint8 sums (< 2q); q = 130 and 256 need uint16.
+        c = cfg("B", 2, "integer")
+        assert _group_histogram(c, p - 1) == power_table_profile(c, p).histogram
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 13, 101])
+    def test_rank_1_counted_without_stepping(self, p):
+        vectors = ((1,), (2,), (-3,), (0,), (6,), (4,))
+        c = VectorConfig(vectors=vectors, lattice=LatticeBasis.standard(1))
+        assert _group_histogram(c, p - 1) == power_table_profile(c, p).histogram
+
+    @given(configs())
+    @settings(max_examples=60, deadline=None)
+    def test_interpolation_matches_bruteforce(self, config):
+        assume(interpolation_points(config) <= 100_000)
+        assert (
+            tutte_via_interpolation(config).poly
+            == arithmetic_tutte_bruteforce(config).poly
+        )
+
+    @given(configs(), st.sampled_from([4, 6]))
+    @settings(max_examples=60, deadline=None)
+    def test_identity_at_composite_multiples_of_the_lcm(self, config, k):
+        q = k * multiplicity_lcm(config)
+        d = config.lattice.rank
+        assume(q**d <= 100_000)
+        psi = coboundary_from_tutte(arithmetic_tutte_bruteforce(config))
+        histogram = MultiPoly(
+            COBOUNDARY_VARS,
+            {(0, h): c for h, c in _group_histogram(config, q).items()},
+        )
+        at_q = psi.poly.substitute({"X": MultiPoly.const(COBOUNDARY_VARS, q)})
+        assert not is_prime(q)
+        assert histogram == at_q * q ** (d - psi.rank)
+
+    @given(configs())
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic_is_classical_exactly_when_the_lcm_is_1(self, config):
+        # M - T = sum_B (m(B) - 1)(x-1)^(r-r(B))(y-1)^(|B|-r(B)) is positive
+        # at x = y = 2 as soon as one m(B) exceeds 1.
+        same = (
+            arithmetic_tutte_bruteforce(config).poly
+            == classical_tutte_bruteforce(config).poly
+        )
+        assert same == (multiplicity_lcm(config) == 1)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import int_matrices
 from tuttekit.errors import CapacityError, LatticeMembershipError, SpanError
 from tuttekit.lattice import (
+    DEFAULT_CAPACITY,
     LatticeBasis,
     VectorConfig,
     int_matrix_rank,
@@ -113,7 +114,10 @@ class TestVectorConfig:
         assert multiplicity_lcm(cfg) == 6
 
     def test_multiplicity_lcm_capacity_guard(self):
-        vecs = tuple(V(1, 0) for _ in range(25))
-        cfg = VectorConfig(vectors=vecs, lattice=LatticeBasis.standard(2))
+        # The guard is the census's: DEFAULT_CAPACITY vectors pass, one more fails.
+        vecs = tuple(V(1, 0) for _ in range(DEFAULT_CAPACITY + 1))
+        plane = LatticeBasis.standard(2)
+        assert multiplicity_lcm(VectorConfig(vectors=vecs[1:], lattice=plane)) == 1
+        cfg = VectorConfig(vectors=vecs, lattice=plane)
         with pytest.raises(CapacityError):
             multiplicity_lcm(cfg)
