@@ -18,7 +18,7 @@ from fractions import Fraction as Q
 from math import factorial, gcd
 from typing import Dict, Tuple
 
-from .errors import StructureError
+from .errors import ExactDivisionError, StructureError
 from .poly import MultiPoly
 from .series import TruncSeries, deformed_exponential
 from .tutte import (
@@ -137,7 +137,10 @@ def extract_coboundary(
         raise StructureError(f"n={n} exceeds series order {series.order}")
     psi = series.coefficient(n) * factorial(n)
     if family == "A":
-        psi = psi.divide_exact(MultiPoly.var(COBOUNDARY_VARS, "X"))
+        if any(i == 0 for i, _ in psi.terms):
+            raise ExactDivisionError("non-exact polynomial division")
+        shifted = {(i - 1, j): c for (i, j), c in psi.terms.items()}
+        psi = MultiPoly(COBOUNDARY_VARS, shifted)
         rank = n - 1
     else:
         rank = n

@@ -49,11 +49,10 @@ def characteristic_polynomial(t: TuttePolynomial) -> MultiPoly:
     """chi(q) = (-1)^r q^(d-r) M(1-q, 0) as a polynomial over ("q",)."""
     r, d = t.rank, t.ambient_rank
     one_minus_q = _univariate(CHAR_VARS, {0: Q(1), 1: Q(-1)})
-    zero = MultiPoly.zero(CHAR_VARS)
-    chi = t.poly.substitute({"x": one_minus_q, "y": zero})
-    chi = chi * _univariate(CHAR_VARS, {d - r: Q(1)})
-    if r % 2:
-        chi = -chi
+    sign = -1 if r % 2 else 1
+    chi = MultiPoly.zero(CHAR_VARS)
+    for i, c in _x_marginal(t, 0).items():
+        chi = chi + one_minus_q**i * _univariate(CHAR_VARS, {d - r: sign * c})
     return chi
 
 

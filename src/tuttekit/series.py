@@ -1,25 +1,107 @@
 """Truncated power series whose coefficients are multivariate polynomials.
 
 A TruncSeries of order N holds the coefficients of Z^0 .. Z^N of a power
-series in a distinguished variable Z; each coefficient is a MultiPoly over
+series in a distinguished variable Z; each coefficient is a polynomial over
 a shared variable list (typically ("X", "Y")).  Operations never extend the
 truncation order silently: the result order is the minimum of the inputs.
+
+Series arithmetic runs on integer numerators over one denominator per
+coefficient.  Each coefficient is stored as a pair ({key: int}, den) with
+den > 0 sharing no factor with all the numerators, no zero numerators, and
+zero stored as ({}, 1).  Every operation reduces each result coefficient
+once, so results stay exact and equal series are equal structurally.
+MultiPoly appears only at the boundary: the constructor takes MultiPoly
+coefficients, scalar and MultiPoly operands are converted once, and
+`coefficient(k)` returns a MultiPoly.
+
+A key packs an exponent vector (e_1, ..., e_n) into one int, with the total
+degree in the top field: T * B^n + e_1 * B^(n-1) + ... + e_n, B = 2^32.
+Adding keys multiplies monomials as long as T stays below B; when it does
+not, the sum's key is at least B^(n+1), so one comparison per result
+detects the overflow and raises CapacityError instead of a wrong answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import comb, factorial
-from typing import Iterable, List, Sequence, Union
+from math import factorial, gcd, lcm
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-from .errors import PrecisionError, StructureError
-from .poly import MultiPoly, Scalar
+from .errors import CapacityError, PrecisionError, StructureError
+from .poly import Exps, MultiPoly, Scalar
+
+Nums = Dict[int, int]  # packed exponent key -> integer numerator
+Coeff = Tuple[Nums, int]  # integer numerators over one positive denominator
+ZERO: Coeff = ({}, 1)
+ONE: Coeff = ({0: 1}, 1)
+
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+
+
+def _pack(exps: Exps) -> int:
+    key = sum(exps)
+    if any(e < 0 for e in exps):
+        raise StructureError(f"series exponents {exps} must be non-negative")
+    if key > _FIELD_MASK:
+        raise CapacityError(
+            f"series exponents {exps} reach total degree 2^{_FIELD_BITS}"
+        )
+    for e in exps:
+        key = (key << _FIELD_BITS) | e
+    return key
+
+
+def _unpack(key: int, n: int) -> Exps:
+    exps = []
+    for _ in range(n):
+        exps.append(key & _FIELD_MASK)
+        key >>= _FIELD_BITS
+    return tuple(reversed(exps))
+
+
+def _from_poly(p: MultiPoly) -> Coeff:
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    nums = {_pack(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    return nums, den
+
+
+def _sum_of_products(
+    n: int, products: Iterable[Tuple[int, Coeff, Coeff]], divisor: int = 1
+) -> Coeff:
+    """(w_1 a_1 b_1 + w_2 a_2 b_2 + ...) / divisor for integer weights w_i, a
+    positive integer divisor and keys over n variables, over the lcm of the
+    denominators of a_i b_i."""
+    products = [(w, a, b) for w, a, b in products if w and a[0] and b[0]]
+    den = lcm(*(a[1] * b[1] for _, a, b in products))
+    acc: Nums = {}
+    get = acc.get
+    for w, (a, a_den), (b, b_den) in products:
+        if len(a) > len(b):
+            a, b = b, a
+        scale = w * (den // (a_den * b_den))
+        b_items = tuple(b.items())
+        for e1, c1 in a.items():
+            c1 *= scale
+            for e2, c2 in b_items:
+                e = e1 + e2
+                acc[e] = get(e, 0) + c1 * c2
+    if acc and max(acc) >> (_FIELD_BITS * (n + 1)):
+        raise CapacityError(f"series exponents reach total degree 2^{_FIELD_BITS}")
+    acc = {e: c for e, c in acc.items() if c}
+    if not acc:
+        return ZERO
+    den *= divisor
+    g = gcd(den, *acc.values())
+    if g == 1:
+        return acc, den
+    return {e: c // g for e, c in acc.items()}, den // g
 
 
 class TruncSeries:
-    """Immutable truncated series with MultiPoly coefficients."""
+    """Immutable truncated series with polynomial coefficients."""
 
-    __slots__ = ("order", "coeffs", "vars")
+    __slots__ = ("order", "vars", "_coeffs")
 
     def __init__(self, coeffs: Sequence[MultiPoly]):
         cs = tuple(coeffs)
@@ -29,9 +111,19 @@ class TruncSeries:
         for c in cs:
             if c.vars != vs:
                 raise StructureError("series coefficients over differing variables")
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "order", len(cs) - 1)
+        self._fill(vs, [_from_poly(c) for c in cs])
+
+    def _fill(self, vs: Tuple[str, ...], coeffs: List[Coeff]) -> None:
         object.__setattr__(self, "vars", vs)
+        object.__setattr__(self, "_coeffs", tuple(coeffs))
+        object.__setattr__(self, "order", len(coeffs) - 1)
+
+    @classmethod
+    def _make(cls, vs: Tuple[str, ...], coeffs: List[Coeff]) -> "TruncSeries":
+        """Wrap canonical coefficient pairs as they are, unchecked."""
+        s = object.__new__(cls)
+        s._fill(vs, coeffs)
+        return s
 
     def __setattr__(self, *_):
         raise AttributeError("TruncSeries is immutable")
@@ -41,32 +133,26 @@ class TruncSeries:
     @staticmethod
     def constant(variables: Iterable[str], c: Scalar, order: int) -> "TruncSeries":
         vs = tuple(variables)
-        coeffs = [MultiPoly.const(vs, c)] + [
-            MultiPoly.zero(vs) for _ in range(order)
-        ]
-        return TruncSeries(coeffs)
-
-    @staticmethod
-    def one(variables: Iterable[str], order: int) -> "TruncSeries":
-        return TruncSeries.constant(variables, 1, order)
+        return TruncSeries._make(
+            vs, [_from_poly(MultiPoly.const(vs, c))] + [ZERO] * order
+        )
 
     def coefficient(self, k: int) -> MultiPoly:
-        return self.coeffs[k]
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise StructureError("cannot extend truncation order")
-        return TruncSeries(self.coeffs[: order + 1])
+        nums, den = self._coeffs[k]
+        nv = len(self.vars)
+        return MultiPoly(self.vars, {_unpack(e, nv): Q(c, den) for e, c in nums.items()})
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
+            and self.vars == other.vars
+            and self._coeffs == other._coeffs
         )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(
+            (self.vars, tuple((frozenset(n.items()), d) for n, d in self._coeffs))
+        )
 
     # ------------------------------------------------------------------
     # ring operations
@@ -76,40 +162,58 @@ class TruncSeries:
             raise StructureError("series over differing variable lists")
         return min(self.order, other.order)
 
+    def _operand(self, other: Union[Scalar, MultiPoly]) -> Coeff:
+        """A scalar or MultiPoly operand as a coefficient pair."""
+        if not isinstance(other, MultiPoly):
+            other = MultiPoly.const(self.vars, other)
+        elif other.vars != self.vars:
+            raise StructureError(
+                f"variable lists differ: {self.vars} vs {other.vars}"
+            )
+        return _from_poly(other)
+
     def __add__(self, other: Union["TruncSeries", Scalar, MultiPoly]) -> "TruncSeries":
+        nv = len(self.vars)
         if not isinstance(other, TruncSeries):
-            c = other if isinstance(other, MultiPoly) else MultiPoly.const(self.vars, other)
-            return TruncSeries((self.coeffs[0] + c,) + self.coeffs[1:])
+            head = ((1, self._coeffs[0], ONE), (1, self._operand(other), ONE))
+            return TruncSeries._make(
+                self.vars, [_sum_of_products(nv, head)] + list(self._coeffs[1:])
+            )
         n = self._common_order(other)
-        return TruncSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)]
+        return TruncSeries._make(
+            self.vars,
+            [
+                _sum_of_products(nv, ((1, a, ONE), (1, b, ONE)))
+                for a, b in zip(self._coeffs[: n + 1], other._coeffs)
+            ],
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries([-c for c in self.coeffs])
+        return TruncSeries._make(
+            self.vars, [({e: -c for e, c in n.items()}, d) for n, d in self._coeffs]
+        )
 
     def __sub__(self, other) -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return self + (-Q(other) if not isinstance(other, MultiPoly) else -other)
         return self + (-other)
 
     def __mul__(self, other: Union["TruncSeries", Scalar, MultiPoly]) -> "TruncSeries":
+        a, nv = self._coeffs, len(self.vars)
         if not isinstance(other, TruncSeries):
-            return TruncSeries([c * other for c in self.coeffs])
+            c = self._operand(other)
+            return TruncSeries._make(
+                self.vars, [_sum_of_products(nv, ((1, ak, c),)) for ak in a]
+            )
+        b = other._coeffs
         n = self._common_order(other)
-        zero = MultiPoly.zero(self.vars)
-        out: List[MultiPoly] = []
-        for k in range(n + 1):
-            acc = zero
-            for i in range(k + 1):
-                a = self.coeffs[i]
-                b = other.coeffs[k - i]
-                if a.terms and b.terms:
-                    acc = acc + a * b
-            out.append(acc)
-        return TruncSeries(out)
+        return TruncSeries._make(
+            self.vars,
+            [
+                _sum_of_products(nv, ((1, a[i], b[k - i]) for i in range(k + 1)))
+                for k in range(n + 1)
+            ],
+        )
 
     __rmul__ = __mul__
 
@@ -122,32 +226,27 @@ class TruncSeries:
         Uses the derivative recurrence k*g_k = sum_{j=1..k} j*s_j*g_{k-j},
         which is quadratic in the order overall.
         """
-        if not self.coeffs[0].is_zero():
+        s = self._coeffs
+        if s[0][0]:
             raise PrecisionError("exp requires zero constant term")
-        vs = self.vars
-        g: List[MultiPoly] = [MultiPoly.const(vs, 1)]
+        nv = len(self.vars)
+        g = [ONE]
         for k in range(1, self.order + 1):
-            acc = MultiPoly.zero(vs)
-            for j in range(1, k + 1):
-                sj = self.coeffs[j]
-                if sj.terms:
-                    acc = acc + (sj * g[k - j]) * j
-            g.append(acc * Q(1, k))
-        return TruncSeries(g)
+            products = ((j, s[j], g[k - j]) for j in range(1, k + 1))
+            g.append(_sum_of_products(nv, products, k))
+        return TruncSeries._make(self.vars, g)
 
     def log(self) -> "TruncSeries":
         """log of a series with constant term 1 (derivative recurrence)."""
-        if self.coeffs[0] != MultiPoly.const(self.vars, 1):
+        s, nv = self._coeffs, len(self.vars)
+        if s[0] != ONE:
             raise PrecisionError("log requires constant term 1")
-        vs = self.vars
-        t: List[MultiPoly] = [MultiPoly.zero(vs)]
+        t = [ZERO]
         for k in range(1, self.order + 1):
-            acc = self.coeffs[k] * k
-            for j in range(1, k):
-                if t[j].terms:
-                    acc = acc - (t[j] * self.coeffs[k - j]) * j
-            t.append(acc * Q(1, k))
-        return TruncSeries(t)
+            products = [(k, s[k], ONE)]
+            products += [(-j, t[j], s[k - j]) for j in range(1, k)]
+            t.append(_sum_of_products(nv, products, k))
+        return TruncSeries._make(self.vars, t)
 
     def pow_poly(self, exponent: MultiPoly) -> "TruncSeries":
         """self ** exponent for a polynomial exponent, via exp(e * log self)."""
@@ -159,13 +258,17 @@ class TruncSeries:
         """Zero every coefficient of Z^k with n not dividing k."""
         if n <= 0:
             raise PrecisionError("filter stride must be positive")
-        zero = MultiPoly.zero(self.vars)
-        return TruncSeries(
-            [c if k % n == 0 else zero for k, c in enumerate(self.coeffs)]
+        return TruncSeries._make(
+            self.vars,
+            [c if k % n == 0 else ZERO for k, c in enumerate(self._coeffs)],
         )
 
     def __str__(self) -> str:
-        parts = [f"({c})*Z^{k}" for k, c in enumerate(self.coeffs) if c.terms]
+        parts = [
+            f"({self.coefficient(k)})*Z^{k}"
+            for k, (nums, _) in enumerate(self._coeffs)
+            if nums
+        ]
         return " + ".join(parts) if parts else "0"
 
 
@@ -183,10 +286,18 @@ def deformed_exp_general(
     """
     if alpha.vars != beta.vars:
         raise StructureError("alpha and beta over differing variable lists")
+    if order < 0:
+        raise StructureError("order must be non-negative")
+    a, b, nv = _from_poly(alpha), _from_poly(beta), len(alpha.vars)
+    # alpha^n, beta^n and beta^C(n,2); C(n+1,2) = C(n,2) + n.
+    a_n = b_n = b_c2 = ONE
     coeffs = []
     for n in range(order + 1):
-        coeffs.append((alpha**n) * (beta ** comb(n, 2)) * Q(1, factorial(n)))
-    return TruncSeries(coeffs)
+        coeffs.append(_sum_of_products(nv, ((1, a_n, b_c2),), factorial(n)))
+        a_n = _sum_of_products(nv, ((1, a_n, a),))
+        b_c2 = _sum_of_products(nv, ((1, b_c2, b_n),))
+        b_n = _sum_of_products(nv, ((1, b_n, b),))
+    return TruncSeries._make(alpha.vars, coeffs)
 
 
 def deformed_exponential(
@@ -203,8 +314,6 @@ def deformed_exponential(
     Y^beta_power, which covers every shape needed by the generating
     functions here: F(Z,Y), F(2Z,Y), F(-2Z,Y), F(Z,Y^2), F(YZ,Y^2).
     """
-    if order < 0:
-        raise StructureError("order must be non-negative")
     vs = tuple(variables)
     y = MultiPoly.var(vs, "Y")
     alpha = MultiPoly.const(vs, scale) * y**alpha_y_power

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import tuttekit
-from tuttekit import cli, finitefield
+from tuttekit import cli, finitefield, verify
 from tuttekit.cli import (
     EXIT_CAPACITY,
     EXIT_ERROR,
@@ -23,7 +23,9 @@ from tuttekit.errors import (
     StructureError,
     TutteKitError,
 )
+from tuttekit.genfun import extract_polynomial
 from tuttekit.poly import MultiPoly
+from tuttekit.root_systems import RootSystemSpec
 from tuttekit.tables import parse_poly_terms
 from tuttekit.verify import FAIL, CheckResult
 
@@ -147,6 +149,18 @@ class TestVerify:
         assert code == EXIT_OK
         assert "fail" not in out
         assert "graph-dictionary: pass (taken as baseline)" in out
+
+    def test_genfun_expands_to_order_n(self, monkeypatch):
+        orders = []
+
+        def spy(req, n):
+            orders.append(req.order)
+            return extract_polynomial(req, n)
+
+        monkeypatch.setattr(verify, "extract_polynomial", spy)
+        results = verify.verify_system(RootSystemSpec("C", 3, "root"), order=8)
+        assert orders == [3]
+        assert CheckResult("genfun-vs-bruteforce", "pass") in results
 
     def test_verify_deterministic(self, capsys):
         _, first, _ = run(capsys, "verify", "--system", "C:2:root", "--output", "json")

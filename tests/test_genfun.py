@@ -1,6 +1,6 @@
 import pytest
 
-from tuttekit.errors import StructureError
+from tuttekit.errors import ExactDivisionError, StructureError
 from tuttekit.genfun import (
     GenFunRequest,
     euler_phi,
@@ -15,9 +15,12 @@ from tuttekit.invariants import (
     closed_form_characteristic,
     weight_characteristic_type_A,
 )
+from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config
+from tuttekit.series import TruncSeries
 from tuttekit.tables import parse_poly_terms
 from tuttekit.tutte import (
+    COBOUNDARY_VARS,
     TUTTE_VARS,
     arithmetic_tutte_bruteforce,
     classical_tutte_bruteforce,
@@ -89,16 +92,19 @@ class TestAgainstBruteForce:
 
 
 class TestClosedFormsToRankTwelve:
+    """The genfun characteristic polynomials against the closed forms, one
+    expansion per family at order 20 (ranks up to 20)."""
+
     @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
     def test_integer_lattice(self, family):
-        series = expand_genfun(GenFunRequest(family, "integer", 12))
-        for n in range(2 if family in "AD" else 1, 13):
+        series = expand_genfun(GenFunRequest(family, "integer", 20))
+        for n in range(2 if family in "AD" else 1, 21):
             chi = characteristic_polynomial(tutte_from_series(series, family, "integer", n))
             assert chi == closed_form_characteristic(family, n), n
 
     def test_type_a_weight_lattice(self):
-        series = expand_genfun(GenFunRequest("A", "weight", 12))
-        for n in range(2, 13):
+        series = expand_genfun(GenFunRequest("A", "weight", 20))
+        for n in range(2, 21):
             t = tutte_from_series(series, "A", "weight", n)
             assert characteristic_polynomial(t) == weight_characteristic_type_A(n), n
 
@@ -115,6 +121,15 @@ class TestExtraction:
         assert (
             genfun_tutte("A", "integer", 4).poly == genfun_tutte("A", "root", 4).poly
         )
+
+    def test_type_a_division_by_x_must_be_exact(self):
+        # A Z^1 coefficient 1 + X has a term of X-degree 0.
+        one = MultiPoly.const(COBOUNDARY_VARS, 1)
+        x = MultiPoly.var(COBOUNDARY_VARS, "X")
+        series = TruncSeries((one, one + x))
+        with pytest.raises(ExactDivisionError, match="non-exact polynomial division"):
+            extract_coboundary(series, "A", 1)
+        assert extract_coboundary(TruncSeries((one, x * 3)), "A", 1).poly == one * 3
 
     def test_order_bound_enforced(self):
         series = expand_genfun(GenFunRequest("B", "integer", 3))

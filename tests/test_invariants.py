@@ -16,6 +16,8 @@ from tuttekit.invariants import (
     weight_characteristic_type_A,
     weyl_group_check,
 )
+from tuttekit.genfun import GenFunRequest, expand_genfun, tutte_from_series
+from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config
 from tuttekit.tables import parse_poly_terms
 from tuttekit.tutte import arithmetic_tutte_bruteforce
@@ -51,6 +53,34 @@ class TestWorkedExample:
         for family, n, kind in [("A", 3, "root"), ("B", 2, "weight"), ("D", 3, "integer")]:
             e = ehrhart_polynomial(tutte(family, n, kind))
             assert e.evaluate({"t": 0}) == 1
+
+
+def substitute_characteristic(t):
+    """Oracle: chi(q) = (-1)^r q^(d-r) M(1-q, 0) by generic substitution."""
+    r, d = t.rank, t.ambient_rank
+    one_minus_q = MultiPoly(("q",), {(0,): 1, (1,): -1})
+    chi = t.poly.substitute({"x": one_minus_q, "y": MultiPoly.zero(("q",))})
+    chi = chi * MultiPoly(("q",), {(d - r,): 1})
+    return -chi if r % 2 else chi
+
+
+class TestCharacteristicAgainstSubstitution:
+    @pytest.mark.parametrize("lattice", ["integer", "root", "weight"])
+    def test_every_row_of_the_table_to_rank_ten(self, lattice):
+        # The rows of `tuttekit table --lattice LATTICE --max-n 10`.
+        for family in "ABCD":
+            series = expand_genfun(GenFunRequest(family, lattice, 10))
+            for n in range(2, 11):
+                t = tutte_from_series(series, family, lattice, n)
+                assert characteristic_polynomial(t) == substitute_characteristic(t), (
+                    family,
+                    n,
+                )
+
+    def test_bruteforce_rows(self):
+        for family, n, kind in [("A", 1, "integer"), ("C", 3, "root"), ("D", 4, "weight")]:
+            t = tutte(family, n, kind)
+            assert characteristic_polynomial(t) == substitute_characteristic(t)
 
 
 class TestClosedForms:

@@ -1,13 +1,14 @@
 from fractions import Fraction as Q
 from math import comb, factorial
+from typing import Iterable, List, Sequence, Union
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import polys
-from tuttekit.errors import PrecisionError
-from tuttekit.poly import MultiPoly
+from conftest import fractions, polys
+from tuttekit.errors import CapacityError, PrecisionError, StructureError
+from tuttekit.poly import MultiPoly, Scalar
 from tuttekit.series import TruncSeries, deformed_exp_general, deformed_exponential
 
 XY = ("X", "Y")
@@ -123,3 +124,274 @@ class TestFilter:
         for k in range(7):
             expected = one if k % 3 == 0 else MultiPoly.zero(XY)
             assert f.coefficient(k) == expected
+
+
+# ----------------------------------------------------------------------
+# Oracle: the MultiPoly-coefficient series that the integer kernel replaced,
+# kept verbatim (renamed) so the kernel can be compared against it.
+
+
+class OracleSeries:
+    """Immutable truncated series with MultiPoly coefficients."""
+
+    __slots__ = ("order", "coeffs", "vars")
+
+    def __init__(self, coeffs: Sequence[MultiPoly]):
+        cs = tuple(coeffs)
+        if not cs:
+            raise StructureError("a series needs at least the constant coefficient")
+        vs = cs[0].vars
+        for c in cs:
+            if c.vars != vs:
+                raise StructureError("series coefficients over differing variables")
+        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "order", len(cs) - 1)
+        object.__setattr__(self, "vars", vs)
+
+    def __setattr__(self, *_):
+        raise AttributeError("OracleSeries is immutable")
+
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def constant(variables: Iterable[str], c: Scalar, order: int) -> "OracleSeries":
+        vs = tuple(variables)
+        coeffs = [MultiPoly.const(vs, c)] + [
+            MultiPoly.zero(vs) for _ in range(order)
+        ]
+        return OracleSeries(coeffs)
+
+    @staticmethod
+    def one(variables: Iterable[str], order: int) -> "OracleSeries":
+        return OracleSeries.constant(variables, 1, order)
+
+    def coefficient(self, k: int) -> MultiPoly:
+        return self.coeffs[k]
+
+    def truncate(self, order: int) -> "OracleSeries":
+        if order > self.order:
+            raise StructureError("cannot extend truncation order")
+        return OracleSeries(self.coeffs[: order + 1])
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, OracleSeries)
+            and self.order == other.order
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    # ------------------------------------------------------------------
+    # ring operations
+
+    def _common_order(self, other: "OracleSeries") -> int:
+        if self.vars != other.vars:
+            raise StructureError("series over differing variable lists")
+        return min(self.order, other.order)
+
+    def __add__(self, other: Union["OracleSeries", Scalar, MultiPoly]) -> "OracleSeries":
+        if not isinstance(other, OracleSeries):
+            c = other if isinstance(other, MultiPoly) else MultiPoly.const(self.vars, other)
+            return OracleSeries((self.coeffs[0] + c,) + self.coeffs[1:])
+        n = self._common_order(other)
+        return OracleSeries(
+            [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)]
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "OracleSeries":
+        return OracleSeries([-c for c in self.coeffs])
+
+    def __sub__(self, other) -> "OracleSeries":
+        if not isinstance(other, OracleSeries):
+            return self + (-Q(other) if not isinstance(other, MultiPoly) else -other)
+        return self + (-other)
+
+    def __mul__(self, other: Union["OracleSeries", Scalar, MultiPoly]) -> "OracleSeries":
+        if not isinstance(other, OracleSeries):
+            return OracleSeries([c * other for c in self.coeffs])
+        n = self._common_order(other)
+        zero = MultiPoly.zero(self.vars)
+        out: List[MultiPoly] = []
+        for k in range(n + 1):
+            acc = zero
+            for i in range(k + 1):
+                a = self.coeffs[i]
+                b = other.coeffs[k - i]
+                if a.terms and b.terms:
+                    acc = acc + a * b
+            out.append(acc)
+        return OracleSeries(out)
+
+    __rmul__ = __mul__
+
+    # ------------------------------------------------------------------
+    # analytic operations
+
+    def exp(self) -> "OracleSeries":
+        """exp of a series with zero constant term.
+
+        Uses the derivative recurrence k*g_k = sum_{j=1..k} j*s_j*g_{k-j},
+        which is quadratic in the order overall.
+        """
+        if not self.coeffs[0].is_zero():
+            raise PrecisionError("exp requires zero constant term")
+        vs = self.vars
+        g: List[MultiPoly] = [MultiPoly.const(vs, 1)]
+        for k in range(1, self.order + 1):
+            acc = MultiPoly.zero(vs)
+            for j in range(1, k + 1):
+                sj = self.coeffs[j]
+                if sj.terms:
+                    acc = acc + (sj * g[k - j]) * j
+            g.append(acc * Q(1, k))
+        return OracleSeries(g)
+
+    def log(self) -> "OracleSeries":
+        """log of a series with constant term 1 (derivative recurrence)."""
+        if self.coeffs[0] != MultiPoly.const(self.vars, 1):
+            raise PrecisionError("log requires constant term 1")
+        vs = self.vars
+        t: List[MultiPoly] = [MultiPoly.zero(vs)]
+        for k in range(1, self.order + 1):
+            acc = self.coeffs[k] * k
+            for j in range(1, k):
+                if t[j].terms:
+                    acc = acc - (t[j] * self.coeffs[k - j]) * j
+            t.append(acc * Q(1, k))
+        return OracleSeries(t)
+
+    def pow_poly(self, exponent: MultiPoly) -> "OracleSeries":
+        """self ** exponent for a polynomial exponent, via exp(e * log self)."""
+        if exponent.vars != self.vars:
+            raise StructureError("exponent over differing variable list")
+        return (self.log() * exponent).exp()
+
+    def filter_every_nth(self, n: int) -> "OracleSeries":
+        """Zero every coefficient of Z^k with n not dividing k."""
+        if n <= 0:
+            raise PrecisionError("filter stride must be positive")
+        zero = MultiPoly.zero(self.vars)
+        return OracleSeries(
+            [c if k % n == 0 else zero for k, c in enumerate(self.coeffs)]
+        )
+
+    def __str__(self) -> str:
+        parts = [f"({c})*Z^{k}" for k, c in enumerate(self.coeffs) if c.terms]
+        return " + ".join(parts) if parts else "0"
+
+
+def oracle_deformed_exp_general(alpha: MultiPoly, beta: MultiPoly, order: int):
+    coeffs = []
+    for n in range(order + 1):
+        coeffs.append((alpha**n) * (beta ** comb(n, 2)) * Q(1, factorial(n)))
+    return OracleSeries(coeffs)
+
+
+def both(poly_list):
+    return TruncSeries(poly_list), OracleSeries(poly_list)
+
+
+def assert_same(series, oracle):
+    assert series.order == oracle.order
+    for k in range(oracle.order + 1):
+        assert series.coefficient(k) == oracle.coefficient(k), k
+
+
+V5 = ("a", "b", "c", "d", "e")
+
+
+def poly_lists(variables=XY, max_exp=2, max_terms=3, min_size=1, max_size=5):
+    return st.lists(
+        polys(variables, max_exp=max_exp, max_terms=max_terms),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
+class TestAgainstOracle:
+    @given(poly_lists(), poly_lists(), fractions(), polys(XY, max_exp=2, max_terms=3))
+    @settings(max_examples=60, deadline=None)
+    def test_ring_operations(self, p, q, c, m):
+        (s, os), (t, ot) = both(p), both(q)
+        assert_same(s + t, os + ot)
+        assert_same(s - t, os - ot)
+        assert_same(-s, -os)
+        assert_same(s * t, os * ot)
+        assert_same(s * c, os * c)
+        assert_same(c * s, c * os)
+        assert_same(s * m, os * m)
+        assert_same(s + c, os + c)
+        assert_same(s - c, os - c)
+        assert_same(s + m, os + m)
+        assert_same(s - m, os - m)
+
+    @given(poly_lists(min_size=2), polys(XY, max_exp=1, max_terms=2), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_exp_log_pow_filter(self, tail, e, n):
+        zero, one = MultiPoly.zero(XY), MultiPoly.const(XY, 1)
+        s, os = both([zero] + tail)
+        u, ou = both([one] + tail)
+        assert_same(s.exp(), os.exp())
+        assert_same(u.log(), ou.log())
+        assert_same(u.pow_poly(e), ou.pow_poly(e))
+        assert_same(s.filter_every_nth(n), os.filter_every_nth(n))
+
+    @given(poly_lists(max_size=4), poly_lists(max_size=4), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_equality_and_hash(self, p, q, same):
+        if same:
+            q = list(p)
+        (s, os), (t, ot) = both(p), both(q)
+        assert (s == t) == (os == ot)
+        if s == t:
+            assert hash(s) == hash(t)
+        # Equal series reached by different routes are equal structurally.
+        assert s * 2 * Q(1, 2) == s
+        assert hash(s * 2 * Q(1, 2)) == hash(s)
+        assert (s - s) == TruncSeries.constant(XY, 0, s.order)
+
+    @given(
+        polys(XY, max_exp=2, max_terms=2),
+        polys(XY, max_exp=2, max_terms=2),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_deformed_exp_general(self, alpha, beta, order):
+        assert_same(
+            deformed_exp_general(alpha, beta, order),
+            oracle_deformed_exp_general(alpha, beta, order),
+        )
+
+    @given(
+        poly_lists(V5, max_exp=1, max_terms=2, min_size=3, max_size=3),
+        polys(V5, max_exp=1, max_terms=2),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_five_variables(self, tail, e):
+        zero, one = MultiPoly.zero(V5), MultiPoly.const(V5, 1)
+        s, os = both([zero] + tail)
+        u, ou = both([one] + tail)
+        assert_same(s * u, os * ou)
+        assert_same(s.exp(), os.exp())
+        assert_same(u.log(), ou.log())
+        assert_same(u.pow_poly(e), ou.pow_poly(e))
+
+
+class TestExponentLimits:
+    def test_total_degree_overflow_is_refused(self):
+        top = MultiPoly(XY, {(0, 2**32 - 1): 1})
+        s = TruncSeries((MultiPoly.zero(XY), top))
+        assert s.coefficient(1) == top
+        # Y^(2^32 - 1) * Y would carry into the X field if it were not refused.
+        with pytest.raises(CapacityError):
+            s * MultiPoly.var(XY, "Y")
+        with pytest.raises(CapacityError):
+            TruncSeries((MultiPoly(XY, {(1, 2**32 - 1): 1}),))
+
+    def test_negative_exponents_are_refused(self):
+        with pytest.raises(StructureError):
+            TruncSeries((MultiPoly(XY, {(-1, 0): 1}),))
