@@ -75,7 +75,6 @@ from .signed_graphs import (
     graph_dictionary_tutte,
     marked_graph_identity_holds,
     master_census,
-    master_genfun_bruteforce,
     master_genfun_theorem,
     unsigned_census,
     unsigned_genfun_theorem,

@@ -186,6 +186,20 @@ def _enumerate_profile(
     return TorusProfile(prime=p, rank=d, histogram=_group_histogram(config, q))
 
 
+def group_identity_holds(
+    config: VectorConfig, q: int, psi: CoboundaryPolynomial
+) -> bool:
+    """Histogram over (Z/q)^d against q^(d-r) psi(q, Y), counted once.
+
+    The identity holds when the multiplicity lcm divides q, which the
+    caller guarantees; a q^d past the point cap raises before counting.
+    """
+    d = config.lattice.rank
+    _check_points(q, d, DEFAULT_POINT_CAP)
+    histogram = _histogram_poly(_group_histogram(config, q))
+    return histogram == _scaled_coboundary(psi, q, d)
+
+
 def verify_finite_field_identity(
     config: VectorConfig,
     p: int,

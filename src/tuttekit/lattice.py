@@ -18,7 +18,7 @@ from .errors import CapacityError, LatticeMembershipError, SpanError, StructureE
 
 Vector = Tuple[Q, ...]
 
-# Vector-count guard shared by the subset census and the multiplicity lcm.
+# Vector-count guard of the sublattice census, and so of every caller.
 DEFAULT_CAPACITY = 25
 
 
@@ -145,6 +145,10 @@ class VectorConfig:
 class SubsetStats:
     rank: int
     multiplicity: int
+
+
+# One (stats, counts[k] of k-element generating subsets) pair per lattice ZB.
+Census = List[Tuple[SubsetStats, List[int]]]
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +339,7 @@ def _hnf_add(
     return tuple(tuple(r) for r in out)
 
 
-def sublattice_census(config: VectorConfig) -> List[Tuple[SubsetStats, List[int]]]:
+def sublattice_census(config: VectorConfig) -> Census:
     """Every distinct sublattice ZB, B a subset of the configuration.
 
     Returns one (stats, counts) pair per lattice: its rank and multiplicity,
@@ -343,8 +347,13 @@ def sublattice_census(config: VectorConfig) -> List[Tuple[SubsetStats, List[int]
     The vectors are folded in one at a time over a map from canonical HNF
     to counts, so the work grows with the number of distinct lattices, not
     with 2^|A|; one Smith normal form per final lattice gives m(B).
+    Refuses more than DEFAULT_CAPACITY vectors.
     """
     n = len(config)
+    if n > DEFAULT_CAPACITY:
+        raise CapacityError(
+            f"{n} vectors exceeds the census capacity guard of {DEFAULT_CAPACITY}"
+        )
     states = {(): [1] + [0] * n}
     for v in config.coord_matrix:
         grown = {key: counts[:] for key, counts in states.items()}
@@ -362,11 +371,6 @@ def sublattice_census(config: VectorConfig) -> List[Tuple[SubsetStats, List[int]
     return census
 
 
-def multiplicity_lcm(config: VectorConfig, max_vectors: int = DEFAULT_CAPACITY) -> int:
-    """lcm of m(B) over all subsets B (guarded by the number of vectors)."""
-    n = len(config)
-    if n > max_vectors:
-        raise CapacityError(
-            f"{n} vectors exceeds the exhaustive-sweep guard of {max_vectors}"
-        )
+def multiplicity_lcm(config: VectorConfig) -> int:
+    """lcm of m(B) over all subsets B (the census's vector guard applies)."""
     return lcm(*(stats.multiplicity for stats, _ in sublattice_census(config)))

@@ -7,7 +7,6 @@ exact; there is no floating point anywhere in this package.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction as Q
 from operator import add
 from typing import Dict, Iterable, Mapping, Tuple, Union
@@ -294,17 +293,9 @@ class MultiPoly:
             terms.append({"coeff": coeff, "exps": list(exps)})
         return {"vars": list(self.vars), "terms": terms}
 
-    def to_json(self, allow_rational: bool = False) -> str:
-        return json.dumps(self.to_json_dict(allow_rational=allow_rational))
-
     @staticmethod
     def from_json_dict(data: dict) -> "MultiPoly":
         terms = {
             tuple(t["exps"]): Q(t["coeff"]) for t in data["terms"]
         }
         return MultiPoly(data["vars"], terms)
-
-    @staticmethod
-    def from_json(text: str) -> "MultiPoly":
-        return MultiPoly.from_json_dict(json.loads(text))
-

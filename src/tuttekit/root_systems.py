@@ -154,8 +154,6 @@ def build_config(spec: RootSystemSpec) -> VectorConfig:
                     v = _e(n, i)
                     v[j] = Q(-1)
                     roots.append(tuple(v))
-            if not roots:
-                roots = []
             return VectorConfig(
                 vectors=tuple(roots), lattice=LatticeBasis.standard(n)
             )

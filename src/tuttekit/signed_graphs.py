@@ -27,6 +27,12 @@ UNSIGNED_VARS = ("t", "y")
 # Component signature: sorted tuple of (size, balanced) pairs.
 Signature = Tuple[Tuple[int, bool], ...]
 
+# Largest vertex counts the exhaustive censuses enumerate: 4^C(v,2) signed
+# and 2^C(v,2) simple graphs.  The graph dictionary inherits them as rank
+# guards (A from the unsigned census, B/C/D from the signed one).
+SIGNED_MAX_V = 5
+UNSIGNED_MAX_V = 7
+
 
 @dataclass(frozen=True)
 class SignedGraph:
@@ -188,14 +194,14 @@ def _unsigned_census_detail(v: int) -> Dict[Tuple[Tuple[int, ...], int], int]:
 # censuses with loops, and the closed-form comparisons
 
 
-def master_census(v: int, guard: int = 5) -> MultiPoly:
+def master_census(v: int) -> MultiPoly:
     """Exact census polynomial over (tp, tm, t0, x, y) for signed graphs on [v].
 
     Loops are attached analytically: a component of size s contributes
     tp-or-tm with no loops, or t0 * ((1+x)^s - 1) once it carries loops.
     """
-    if v > guard:
-        raise CapacityError(f"signed-graph census guarded at v <= {guard}")
+    if v > SIGNED_MAX_V:
+        raise CapacityError(f"signed-graph census guarded at v <= {SIGNED_MAX_V}")
     one_plus_x = MultiPoly(MASTER_VARS, {(0, 0, 0, 1, 0): 1, (0, 0, 0, 0, 0): 1})
     tp = MultiPoly.var(MASTER_VARS, "tp")
     tm = MultiPoly.var(MASTER_VARS, "tm")
@@ -235,15 +241,10 @@ def master_genfun_theorem(order: int) -> TruncSeries:
     )
 
 
-def master_genfun_bruteforce(v_max: int, guard: int = 5) -> List[MultiPoly]:
-    """Census polynomials for v = 0 .. v_max."""
-    return [master_census(v, guard=guard) for v in range(v_max + 1)]
-
-
-def unsigned_census(v: int, guard: int = 7) -> MultiPoly:
+def unsigned_census(v: int) -> MultiPoly:
     """Census of simple graphs on [v] over (t, y)."""
-    if v > guard:
-        raise CapacityError(f"unsigned census guarded at v <= {guard}")
+    if v > UNSIGNED_MAX_V:
+        raise CapacityError(f"unsigned census guarded at v <= {UNSIGNED_MAX_V}")
     total: Dict[Tuple[int, int], int] = {}
     for (sizes, e), count in _unsigned_census_detail(v).items():
         key = (len(sizes), e)
@@ -334,9 +335,7 @@ def _dictionary_multiplicity(
     raise StructureError(f"no signed-graph dictionary for family {family!r}")
 
 
-def graph_dictionary_tutte(
-    family: str, n: int, lattice_kind: str, guard: int = 5
-) -> TuttePolynomial:
+def graph_dictionary_tutte(family: str, n: int, lattice_kind: str) -> TuttePolynomial:
     """Arithmetic Tutte polynomial via the (signed) graph dictionary.
 
     This path never touches lattice coordinate arithmetic: ranks and
@@ -347,8 +346,8 @@ def graph_dictionary_tutte(
     ym1 = MultiPoly(TUTTE_VARS, {(0, 1): 1, (0, 0): -1})
 
     if family == "A":
-        if n > 7:
-            raise CapacityError("type-A dictionary guarded at n <= 7")
+        if n > UNSIGNED_MAX_V:
+            raise CapacityError(f"type-A dictionary guarded at n <= {UNSIGNED_MAX_V}")
         full_rank = n - 1
         total = MultiPoly.zero(TUTTE_VARS)
         for (sizes, e), count in _unsigned_census_detail(n).items():
@@ -368,8 +367,8 @@ def graph_dictionary_tutte(
             flavor="arithmetic",
         )
 
-    if n > guard:
-        raise CapacityError(f"signed-graph dictionary guarded at n <= {guard}")
+    if n > SIGNED_MAX_V:
+        raise CapacityError(f"signed-graph dictionary guarded at n <= {SIGNED_MAX_V}")
     full_rank = n
     total = MultiPoly.zero(TUTTE_VARS)
     for (sig, e), count in _loopless_census(n).items():

@@ -16,8 +16,8 @@ from fractions import Fraction as Q
 from math import comb
 from typing import Dict, List, Tuple
 
-from .errors import CapacityError, ExactDivisionError, StructureError
-from .lattice import DEFAULT_CAPACITY, VectorConfig, sublattice_census
+from .errors import ExactDivisionError, StructureError
+from .lattice import Census, VectorConfig, sublattice_census
 from .poly import MultiPoly, Scalar
 
 TUTTE_VARS = ("x", "y")
@@ -58,27 +58,6 @@ class CoboundaryPolynomial:
 # subset census
 
 
-def _subset_census(
-    config: VectorConfig, arithmetic: bool, capacity: int
-) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """Fold the lattice census into {(rank, size): total weight} and r(A)."""
-    n = len(config)
-    if n > capacity:
-        raise CapacityError(
-            f"{n} vectors exceeds the brute-force capacity guard of {capacity}"
-        )
-    counts: Dict[Tuple[int, int], int] = {}
-    full_rank = 0
-    for stats, by_size in sublattice_census(config):
-        weight = stats.multiplicity if arithmetic else 1
-        full_rank = max(full_rank, stats.rank)
-        for size, c in enumerate(by_size):
-            if c:
-                key = (stats.rank, size)
-                counts[key] = counts.get(key, 0) + weight * c
-    return counts, full_rank
-
-
 def _census_to_poly(counts: Dict[Tuple[int, int], int], full_rank: int) -> MultiPoly:
     xm1 = MultiPoly(TUTTE_VARS, {(1, 0): 1, (0, 0): -1})
     ym1 = MultiPoly(TUTTE_VARS, {(0, 1): 1, (0, 0): -1})
@@ -96,29 +75,37 @@ def _census_to_poly(counts: Dict[Tuple[int, int], int], full_rank: int) -> Multi
     return total
 
 
-def arithmetic_tutte_bruteforce(
-    config: VectorConfig, capacity: int = DEFAULT_CAPACITY
+def tutte_from_census(
+    census: Census, ambient_rank: int, flavor: str = "arithmetic"
 ) -> TuttePolynomial:
-    """Arithmetic Tutte polynomial by exact summation over all subsets."""
-    counts, full_rank = _subset_census(config, arithmetic=True, capacity=capacity)
+    """Fold a `sublattice_census` into M(x, y).
+
+    The census is first summed into {(rank, size): total weight}, with
+    weight m(B) for the arithmetic polynomial and 1 for the classical one.
+    """
+    counts: Dict[Tuple[int, int], int] = {}
+    full_rank = 0
+    for stats, by_size in census:
+        weight = stats.multiplicity if flavor == "arithmetic" else 1
+        full_rank = max(full_rank, stats.rank)
+        for size, c in enumerate(by_size):
+            if c:
+                key = (stats.rank, size)
+                counts[key] = counts.get(key, 0) + weight * c
     return TuttePolynomial(
-        poly=_census_to_poly(counts, full_rank),
-        rank=full_rank,
-        ambient_rank=config.lattice.rank,
-        flavor="arithmetic",
+        _census_to_poly(counts, full_rank), full_rank, ambient_rank, flavor
     )
 
 
-def classical_tutte_bruteforce(
-    config: VectorConfig, capacity: int = DEFAULT_CAPACITY
-) -> TuttePolynomial:
+def arithmetic_tutte_bruteforce(config: VectorConfig) -> TuttePolynomial:
+    """Arithmetic Tutte polynomial by exact summation over all subsets."""
+    return tutte_from_census(sublattice_census(config), config.lattice.rank)
+
+
+def classical_tutte_bruteforce(config: VectorConfig) -> TuttePolynomial:
     """Classical Tutte polynomial: the same census with unit multiplicities."""
-    counts, full_rank = _subset_census(config, arithmetic=False, capacity=capacity)
-    return TuttePolynomial(
-        poly=_census_to_poly(counts, full_rank),
-        rank=full_rank,
-        ambient_rank=config.lattice.rank,
-        flavor="classical",
+    return tutte_from_census(
+        sublattice_census(config), config.lattice.rank, flavor="classical"
     )
 
 

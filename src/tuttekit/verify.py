@@ -1,32 +1,52 @@
 """Cross-checks between the independent computation paths.
 
-For a given root system and lattice, the brute-force, generating-function,
-signed-graph, and finite-field engines should agree exactly.  Each check
-either passes, fails, or is skipped with a reason (capacity guards, or a
-path that does not apply to the system).
+`verify_system` runs each engine once on one root system and lattice:
+
+- `bruteforce`: one sublattice census, folded into M(x, y);
+- `genfun`: the family series expanded to order n, for n <= `order`;
+- `graph-dictionary`: the (signed) graph census.
+
+The first engine that runs is the baseline and reports
+`<engine>: pass (taken as baseline)`; each later engine reports
+`<engine>-vs-<baseline engine>`.  One coboundary polynomial psi of the
+baseline then feeds every structural check:
+
+- `coboundary-at-Y1`: psi(X, 1) = X^r;
+- `finite-field-p{p}`: the histogram over the torus (F_p^*)^d, that is over
+  (Z/q)^d with q = p - 1, equals q^(d-r) psi(q, Y), for the smallest prime
+  p with L | p - 1, where L is the multiplicity lcm read off the same census;
+- `finite-field-q{q}`: the same identity at the smallest multiple q of L
+  other than p - 1.
+
+A check is skipped only when its engine raises `CapacityError`: the
+census's vector guard (which also skips the finite-field checks, as they
+need L), the graph dictionary's rank guard, the point cap of a group count,
+or n > `order` for genfun.  No admissible prime below the search cap skips
+`finite-field-p`.  The skip's detail is the error's message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from math import lcm
+from typing import Callable, List, TypeVar, Union
 
 from .errors import CapacityError, PrimeSearchError
-from .finitefield import find_admissible_prime, multiplicity_lcm
-from .finitefield import verify_finite_field_identity
-from .genfun import GenFunRequest, extract_polynomial
-from .lattice import VectorConfig
-from .poly import MultiPoly
+from .finitefield import find_admissible_prime, group_identity_holds
+from .genfun import DEFAULT_ORDER, GenFunRequest, extract_polynomial
+from .lattice import Census, VectorConfig, sublattice_census
 from .root_systems import RootSystemSpec, build_config
 from .signed_graphs import graph_dictionary_tutte
 from .tutte import (
-    COBOUNDARY_VARS,
+    CoboundaryPolynomial,
     TuttePolynomial,
-    arithmetic_tutte_bruteforce,
     coboundary_from_tutte,
+    tutte_from_census,
 )
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -36,129 +56,99 @@ class CheckResult:
     detail: str = ""
 
 
-def _psi_at_y1_is_power(t: TuttePolynomial) -> bool:
-    psi = coboundary_from_tutte(t)
-    at_one = MultiPoly.zero(COBOUNDARY_VARS)
-    for (i, j), c in psi.poly.terms.items():
-        at_one = at_one + MultiPoly(COBOUNDARY_VARS, {(i, 0): c})
-    expected = MultiPoly(COBOUNDARY_VARS, {(t.rank, 0): 1})
-    return at_one == expected
+def _check(name: str, ok: bool, why: str) -> CheckResult:
+    return CheckResult(name, PASS if ok else FAIL, "" if ok else why)
+
+
+def _attempt(compute: Callable[[], T]) -> Union[T, CapacityError]:
+    """The engine's result, or the CapacityError it raised."""
+    try:
+        return compute()
+    except CapacityError as exc:
+        return exc
+
+
+def _genfun(spec: RootSystemSpec, order: int) -> TuttePolynomial:
+    if spec.n > order:
+        raise CapacityError(f"n > order {order}")
+    # The Z^n coefficient does not depend on the order past n.
+    req = GenFunRequest(spec.family, spec.lattice_kind, spec.n)
+    return extract_polynomial(req, spec.n)
+
+
+def _at_y1_is_power(psi: CoboundaryPolynomial) -> bool:
+    """psi(X, 1) = X^r, summing the coefficients of each power of X."""
+    at_one = {}
+    for (i, _), c in psi.poly.terms.items():
+        at_one[i] = at_one.get(i, 0) + c
+    return {i: c for i, c in at_one.items() if c} == {psi.rank: 1}
+
+
+def _finite_field_checks(
+    config: VectorConfig, census: Census, psi: CoboundaryPolynomial
+) -> List[CheckResult]:
+    divisor = lcm(*(stats.multiplicity for stats, _ in census))
+    results: List[CheckResult] = []
+    groups = []  # (check name, q)
+    p = None
+    try:
+        p = find_admissible_prime(divisor)
+        groups.append((f"finite-field-p{p}", p - 1))
+    except PrimeSearchError as exc:
+        results.append(CheckResult("finite-field-p", SKIP, str(exc)))
+    q = 2 * divisor if p == divisor + 1 else divisor
+    groups.append((f"finite-field-q{q}", q))
+    for name, q in groups:
+        try:
+            ok = group_identity_holds(config, q, psi)
+        except CapacityError as exc:
+            results.append(CheckResult(name, SKIP, str(exc)))
+            continue
+        results.append(_check(name, ok, "histogram does not match q^(d-r) psi(q, Y)"))
+    return results
 
 
 def verify_system(
-    spec: RootSystemSpec,
-    *,
-    order: int = 8,
-    prime_count: int = 2,
-    point_cap: int = 50_000_000,
-    bruteforce_capacity: int = 20,
+    spec: RootSystemSpec, *, order: int = DEFAULT_ORDER
 ) -> List[CheckResult]:
     """Run every applicable cross-check for one system; deterministic order."""
-    results: List[CheckResult] = []
     config = build_config(spec)
-    n_vectors = len(config)
+    census = _attempt(lambda: sublattice_census(config))
+    outcomes = {
+        "bruteforce": (
+            census
+            if isinstance(census, CapacityError)
+            else tutte_from_census(census, config.lattice.rank)
+        ),
+        "genfun": _attempt(lambda: _genfun(spec, order)),
+        "graph-dictionary": _attempt(
+            lambda: graph_dictionary_tutte(spec.family, spec.n, spec.lattice_kind)
+        ),
+    }
 
-    baseline: Optional[TuttePolynomial] = None
-    if n_vectors <= bruteforce_capacity:
-        baseline = arithmetic_tutte_bruteforce(config)
-    else:
-        results.append(
-            CheckResult(
-                "bruteforce",
-                SKIP,
-                f"{n_vectors} vectors exceeds capacity {bruteforce_capacity}",
-            )
-        )
-
-    # genfun vs bruteforce
-    if spec.n <= order:
-        # The Z^n coefficient does not depend on the order past n.
-        req = GenFunRequest(spec.family, spec.lattice_kind, spec.n)
-        gf = extract_polynomial(req, spec.n)
-        if baseline is None:
-            baseline = gf
-            results.append(CheckResult("genfun", PASS, "taken as baseline"))
+    results: List[CheckResult] = []
+    baseline_name, baseline = "", None
+    for engine, t in outcomes.items():
+        if isinstance(t, CapacityError):
+            results.append(CheckResult(engine, SKIP, str(t)))
+        elif baseline is None:
+            baseline_name, baseline = engine, t
+            results.append(CheckResult(engine, PASS, "taken as baseline"))
         else:
-            ok = gf.poly == baseline.poly
+            ok = t.poly == baseline.poly
+            detail = "" if ok else f"{t.poly} != {baseline.poly}"
             results.append(
-                CheckResult(
-                    "genfun-vs-bruteforce",
-                    PASS if ok else FAIL,
-                    "" if ok else f"{gf.poly} != {baseline.poly}",
-                )
+                CheckResult(f"{engine}-vs-{baseline_name}", PASS if ok else FAIL, detail)
             )
+    if baseline is None:
+        return results
+
+    psi = coboundary_from_tutte(baseline)
+    results.append(_check("coboundary-at-Y1", _at_y1_is_power(psi), "psi(X, 1) != X^r"))
+    if isinstance(census, CapacityError):
+        results.append(CheckResult("finite-field", SKIP, str(census)))
     else:
-        results.append(CheckResult("genfun", SKIP, f"n > order {order}"))
-
-    # signed/unsigned graph dictionary
-    dict_guard = 7 if spec.family == "A" else 5
-    if spec.n <= dict_guard:
-        gd = graph_dictionary_tutte(spec.family, spec.n, spec.lattice_kind)
-        if baseline is None:
-            baseline = gd
-            results.append(CheckResult("graph-dictionary", PASS, "taken as baseline"))
-        else:
-            ok = gd.poly == baseline.poly
-            results.append(
-                CheckResult(
-                    "graph-dictionary-vs-baseline",
-                    PASS if ok else FAIL,
-                    "" if ok else "mismatch against baseline polynomial",
-                )
-            )
-    else:
-        results.append(
-            CheckResult("graph-dictionary", SKIP, f"n > guard {dict_guard}")
-        )
-
-    # structural identity on the baseline
-    if baseline is not None:
-        ok = _psi_at_y1_is_power(baseline)
-        results.append(
-            CheckResult(
-                "coboundary-at-Y1",
-                PASS if ok else FAIL,
-                "" if ok else "psi(X, 1) != X^r",
-            )
-        )
-
-    # finite-field identity at admissible primes
-    if baseline is not None:
-        psi_b = coboundary_from_tutte(baseline)
-        try:
-            divisor = multiplicity_lcm(config)
-        except CapacityError as exc:
-            divisor = None
-            results.append(CheckResult("finite-field", SKIP, str(exc)))
-        if divisor is not None:
-            d = config.lattice.rank
-            p = 2
-            found = 0
-            while found < prime_count:
-                try:
-                    p = find_admissible_prime(divisor, min_p=p)
-                except PrimeSearchError as exc:
-                    results.append(CheckResult("finite-field", SKIP, str(exc)))
-                    break
-                if (p - 1) ** d > point_cap:
-                    results.append(
-                        CheckResult(
-                            f"finite-field-p{p}",
-                            SKIP,
-                            f"(p-1)^{d} exceeds point cap {point_cap}",
-                        )
-                    )
-                    break
-                ok = verify_finite_field_identity(config, p, psi_b, divisor=divisor)
-                results.append(
-                    CheckResult(
-                        f"finite-field-p{p}",
-                        PASS if ok else FAIL,
-                        "" if ok else "histogram does not match q^(d-r) psi(q, Y)",
-                    )
-                )
-                found += 1
-                p += 1
+        results.extend(_finite_field_checks(config, census, psi))
     return results
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import tuttekit
-from tuttekit import cli, finitefield, verify
+from tuttekit import cli, finitefield, lattice, verify
 from tuttekit.cli import (
     EXIT_CAPACITY,
     EXIT_ERROR,
@@ -142,13 +142,20 @@ class TestVerify:
         assert code == EXIT_OK
         assert "fail" not in out
 
-    def test_graph_dictionary_becomes_the_baseline(self, capsys):
-        # 25 vectors skip bruteforce and order 2 skips genfun, so the graph
-        # dictionary is the first engine to run.
+    def test_graph_dictionary_becomes_the_baseline(self, capsys, monkeypatch):
+        # A census guard below its 25 vectors skips bruteforce and order 2
+        # skips genfun, so the graph dictionary is the first engine to run.
+        monkeypatch.setattr(lattice, "DEFAULT_CAPACITY", 24)
         code, out, _ = run(capsys, "verify", "--system", "B:5:integer", "--order", "2")
         assert code == EXIT_OK
         assert "fail" not in out
         assert "graph-dictionary: pass (taken as baseline)" in out
+
+    def test_b5_integer_runs_every_check(self, capsys):
+        code, out, _ = run(capsys, "verify", "--system", "B:5:integer")
+        assert code == EXIT_OK
+        assert "fail" not in out and "skip" not in out
+        assert "graph-dictionary-vs-bruteforce: pass" in out
 
     def test_genfun_expands_to_order_n(self, monkeypatch):
         orders = []
@@ -234,6 +241,7 @@ class TestPackage:
         [
             ["compute", "--system", "C:2:integer", "--threads", "2"],
             ["verify", "--system", "C:2:integer", "--method", "all"],
+            ["verify", "--system", "C:2:integer", "--primes", "2"],
         ],
     )
     def test_removed_flags_are_usage_errors(self, capsys, argv):

@@ -1,0 +1,146 @@
+import inspect
+
+import pytest
+
+from tuttekit import finitefield, lattice, tutte, verify
+from tuttekit.cli import EXIT_MISMATCH, EXIT_OK, main
+from tuttekit.errors import CapacityError, PrimeSearchError
+from tuttekit.poly import MultiPoly
+from tuttekit.root_systems import RootSystemSpec, build_config, parse_system
+from tuttekit.signed_graphs import graph_dictionary_tutte
+from tuttekit.tutte import TUTTE_VARS, TuttePolynomial
+from tuttekit.verify import FAIL, PASS, SKIP, CheckResult, verify_system
+
+SMALL_SYSTEMS = [
+    RootSystemSpec(family, n, kind)
+    for family, ranks in (("A", (2, 3, 4)), ("B", (1, 2, 3, 4)), ("C", (1, 2, 3, 4)),
+                          ("D", (2, 3, 4)))
+    for n in ranks
+    for kind in ("integer", "root", "weight")
+]
+
+
+def count_calls(monkeypatch, name, modules):
+    """Wrap `name` in every module that binds it; return the call list."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def statuses(results):
+    return {r.name: r.status for r in results}
+
+
+def test_signature_has_only_spec_and_order():
+    assert list(inspect.signature(verify_system).parameters) == ["spec", "order"]
+
+
+def test_small_systems_pass_every_check():
+    for spec in SMALL_SYSTEMS:
+        results = verify_system(spec)
+        assert all(r.status == PASS for r in results), (spec, results)
+        names = [r.name for r in results]
+        assert names[:3] == [
+            "bruteforce", "genfun-vs-bruteforce", "graph-dictionary-vs-bruteforce"
+        ]
+        assert names[3] == "coboundary-at-Y1"
+        assert names[4].startswith("finite-field-p")
+        assert names[5].startswith("finite-field-q")
+        assert len(names) == 6
+
+
+def test_one_census_and_one_coboundary_per_system(monkeypatch):
+    censuses = count_calls(
+        monkeypatch, "sublattice_census", [lattice, tutte, finitefield, verify]
+    )
+    coboundaries = count_calls(monkeypatch, "coboundary_from_tutte", [tutte, verify])
+    for spec in (RootSystemSpec("C", 3, "weight"), RootSystemSpec("D", 4, "root")):
+        del censuses[:], coboundaries[:]
+        assert all(r.status == PASS for r in verify_system(spec))
+        assert (len(censuses), len(coboundaries)) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "system,prime,q",
+    [
+        ("A:3:integer", 2, 2),  # L = 1: p - 1 = L, so the group check takes 2L
+        ("A:3:weight", 7, 3),  # L = 3
+        ("C:3:integer", 17, 8),  # L = 8
+        ("B:2:integer", 3, 4),  # L = 2: p - 1 = L
+    ],
+)
+def test_finite_field_check_names(system, prime, q):
+    names = [r.name for r in verify_system(parse_system(system))]
+    assert names[-2:] == [f"finite-field-p{prime}", f"finite-field-q{q}"]
+
+
+def test_perturbed_genfun_fails(monkeypatch, capsys):
+    real = verify.extract_polynomial
+
+    def perturbed(req, n):
+        t = real(req, n)
+        one = MultiPoly.const(TUTTE_VARS, 1)
+        return TuttePolynomial(t.poly + one, t.rank, t.ambient_rank, t.flavor)
+
+    monkeypatch.setattr(verify, "extract_polynomial", perturbed)
+    results = verify_system(RootSystemSpec("C", 2, "integer"))
+    assert statuses(results)["genfun-vs-bruteforce"] == FAIL
+    assert not verify.all_passed(results)
+    code = main(["verify", "--system", "C:2:integer"])
+    assert code == EXIT_MISMATCH
+    assert "genfun-vs-bruteforce: fail" in capsys.readouterr().out
+
+
+def test_perturbed_group_count_fails_both_finite_field_checks(monkeypatch):
+    real = finitefield._group_histogram
+
+    def perturbed(config, q):
+        histogram = dict(real(config, q))
+        histogram[0] = histogram.get(0, 0) + 1
+        return histogram
+
+    monkeypatch.setattr(finitefield, "_group_histogram", perturbed)
+    got = statuses(verify_system(RootSystemSpec("B", 3, "root")))
+    failed = sorted(name for name, status in got.items() if status == FAIL)
+    assert len(failed) == 2
+    assert failed[0].startswith("finite-field-p")
+    assert failed[1].startswith("finite-field-q")
+    assert all(status == PASS for name, status in got.items() if name not in failed)
+
+
+def test_no_admissible_prime_skips_only_the_prime_check(monkeypatch):
+    def no_prime(divisor, **_):
+        raise PrimeSearchError("no prime")
+
+    monkeypatch.setattr(verify, "find_admissible_prime", no_prime)
+    results = verify_system(RootSystemSpec("C", 2, "integer"))
+    assert CheckResult("finite-field-p", SKIP, "no prime") in results
+    assert statuses(results)["finite-field-q4"] == PASS  # L = 4
+
+
+def test_skips_carry_the_engines_own_messages(capsys):
+    spec = RootSystemSpec("B", 6, "integer")
+    with pytest.raises(CapacityError) as census_error:
+        lattice.sublattice_census(build_config(spec))
+    with pytest.raises(CapacityError) as dictionary_error:
+        graph_dictionary_tutte("B", 6, "integer")
+
+    results = verify_system(spec)
+    skips = {r.name: r.detail for r in results if r.status == SKIP}
+    assert skips == {
+        "bruteforce": str(census_error.value),
+        "graph-dictionary": str(dictionary_error.value),
+        "finite-field": str(census_error.value),
+    }
+    assert CheckResult("genfun", PASS, "taken as baseline") in results
+    assert main(["verify", "--system", "B:6:integer"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"bruteforce: skip ({census_error.value})" in out
