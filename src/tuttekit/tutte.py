@@ -58,21 +58,30 @@ class CoboundaryPolynomial:
 # subset census
 
 
-def _census_to_poly(counts: Dict[Tuple[int, int], int], full_rank: int) -> MultiPoly:
-    xm1 = MultiPoly(TUTTE_VARS, {(1, 0): 1, (0, 0): -1})
-    ym1 = MultiPoly(TUTTE_VARS, {(0, 1): 1, (0, 0): -1})
-    xp = [MultiPoly.const(TUTTE_VARS, 1)]
-    yp = [MultiPoly.const(TUTTE_VARS, 1)]
-    max_x = max(full_rank - r for r, _ in counts) if counts else 0
-    max_y = max(k - r for r, k in counts) if counts else 0
-    for _ in range(max_x):
-        xp.append(xp[-1] * xm1)
-    for _ in range(max_y):
-        yp.append(yp[-1] * ym1)
-    total = MultiPoly.zero(TUTTE_VARS)
+def poly_from_rank_sizes(
+    counts: Dict[Tuple[int, int], int], full_rank: int
+) -> MultiPoly:
+    """sum w (x-1)^(full_rank-r) (y-1)^(k-r) over {(r, k): w}, on ints.
+
+    The weights are first summed by the two exponents, then each (y-1)^j
+    and (x-1)^i is expanded by binomials.
+    """
+    rows: Dict[int, Dict[int, int]] = {}  # full_rank - r -> k - r -> weight
     for (r, k), w in counts.items():
-        total = total + xp[full_rank - r] * yp[k - r] * w
-    return total
+        row = rows.setdefault(full_rank - r, {})
+        row[k - r] = row.get(k - r, 0) + w
+    terms: Dict[Tuple[int, int], int] = {}
+    for i, row in rows.items():
+        p = [0] * (max(row) + 1)  # sum_j w_j (y-1)^j, lowest degree first
+        for j, w in row.items():
+            for b in range(j + 1):
+                p[b] += w * comb(j, b) if (j - b) % 2 == 0 else -w * comb(j, b)
+        for a in range(i + 1):
+            binom = comb(i, a) if (i - a) % 2 == 0 else -comb(i, a)
+            for b, c in enumerate(p):
+                if c:
+                    terms[(a, b)] = terms.get((a, b), 0) + binom * c
+    return MultiPoly(TUTTE_VARS, terms)
 
 
 def tutte_from_census(
@@ -93,7 +102,7 @@ def tutte_from_census(
                 key = (stats.rank, size)
                 counts[key] = counts.get(key, 0) + weight * c
     return TuttePolynomial(
-        _census_to_poly(counts, full_rank), full_rank, ambient_rank, flavor
+        poly_from_rank_sizes(counts, full_rank), full_rank, ambient_rank, flavor
     )
 
 

@@ -85,7 +85,7 @@ class TestCompute:
 
     def test_capacity_exit_code(self, capsys):
         code, _, err = run(
-            capsys, "compute", "--system", "B:6:integer", "--method", "graphs"
+            capsys, "compute", "--system", "B:8:integer", "--method", "graphs"
         )
         assert code == EXIT_CAPACITY
 

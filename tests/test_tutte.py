@@ -17,6 +17,7 @@ from tuttekit.tutte import (
     arithmetic_tutte_bruteforce,
     classical_tutte_bruteforce,
     coboundary_from_tutte,
+    poly_from_rank_sizes,
     tutte_from_coboundary,
 )
 
@@ -168,6 +169,36 @@ class TestCoboundaryToTutteOracle:
         with pytest.raises(ExactDivisionError) as old:
             substitute_and_divide(bad, t.rank)
         assert str(new.value) == str(old.value)
+
+
+def fraction_rank_size_poly(counts, full_rank):
+    """Oracle: the rank/size sum by MultiPoly products over Fractions."""
+    xm1 = MultiPoly(TUTTE_VARS, {(1, 0): 1, (0, 0): -1})
+    ym1 = MultiPoly(TUTTE_VARS, {(0, 1): 1, (0, 0): -1})
+    total = MultiPoly.zero(TUTTE_VARS)
+    for (r, k), w in counts.items():
+        total = total + xm1 ** (full_rank - r) * ym1 ** (k - r) * w
+    return total
+
+
+@st.composite
+def rank_size_counts(draw):
+    """A random full rank R and weights {(r, k): w} with r <= R and r <= k."""
+    full_rank = draw(st.integers(min_value=0, max_value=5))
+    cells = st.integers(0, full_rank).flatmap(
+        lambda r: st.tuples(st.just(r), st.integers(r, r + 6))
+    )
+    return draw(st.dictionaries(cells, small_ints, max_size=12)), full_rank
+
+
+class TestRankSizeExpansion:
+    @given(rank_size_counts())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_fraction_products(self, case):
+        counts, full_rank = case
+        assert poly_from_rank_sizes(counts, full_rank) == fraction_rank_size_poly(
+            counts, full_rank
+        )
 
 
 class TestEvaluations:

@@ -127,11 +127,11 @@ def test_no_admissible_prime_skips_only_the_prime_check(monkeypatch):
 
 
 def test_skips_carry_the_engines_own_messages(capsys):
-    spec = RootSystemSpec("B", 6, "integer")
+    spec = RootSystemSpec("B", 8, "integer")
     with pytest.raises(CapacityError) as census_error:
         lattice.sublattice_census(build_config(spec))
     with pytest.raises(CapacityError) as dictionary_error:
-        graph_dictionary_tutte("B", 6, "integer")
+        graph_dictionary_tutte("B", 8, "integer")
 
     results = verify_system(spec)
     skips = {r.name: r.detail for r in results if r.status == SKIP}
@@ -141,6 +141,12 @@ def test_skips_carry_the_engines_own_messages(capsys):
         "finite-field": str(census_error.value),
     }
     assert CheckResult("genfun", PASS, "taken as baseline") in results
-    assert main(["verify", "--system", "B:6:integer"]) == EXIT_OK
+    assert main(["verify", "--system", "B:8:integer"]) == EXIT_OK
     out = capsys.readouterr().out
     assert f"bruteforce: skip ({census_error.value})" in out
+
+
+def test_graph_dictionary_reaches_rank_six(capsys):
+    # D6 has 30 vectors, past the census guard, so genfun is the baseline.
+    assert main(["verify", "--system", "D:6:weight"]) == EXIT_OK
+    assert "graph-dictionary-vs-genfun: pass" in capsys.readouterr().out
