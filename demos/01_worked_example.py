@@ -45,7 +45,7 @@ def main():
     divisor = multiplicity_lcm(config)
     p = find_admissible_prime(divisor)
     psi = coboundary_from_tutte(bf)
-    ok = verify_finite_field_identity(config, p, psi, divisor=divisor)
+    ok = verify_finite_field_identity(config, p, psi)
     print(f"finite-field identity at p = {p} (q = {p - 1}): {'holds' if ok else 'FAILS'}")
     print()
 

@@ -14,6 +14,7 @@ exit code 0 and any failed check gives 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -207,34 +208,17 @@ def cmd_invariants(args) -> int:
     spec = parse_system(args.system)
     t = arithmetic_tutte_bruteforce(build_config(spec))
     rep = derive_all(t)
+    fields = [(f.name, getattr(rep, f.name)) for f in dataclasses.fields(rep)]
     if args.output == "json":
-        print(
-            _json_dump(
-                {
-                    "system": str(spec),
-                    "characteristic": rep.characteristic.to_json_dict(),
-                    "ehrhart": rep.ehrhart.to_json_dict(),
-                    "poincare": rep.poincare.to_json_dict(),
-                    "volume": rep.volume,
-                    "lattice_points": rep.lattice_points,
-                    "interior_points": rep.interior_points,
-                    "toric_regions": rep.toric_regions,
-                    "dm_dimension": rep.dm_dimension,
-                    "dpv_dimension": rep.dpv_dimension,
-                }
-            )
+        payload = {"system": str(spec)}
+        payload.update(
+            (name, v.to_json_dict() if isinstance(v, MultiPoly) else v) for name, v in fields
         )
+        print(_json_dump(payload))
     else:
         print(f"{spec}")
-        print(f"characteristic: {format_poly(rep.characteristic)}")
-        print(f"ehrhart: {format_poly(rep.ehrhart)}")
-        print(f"poincare: {format_poly(rep.poincare)}")
-        print(f"volume: {rep.volume}")
-        print(f"lattice_points: {rep.lattice_points}")
-        print(f"interior_points: {rep.interior_points}")
-        print(f"toric_regions: {rep.toric_regions}")
-        print(f"dm_dimension: {rep.dm_dimension}")
-        print(f"dpv_dimension: {rep.dpv_dimension}")
+        for name, v in fields:
+            print(f"{name}: {format_poly(v) if isinstance(v, MultiPoly) else v}")
     return EXIT_OK
 
 

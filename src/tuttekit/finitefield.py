@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from .errors import AdmissibilityError, CapacityError, PrimeSearchError
 from .lattice import VectorConfig, multiplicity_lcm, subset_stats
-from .poly import MultiPoly
+from .poly import MultiPoly, narrow
 from .tutte import (
     COBOUNDARY_VARS,
     CoboundaryPolynomial,
@@ -29,7 +29,8 @@ from .tutte import (
     tutte_from_coboundary,
 )
 
-# Points counted per histogram; q^d beyond this refuses to run.
+# Points counted per histogram; q^d beyond this refuses to run.  Read at
+# call time, so a test can lower it.
 DEFAULT_POINT_CAP = 200_000_000
 
 
@@ -45,10 +46,6 @@ class TorusProfile:
 
     def total(self) -> int:
         return sum(self.histogram.values())
-
-    def as_poly(self) -> MultiPoly:
-        """The histogram as a polynomial in Y (over the (X, Y) variables)."""
-        return _histogram_poly(self.histogram)
 
 
 def is_prime(n: int) -> bool:
@@ -80,25 +77,17 @@ def find_admissible_prime(divisor: int, min_p: int = 2, cap: int = 100_000) -> i
     )
 
 
-def admissible_divisor(config: VectorConfig, known: Optional[int] = None) -> int:
-    """The lcm of all subset multiplicities, or a caller-supplied multiple of it.
+def admissible_divisor(config: VectorConfig) -> int:
+    """The lcm L of all subset multiplicities; a group order q is admissible
+    when L divides q."""
+    return multiplicity_lcm(config)
 
-    A known value is accepted only if the exact lcm divides it.
-    """
-    divisor = multiplicity_lcm(config)
-    if known is None:
-        return divisor
-    if known % divisor != 0:
-        raise AdmissibilityError(
-            f"claimed divisor {known} is not a multiple of the multiplicity "
-            f"lcm {divisor}"
+
+def _check_points(q: int, d: int) -> None:
+    if q**d > DEFAULT_POINT_CAP:
+        raise CapacityError(
+            f"q^d = {q}^{d} = {q**d} exceeds point cap {DEFAULT_POINT_CAP}"
         )
-    return known
-
-
-def _check_points(q: int, d: int, point_cap: int) -> None:
-    if q**d > point_cap:
-        raise CapacityError(f"q^d = {q}^{d} = {q**d} exceeds point cap {point_cap}")
 
 
 def _group_histogram(config: VectorConfig, q: int) -> Dict[int, int]:
@@ -144,45 +133,35 @@ def _group_histogram(config: VectorConfig, q: int) -> Dict[int, int]:
     return {h: int(c) for h, c in enumerate(hist) if c}
 
 
-def _histogram_poly(histogram: Dict[int, int]) -> MultiPoly:
-    return MultiPoly(COBOUNDARY_VARS, {(0, h): c for h, c in histogram.items()})
+def _scaled_coboundary(psi: CoboundaryPolynomial, q: int, d: int) -> Dict[int, int]:
+    """q^(d-r) psi(q, Y) as {Y-degree: coefficient}: what the histogram must be."""
+    at_q: Dict[int, int] = {}
+    for (i, j), c in psi.poly.terms.items():
+        at_q[j] = at_q.get(j, 0) + narrow(c) * q ** (d - psi.rank + i)
+    return {j: c for j, c in at_q.items() if c}
 
 
-def _scaled_coboundary(psi: CoboundaryPolynomial, q: int, d: int) -> MultiPoly:
-    """q^(d-r) psi(q, Y), the value the histogram at q must equal."""
-    x_val = MultiPoly.const(COBOUNDARY_VARS, q)
-    return psi.poly.substitute({"X": x_val}) * q ** (d - psi.rank)
-
-
-def torus_profile(
-    config: VectorConfig,
-    p: int,
-    *,
-    divisor: Optional[int] = None,
-    point_cap: int = DEFAULT_POINT_CAP,
-) -> TorusProfile:
+def torus_profile(config: VectorConfig, p: int) -> TorusProfile:
     """Exact incidence histogram over all (p-1)^d torus points.
 
     Refuses to run when the multiplicity lcm does not divide p - 1.
     """
     q = p - 1
-    divisor = admissible_divisor(config, known=divisor)
+    divisor = admissible_divisor(config)
     if q % divisor != 0:
         raise AdmissibilityError(
             f"prime {p} is inadmissible: subset multiplicity lcm {divisor} "
             f"does not divide q = {q}"
         )
-    return _enumerate_profile(config, p, point_cap=point_cap)
+    return _enumerate_profile(config, p)
 
 
-def _enumerate_profile(
-    config: VectorConfig, p: int, point_cap: int = DEFAULT_POINT_CAP
-) -> TorusProfile:
+def _enumerate_profile(config: VectorConfig, p: int) -> TorusProfile:
     """The torus (F_p^*)^d, counted as the group (Z/(p-1))^d."""
     if not is_prime(p):
         raise AdmissibilityError(f"{p} is not prime")
     q, d = p - 1, config.lattice.rank
-    _check_points(q, d, point_cap)
+    _check_points(q, d)
     return TorusProfile(prime=p, rank=d, histogram=_group_histogram(config, q))
 
 
@@ -195,29 +174,19 @@ def group_identity_holds(
     caller guarantees; a q^d past the point cap raises before counting.
     """
     d = config.lattice.rank
-    _check_points(q, d, DEFAULT_POINT_CAP)
-    histogram = _histogram_poly(_group_histogram(config, q))
-    return histogram == _scaled_coboundary(psi, q, d)
+    _check_points(q, d)
+    return _group_histogram(config, q) == _scaled_coboundary(psi, q, d)
 
 
 def verify_finite_field_identity(
-    config: VectorConfig,
-    p: int,
-    psi: CoboundaryPolynomial,
-    *,
-    divisor: Optional[int] = None,
+    config: VectorConfig, p: int, psi: CoboundaryPolynomial
 ) -> bool:
     """Check sum over torus points of Y^h equals q^(d-r) psi(q, Y) exactly."""
-    profile = torus_profile(config, p, divisor=divisor)
-    return profile.as_poly() == _scaled_coboundary(psi, profile.q, profile.rank)
+    profile = torus_profile(config, p)
+    return profile.histogram == _scaled_coboundary(psi, profile.q, profile.rank)
 
 
-def tutte_via_interpolation(
-    config: VectorConfig,
-    *,
-    divisor: Optional[int] = None,
-    point_cap: int = DEFAULT_POINT_CAP,
-) -> TuttePolynomial:
+def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
     """Recover the arithmetic Tutte polynomial from group histograms alone.
 
     psi(X, Y) has X-degree at most r, so histograms at the r + 1 admissible
@@ -225,16 +194,17 @@ def tutte_via_interpolation(
     X.  The largest of them is checked against the point cap before any
     counting starts.
     """
-    divisor = admissible_divisor(config, known=divisor)
+    divisor = admissible_divisor(config)
     d = config.lattice.rank
     r = subset_stats(config, range(len(config))).rank
     qs = [k * divisor for k in range(1, r + 2)]
-    _check_points(qs[-1], d, point_cap)
+    _check_points(qs[-1], d)
 
     samples = []  # (q, psi(q, Y) as MultiPoly over (X, Y))
     for q in qs:
-        scaled = _histogram_poly(_group_histogram(config, q)) * Q(1, q ** (d - r))
-        samples.append((q, scaled))
+        histogram = _group_histogram(config, q)
+        scaled = {(0, h): Q(c, q ** (d - r)) for h, c in histogram.items()}
+        samples.append((q, MultiPoly(COBOUNDARY_VARS, scaled)))
 
     x_var = MultiPoly.var(COBOUNDARY_VARS, "X")
     psi = MultiPoly.zero(COBOUNDARY_VARS)
@@ -274,6 +244,6 @@ def verify_classical_mode(
             f"multiplicity lcm {divisor} must divide s - 2 = {s - 2}"
         )
     profile = _enumerate_profile(config, s)
-    return profile.as_poly() == _scaled_coboundary(
+    return profile.histogram == _scaled_coboundary(
         classical_psi, profile.q, profile.rank
     )

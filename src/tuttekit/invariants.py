@@ -3,8 +3,12 @@
 Every quantity here is an exact specialization: the characteristic
 polynomial, the Ehrhart polynomial of the zonotope and its point counts,
 region and dimension counts, and the Poincare polynomial of the toric
-arrangement complement.  Closed-form characteristic polynomials and two
-independent necklace counters are provided as cross-checks.
+arrangement complement.  Each reads one of the x-marginals M(x, 0) and
+M(x, 1) on ints: a polynomial is the marginal composed with 1 - q, 1 + s
+or 2 + s by `poly.compose_affine` (s = 1/t or 1/q, cleared by a power of
+t or q), and each count is a value of a marginal.  Closed-form
+characteristic polynomials and two independent necklace counters are
+provided as cross-checks.
 """
 
 from __future__ import annotations
@@ -15,21 +19,17 @@ from math import comb, factorial, gcd
 from typing import Dict, Iterator, List, Tuple
 
 from .errors import CapacityError, StructureError
-from .poly import MultiPoly
+from .poly import MultiPoly, Scalar, compose_affine, narrow
 from .tutte import TuttePolynomial
 
 CHAR_VARS = ("q",)
 EHRHART_VARS = ("t",)
 
 
-def _as_int(value: Q, what: str) -> int:
+def _as_int(value: Scalar, what: str) -> int:
     if value.denominator != 1:
         raise StructureError(f"{what} is not an integer: {value}")
     return int(value)
-
-
-def _univariate(var_tuple, coeffs: Dict[int, Q]) -> MultiPoly:
-    return MultiPoly(var_tuple, {(e,): c for e, c in coeffs.items()})
 
 
 @dataclass(frozen=True)
@@ -45,67 +45,68 @@ class InvariantReport:
     dpv_dimension: int
 
 
+def _x_marginals(t: TuttePolynomial) -> Tuple[List[Scalar], List[Scalar]]:
+    """Coefficient lists of M(x, 0) and M(x, 1), lowest x-degree first."""
+    at_0 = [0] * (t.poly.degree_in("x") + 1)
+    at_1 = list(at_0)
+    for (i, j), c in t.poly.terms.items():
+        c = narrow(c)
+        at_1[i] += c
+        if j == 0:
+            at_0[i] += c
+    return at_0, at_1
+
+
+def _characteristic(at_0: List[Scalar], r: int, d: int) -> MultiPoly:
+    """(-1)^r q^(d-r) M(1-q, 0) from the coefficients of M(x, 0)."""
+    sign = -1 if r % 2 else 1
+    chi = compose_affine(at_0, 1, -1)
+    return MultiPoly(CHAR_VARS, {(d - r + k,): sign * c for k, c in enumerate(chi)})
+
+
+def _reversed(variables, coeffs: List[Scalar], top: int) -> MultiPoly:
+    """sum_k coeffs[k] v^(top-k): a polynomial in 1/v brought up by v^top."""
+    return MultiPoly(variables, {(top - k,): c for k, c in enumerate(coeffs)})
+
+
 def characteristic_polynomial(t: TuttePolynomial) -> MultiPoly:
     """chi(q) = (-1)^r q^(d-r) M(1-q, 0) as a polynomial over ("q",)."""
-    r, d = t.rank, t.ambient_rank
-    one_minus_q = _univariate(CHAR_VARS, {0: Q(1), 1: Q(-1)})
-    sign = -1 if r % 2 else 1
-    chi = MultiPoly.zero(CHAR_VARS)
-    for i, c in _x_marginal(t, 0).items():
-        chi = chi + one_minus_q**i * _univariate(CHAR_VARS, {d - r: sign * c})
-    return chi
-
-
-def _x_marginal(t: TuttePolynomial, y_value: int) -> Dict[int, Q]:
-    """Coefficients of M(x, y_value) as {x-exponent: coefficient}."""
-    out: Dict[int, Q] = {}
-    for (i, j), c in t.poly.terms.items():
-        out[i] = out.get(i, Q(0)) + c * y_value**j
-    return {i: c for i, c in out.items() if c}
+    return _characteristic(_x_marginals(t)[0], t.rank, t.ambient_rank)
 
 
 def ehrhart_polynomial(t: TuttePolynomial) -> MultiPoly:
     """E(t) = t^r M(1 + 1/t, 1), expanded as a polynomial over ("t",)."""
-    r = t.rank
-    t_plus_1 = _univariate(EHRHART_VARS, {0: Q(1), 1: Q(1)})
-    result = MultiPoly.zero(EHRHART_VARS)
-    for i, c in _x_marginal(t, 1).items():
-        result = result + t_plus_1**i * _univariate(EHRHART_VARS, {r - i: c})
-    return result
+    return _reversed(EHRHART_VARS, compose_affine(_x_marginals(t)[1], 1), t.rank)
 
 
 def poincare_polynomial(t: TuttePolynomial) -> MultiPoly:
-    """q^d M((2q+1)/q, 0) as a polynomial over ("q",)."""
-    d = t.ambient_rank
-    two_q_plus_1 = _univariate(CHAR_VARS, {0: Q(1), 1: Q(2)})
-    result = MultiPoly.zero(CHAR_VARS)
-    for i, c in _x_marginal(t, 0).items():
-        result = result + two_q_plus_1**i * _univariate(CHAR_VARS, {d - i: c})
-    return result
+    """q^d M(2 + 1/q, 0) = q^d M((2q+1)/q, 0) as a polynomial over ("q",)."""
+    return _reversed(CHAR_VARS, compose_affine(_x_marginals(t)[0], 2), t.ambient_rank)
 
 
 def derive_all(t: TuttePolynomial) -> InvariantReport:
-    chi = characteristic_polynomial(t)
-    ehr = ehrhart_polynomial(t)
-    poin = poincare_polynomial(t)
-    r = t.rank
-    volume = _as_int(t.evaluate(1, 1), "volume")
-    points = _as_int(ehr.evaluate({"t": 1}), "lattice point count")
-    interior = _as_int(ehr.evaluate({"t": -1}), "interior point count")
-    if r % 2:
-        interior = -interior
-    regions = abs(_as_int(t.evaluate(1, 0), "toric region count"))
-    dpv = _as_int(t.evaluate(2, 1), "DPV dimension")
+    """Every invariant from the two x-marginals M(x, 0) and M(x, 1).
+
+    With e = M(1 + s, 1) in s, E(t) = sum e_k t^(r-k), so the volume
+    M(1, 1) is e_0, the point count E(1) = M(2, 1) is the sum of e, and
+    the interior count (-1)^r E(-1) is M(0, 1).  The regions number
+    |M(1, 0)|, and the DPV dimension M(2, 1) is the point count.
+    """
+    r, d = t.rank, t.ambient_rank
+    at_0, at_1 = _x_marginals(t)
+    ehr = compose_affine(at_1, 1)
+    volume = _as_int(ehr[0], "volume")
+    points = _as_int(sum(ehr), "lattice point count")  # also the DPV dimension
     return InvariantReport(
-        characteristic=chi,
-        ehrhart=ehr,
-        poincare=poin,
+        characteristic=_characteristic(at_0, r, d),
+        ehrhart=_reversed(EHRHART_VARS, ehr, r),
+        poincare=_reversed(CHAR_VARS, compose_affine(at_0, 2), d),
         volume=volume,
         lattice_points=points,
-        interior_points=interior,
-        toric_regions=regions,
+        interior_points=_as_int(at_1[0], "interior point count"),
+        toric_regions=abs(_as_int(sum(at_0), "toric region count")),
         dm_dimension=volume,
-        dpv_dimension=dpv,
+        dpv_dimension=points,
     )
 
 
@@ -137,7 +138,7 @@ def closed_form_characteristic(
         raise StructureError(
             f"no closed-form characteristic for lattice kind {lattice_kind!r}"
         )
-    qv = _univariate(CHAR_VARS, {1: Q(1)})
+    qv = MultiPoly.var(CHAR_VARS, "q")
     one = MultiPoly.const(CHAR_VARS, 1)
 
     def falling(shifts: List[int]) -> MultiPoly:
@@ -162,7 +163,7 @@ def closed_form_characteristic(
 
 def _binomial_poly_in_q(m: int, k: int) -> MultiPoly:
     """C(q/m, k) as a polynomial in q with rational coefficients."""
-    qv = _univariate(CHAR_VARS, {1: Q(1, m)})
+    qv = MultiPoly(CHAR_VARS, {(1,): Q(1, m)})
     out = MultiPoly.const(CHAR_VARS, Q(1, factorial(k)))
     for i in range(k):
         out = out * (qv - i)
@@ -185,7 +186,7 @@ def weight_characteristic_type_A(n: int) -> MultiPoly:
         sign = -1 if (n - n // m) % 2 else 1
         total = total + _binomial_poly_in_q(m, n // m) * (sign * phi)
     total = total * factorial(n)
-    chi = total.divide_exact(_univariate(CHAR_VARS, {1: Q(1)}))
+    chi = total.divide_exact(MultiPoly.var(CHAR_VARS, "q"))
     if not chi.has_integer_coefficients():
         raise StructureError("weight-lattice characteristic is not integral")
     return chi
@@ -195,7 +196,7 @@ def prime_case_characteristic_type_A(n: int) -> MultiPoly:
     """(q-1)...(q-n+1) + (n-1)(n-1)! for prime n >= 3."""
     if n < 3:
         raise StructureError("formula requires n >= 3")
-    qv = _univariate(CHAR_VARS, {1: Q(1)})
+    qv = MultiPoly.var(CHAR_VARS, "q")
     out = MultiPoly.const(CHAR_VARS, 1)
     for i in range(1, n):
         out = out * (qv - i)
@@ -278,8 +279,8 @@ def char_coeffs_via_permutations(n: int, guard: int = 9) -> MultiPoly:
     coeffs = {}
     for k, ck in c.items():
         sign = -1 if (n - k) % 2 else 1
-        coeffs[k - 1] = Q(sign * ck)
-    return _univariate(CHAR_VARS, coeffs)
+        coeffs[(k - 1,)] = sign * ck
+    return MultiPoly(CHAR_VARS, coeffs)
 
 
 def weyl_group_check(family: str, n: int, chi: MultiPoly) -> bool:

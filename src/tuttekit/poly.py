@@ -3,13 +3,16 @@
 A polynomial is stored as a map from exponent tuples to nonzero Fractions,
 relative to a fixed ordered tuple of variable names.  All arithmetic is
 exact; there is no floating point anywhere in this package.
+
+`compose_affine` is the one change of variables v -> a + b*v on a
+univariate coefficient list; it keeps int coefficients as ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from operator import add
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import ExactDivisionError, StructureError
 
@@ -19,6 +22,24 @@ Scalar = Union[int, Q]
 
 def _grlex_key(exps: Exps) -> Tuple[int, Exps]:
     return (sum(exps), exps)
+
+
+def narrow(c: Q) -> Scalar:
+    """An integral Fraction as an int; any other Fraction as it is."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def compose_affine(coeffs: Sequence[Scalar], a: Scalar, b: Scalar = 1) -> List[Scalar]:
+    """Coefficients of p(a + b*v), lowest degree first, for p = sum coeffs[k] v^k.
+
+    Horner's rule on the list: each step multiplies the partial result by
+    a + b*v and adds the next coefficient.  Int inputs give int outputs.
+    """
+    out: List[Scalar] = []
+    for c in reversed(coeffs):
+        out = [a * lo + b * hi for lo, hi in zip(out + [0], [0] + out)]
+        out[0] += c
+    return out
 
 
 class MultiPoly:

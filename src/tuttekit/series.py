@@ -315,7 +315,6 @@ def deformed_exponential(
     functions here: F(Z,Y), F(2Z,Y), F(-2Z,Y), F(Z,Y^2), F(YZ,Y^2).
     """
     vs = tuple(variables)
-    y = MultiPoly.var(vs, "Y")
-    alpha = MultiPoly.const(vs, scale) * y**alpha_y_power
-    beta = y**beta_power
+    alpha = MultiPoly.var(vs, "Y", alpha_y_power) * scale
+    beta = MultiPoly.var(vs, "Y", beta_power)
     return deformed_exp_general(alpha, beta, order)

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import comb
 from typing import Dict, List, Tuple
 
 from .errors import ExactDivisionError, StructureError
 from .lattice import Census, VectorConfig, sublattice_census
-from .poly import MultiPoly, Scalar
+from .poly import MultiPoly, Scalar, compose_affine, narrow
 
 TUTTE_VARS = ("x", "y")
 COBOUNDARY_VARS = ("X", "Y")
@@ -58,30 +57,38 @@ class CoboundaryPolynomial:
 # subset census
 
 
+def _times_y_minus_1(p: List[Scalar], times: int) -> List[Scalar]:
+    """p(y) (y-1)^times on a coefficient list, lowest degree first."""
+    for _ in range(times):
+        p = [b - a for a, b in zip(p + [0], [0] + p)]
+    return p
+
+
+def _expand_x_minus_1(rows: Dict[int, List[Scalar]]) -> MultiPoly:
+    """sum_i (x-1)^i P_i(y) over (x, y), for rows {i: P_i lowest degree first}."""
+    terms: Dict[Tuple[int, int], Scalar] = {}
+    for i, p in rows.items():
+        for k, binom in enumerate(compose_affine([0] * i + [1], -1)):
+            for j, a in enumerate(p):
+                if a:
+                    terms[(k, j)] = terms.get((k, j), 0) + binom * a
+    return MultiPoly(TUTTE_VARS, terms)
+
+
 def poly_from_rank_sizes(
     counts: Dict[Tuple[int, int], int], full_rank: int
 ) -> MultiPoly:
     """sum w (x-1)^(full_rank-r) (y-1)^(k-r) over {(r, k): w}, on ints.
 
-    The weights are first summed by the two exponents, then each (y-1)^j
-    and (x-1)^i is expanded by binomials.
+    The weights are first summed by the two exponents; each row
+    sum_j w_j (y-1)^j is then the weight list composed with y - 1.
     """
-    rows: Dict[int, Dict[int, int]] = {}  # full_rank - r -> k - r -> weight
+    rows: Dict[int, List[int]] = {}  # full_rank - r -> weights by k - r
     for (r, k), w in counts.items():
-        row = rows.setdefault(full_rank - r, {})
-        row[k - r] = row.get(k - r, 0) + w
-    terms: Dict[Tuple[int, int], int] = {}
-    for i, row in rows.items():
-        p = [0] * (max(row) + 1)  # sum_j w_j (y-1)^j, lowest degree first
-        for j, w in row.items():
-            for b in range(j + 1):
-                p[b] += w * comb(j, b) if (j - b) % 2 == 0 else -w * comb(j, b)
-        for a in range(i + 1):
-            binom = comb(i, a) if (i - a) % 2 == 0 else -comb(i, a)
-            for b, c in enumerate(p):
-                if c:
-                    terms[(a, b)] = terms.get((a, b), 0) + binom * c
-    return MultiPoly(TUTTE_VARS, terms)
+        row = rows.setdefault(full_rank - r, [])
+        row.extend([0] * (k - r + 1 - len(row)))
+        row[k - r] += w
+    return _expand_x_minus_1({i: compose_affine(row, -1) for i, row in rows.items()})
 
 
 def tutte_from_census(
@@ -125,19 +132,26 @@ def classical_tutte_bruteforce(config: VectorConfig) -> TuttePolynomial:
 def coboundary_from_tutte(t: TuttePolynomial) -> CoboundaryPolynomial:
     """psi(X, Y) = (y-1)^r M(x, y) under x = (X+Y-1)/(Y-1), y = Y.
 
-    Since the x-degree of M is at most r, each monomial x^i y^j maps to the
-    polynomial (X+Y-1)^i (Y-1)^(r-i) Y^j and no division is needed.
+    That is x = u + 1 with u = X/(Y-1).  Each y-degree column of M is
+    shifted to M(u + 1, y) = sum_i u^i Q_i(y), and since the x-degree of M
+    is at most r, psi = sum_i X^i (Y-1)^(r-i) Q_i(Y) needs no division.
     """
     r = t.rank
     if t.poly.degree_in("x") > r:
         raise StructureError("x-degree exceeds the stated rank")
-    xy1 = MultiPoly(COBOUNDARY_VARS, {(1, 0): 1, (0, 1): 1, (0, 0): -1})  # X+Y-1
-    ym1 = MultiPoly(COBOUNDARY_VARS, {(0, 1): 1, (0, 0): -1})  # Y-1
-    yv = MultiPoly.var(COBOUNDARY_VARS, "Y")
-    result = MultiPoly.zero(COBOUNDARY_VARS)
-    for (i, j), c in t.poly.terms.items():
-        result = result + xy1**i * ym1 ** (r - i) * yv**j * c
-    return CoboundaryPolynomial(poly=result, rank=r)
+    columns: Dict[int, List[Scalar]] = {}  # y-degree -> coefficients in x
+    for (i, j), coeff in t.poly.terms.items():
+        columns.setdefault(j, [0] * (r + 1))[i] = narrow(coeff)
+    rows = [[0] * (t.poly.degree_in("y") + 1) for _ in range(r + 1)]  # Q_i
+    for j, column in columns.items():
+        for i, a in enumerate(compose_affine(column, 1)):
+            rows[i][j] = a
+    terms: Dict[Tuple[int, int], Scalar] = {}
+    for i, q in enumerate(rows):
+        for j, a in enumerate(_times_y_minus_1(q, r - i)):
+            if a:
+                terms[(i, j)] = a
+    return CoboundaryPolynomial(MultiPoly(COBOUNDARY_VARS, terms), r)
 
 
 def tutte_from_coboundary(
@@ -154,9 +168,7 @@ def tutte_from_coboundary(
     width = c.poly.degree_in("Y") + 1
     rows: Dict[int, List[Scalar]] = {}  # P_i, lowest degree first
     for (i, j), coeff in c.poly.terms.items():
-        row = rows.setdefault(i, [0] * width)
-        row[j] = coeff.numerator if coeff.denominator == 1 else coeff
-    terms: Dict[Tuple[int, int], Scalar] = {}
+        rows.setdefault(i, [0] * width)[j] = narrow(coeff)
     for i, p in rows.items():
         for _ in range(r - i):  # synthetic division by y - 1
             for k in range(len(p) - 2, -1, -1):
@@ -166,11 +178,5 @@ def tutte_from_coboundary(
                     "coboundary polynomial is not divisible by (y-1)^rank; "
                     "rank mismatch upstream"
                 )
-        for _ in range(i - r):  # multiplication by y - 1
-            p = [b - a for a, b in zip(p + [0], [0] + p)]
-        for k in range(i + 1):  # (x-1)^i = sum_k C(i, k) (-1)^(i-k) x^k
-            binom = comb(i, k) if (i - k) % 2 == 0 else -comb(i, k)
-            for j, a in enumerate(p):
-                if a:
-                    terms[(k, j)] = terms.get((k, j), 0) + binom * a
-    return TuttePolynomial(MultiPoly(TUTTE_VARS, terms), r, ambient_rank, flavor)
+        rows[i] = _times_y_minus_1(p, i - r)
+    return TuttePolynomial(_expand_x_minus_1(rows), r, ambient_rank, flavor)

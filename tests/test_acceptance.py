@@ -118,9 +118,9 @@ def test_criterion_4_four_way_agreement():
         psi = coboundary_from_tutte(bf)
         divisor = multiplicity_lcm(config)
         p = find_admissible_prime(divisor)
-        assert verify_finite_field_identity(config, p, psi, divisor=divisor)
+        assert verify_finite_field_identity(config, p, psi)
         p2 = find_admissible_prime(divisor, min_p=p + 1)
-        assert verify_finite_field_identity(config, p2, psi, divisor=divisor)
+        assert verify_finite_field_identity(config, p2, psi)
     report(4, "four-way oracle agreement, n <= 4", t0, 600)
 
 

@@ -207,6 +207,35 @@ class TestTable:
         assert "-2+q" in out and "1+2t" in out
 
 
+C2_INTEGER_INVARIANTS = """\
+C:2:integer
+characteristic: 8-6q+q^2
+ehrhart: 1+6t+14t^2
+poincare: 1+8q+15q^2
+volume: 14
+lattice_points: 21
+interior_points: 9
+toric_regions: 8
+dm_dimension: 14
+dpv_dimension: 21
+"""
+
+C4_WEIGHT_INVARIANTS_JSON = (
+    '{"characteristic":{"terms":[{"coeff":"384","exps":[0]},'
+    '{"coeff":"-400","exps":[1]},{"coeff":"140","exps":[2]},'
+    '{"coeff":"-20","exps":[3]},{"coeff":"1","exps":[4]}],"vars":["q"]},'
+    '"dm_dimension":3036,"dpv_dimension":4329,'
+    '"ehrhart":{"terms":[{"coeff":"1","exps":[0]},{"coeff":"20","exps":[1]},'
+    '{"coeff":"192","exps":[2]},{"coeff":"1080","exps":[3]},'
+    '{"coeff":"3036","exps":[4]}],"vars":["t"]},'
+    '"interior_points":2129,"lattice_points":4329,'
+    '"poincare":{"terms":[{"coeff":"1","exps":[0]},{"coeff":"24","exps":[1]},'
+    '{"coeff":"206","exps":[2]},{"coeff":"744","exps":[3]},'
+    '{"coeff":"945","exps":[4]}],"vars":["q"]},'
+    '"system":"C:4:weight","toric_regions":384,"volume":3036}\n'
+)
+
+
 class TestInvariantsVerb:
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "invariants", "--system", "C:2:integer")
@@ -214,6 +243,15 @@ class TestInvariantsVerb:
         assert "volume: 14" in out
         assert "lattice_points: 21" in out
         assert "interior_points: 9" in out
+
+    def test_text_output_is_pinned(self, capsys):
+        assert run(capsys, "invariants", "--system", "C:2:integer") == (
+            EXIT_OK, C2_INTEGER_INVARIANTS, ""
+        )
+
+    def test_json_output_is_pinned(self, capsys):
+        argv = ["invariants", "--system", "C:4:weight", "--output", "json"]
+        assert run(capsys, *argv) == (EXIT_OK, C4_WEIGHT_INVARIANTS_JSON, "")
 
 
 class TestFixturesVerb:

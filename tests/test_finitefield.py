@@ -134,17 +134,14 @@ class TestTorusProfile:
         vectors = ((4, 0),) + ((1, 0),) * 19
         c = VectorConfig(vectors=vectors, lattice=LatticeBasis.standard(2))
         assert admissible_divisor(c) == 4
-        assert admissible_divisor(c, known=12) == 12
-        for known in (1, 2, 3, 6, 10):
-            with pytest.raises(AdmissibilityError):
-                admissible_divisor(c, known=known)
         with pytest.raises(AdmissibilityError):
-            torus_profile(c, 3, divisor=2)
+            torus_profile(c, 3)  # q = 2 is not a multiple of 4
 
-    def test_point_cap(self):
+    def test_point_cap(self, monkeypatch):
         c = cfg("B", 3, "integer")
+        monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 10)
         with pytest.raises(CapacityError):
-            torus_profile(c, 11, point_cap=10)
+            torus_profile(c, 11)
 
 
 class TestIdentity:
@@ -222,14 +219,16 @@ class TestInterpolation:
 
     def test_point_cap_checked_before_counting(self, monkeypatch):
         c = cfg("C", 2, "integer")  # largest group (Z/12)^2
-        tutte_via_interpolation(c, point_cap=144)
+        monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 144)
+        tutte_via_interpolation(c)
 
         def refuse(*_):
             raise AssertionError("counted past the point cap")
 
         monkeypatch.setattr(finitefield, "_group_histogram", refuse)
+        monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 143)
         with pytest.raises(CapacityError):
-            tutte_via_interpolation(c, point_cap=143)
+            tutte_via_interpolation(c)
 
 
 class TestRandomConfigurations:

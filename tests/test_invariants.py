@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -12,6 +13,7 @@ from tuttekit.invariants import (
     ehrhart_polynomial,
     necklace_count,
     necklace_count_direct,
+    poincare_polynomial,
     prime_case_characteristic_type_A,
     weight_characteristic_type_A,
     weyl_group_check,
@@ -64,23 +66,89 @@ def substitute_characteristic(t):
     return -chi if r % 2 else chi
 
 
+def fraction_x_marginal(t, y_value):
+    """{x-exponent: coefficient} of M(x, y_value), over Fractions."""
+    out = {}
+    for (i, j), c in t.poly.terms.items():
+        out[i] = out.get(i, Q(0)) + c * y_value**j
+    return out
+
+
+def power_ehrhart(t):
+    """Oracle: E(t) = sum_i c_i (t+1)^i t^(r-i) by MultiPoly powers."""
+    t_plus_1 = MultiPoly(("t",), {(0,): 1, (1,): 1})
+    result = MultiPoly.zero(("t",))
+    for i, c in fraction_x_marginal(t, 1).items():
+        result = result + t_plus_1**i * MultiPoly(("t",), {(t.rank - i,): c})
+    return result
+
+
+def power_poincare(t):
+    """Oracle: q^d M((2q+1)/q, 0) = sum_i c_i (2q+1)^i q^(d-i) by powers."""
+    two_q_plus_1 = MultiPoly(("q",), {(0,): 1, (1,): 2})
+    result = MultiPoly.zero(("q",))
+    for i, c in fraction_x_marginal(t, 0).items():
+        result = result + two_q_plus_1**i * MultiPoly(("q",), {(t.ambient_rank - i,): c})
+    return result
+
+
+@lru_cache(maxsize=None)
+def table_rows(lattice):
+    """The Tutte polynomials of `tuttekit table --lattice LATTICE --max-n 10`."""
+    rows = []
+    for family in "ABCD":
+        series = expand_genfun(GenFunRequest(family, lattice, 10))
+        for n in range(2, 11):
+            rows.append(((family, n), tutte_from_series(series, family, lattice, n)))
+    return rows
+
+
 class TestCharacteristicAgainstSubstitution:
     @pytest.mark.parametrize("lattice", ["integer", "root", "weight"])
     def test_every_row_of_the_table_to_rank_ten(self, lattice):
-        # The rows of `tuttekit table --lattice LATTICE --max-n 10`.
-        for family in "ABCD":
-            series = expand_genfun(GenFunRequest(family, lattice, 10))
-            for n in range(2, 11):
-                t = tutte_from_series(series, family, lattice, n)
-                assert characteristic_polynomial(t) == substitute_characteristic(t), (
-                    family,
-                    n,
-                )
+        for row, t in table_rows(lattice):
+            assert characteristic_polynomial(t) == substitute_characteristic(t), row
 
     def test_bruteforce_rows(self):
         for family, n, kind in [("A", 1, "integer"), ("C", 3, "root"), ("D", 4, "weight")]:
             t = tutte(family, n, kind)
             assert characteristic_polynomial(t) == substitute_characteristic(t)
+
+
+class TestSpecializationsAgainstPowers:
+    @pytest.mark.parametrize("lattice", ["integer", "root", "weight"])
+    def test_every_row_of_the_table_to_rank_ten(self, lattice):
+        for row, t in table_rows(lattice):
+            assert ehrhart_polynomial(t) == power_ehrhart(t), row
+            assert poincare_polynomial(t) == power_poincare(t), row
+            rep = derive_all(t)
+            assert rep.characteristic == substitute_characteristic(t), row
+            assert rep.ehrhart == power_ehrhart(t), row
+            assert rep.poincare == power_poincare(t), row
+            sign = -1 if t.rank % 2 else 1
+            counts = (
+                rep.volume,
+                rep.lattice_points,
+                rep.interior_points,
+                rep.toric_regions,
+                rep.dm_dimension,
+                rep.dpv_dimension,
+            )
+            assert all(type(v) is int for v in counts), row
+            assert counts == (
+                t.evaluate(1, 1),
+                rep.ehrhart.evaluate({"t": 1}),
+                sign * rep.ehrhart.evaluate({"t": -1}),
+                abs(t.evaluate(1, 0)),
+                t.evaluate(1, 1),
+                t.evaluate(2, 1),
+            ), row
+
+    def test_bruteforce_rows(self):
+        for family, n, kind in [("A", 1, "integer"), ("C", 3, "root"), ("D", 4, "weight")]:
+            t = tutte(family, n, kind)
+            assert ehrhart_polynomial(t) == power_ehrhart(t)
+            assert poincare_polynomial(t) == power_poincare(t)
 
 
 class TestClosedForms:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import VARS_XY, fractions, nonzero_polys, polys
 from tuttekit.errors import ExactDivisionError, StructureError
-from tuttekit.poly import MultiPoly
+from tuttekit.poly import MultiPoly, compose_affine
 
 
 def P(terms):
@@ -117,6 +117,29 @@ class TestSubstituteEvaluate:
         lhs = sub.evaluate(val)
         rhs = p.evaluate({"x": q.evaluate(val), "y": val["y"]})
         assert lhs == rhs
+
+
+class TestComposeAffine:
+    @given(
+        st.lists(st.integers(-30, 30) | fractions(), max_size=8),
+        st.integers(-4, 4) | fractions(),
+        st.integers(-4, 4) | fractions(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_substitution(self, coeffs, a, b):
+        def in_v(cs):
+            return MultiPoly(("v",), {(k,): c for k, c in enumerate(cs)})
+
+        composed = compose_affine(coeffs, a, b)
+        assert len(composed) == len(coeffs)
+        assert in_v(composed) == in_v(coeffs).substitute({"v": in_v([a, b])})
+
+    def test_int_coefficients_stay_ints(self):
+        out = compose_affine([3, 0, 1], 1, -1)  # 3 + (1-v)^2
+        assert out == [4, -2, 1] and all(type(c) is int for c in out)
+
+    def test_binomial_row(self):
+        assert compose_affine([0, 0, 0, 1], -1) == [-1, 3, -3, 1]  # (v-1)^3
 
 
 class TestSerialization:

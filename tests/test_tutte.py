@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tuttekit.errors import CapacityError, ExactDivisionError
+from tuttekit.errors import CapacityError, ExactDivisionError, StructureError
 from tuttekit.lattice import LatticeBasis, VectorConfig
 from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config
@@ -110,6 +110,20 @@ class TestCoboundaryTransforms:
         assert psi.poly.evaluate({"X": 1, "Y": 1}) == 1  # psi(1,1) = 1^r
 
 
+def power_coboundary_from_tutte(t):
+    """Oracle: psi as a sum of MultiPoly powers (X+Y-1)^i (Y-1)^(r-i) Y^j c."""
+    r = t.rank
+    if t.poly.degree_in("x") > r:
+        raise StructureError("x-degree exceeds the stated rank")
+    xy1 = MultiPoly(COBOUNDARY_VARS, {(1, 0): 1, (0, 1): 1, (0, 0): -1})  # X+Y-1
+    ym1 = MultiPoly(COBOUNDARY_VARS, {(0, 1): 1, (0, 0): -1})  # Y-1
+    yv = MultiPoly.var(COBOUNDARY_VARS, "Y")
+    result = MultiPoly.zero(COBOUNDARY_VARS)
+    for (i, j), c in t.poly.terms.items():
+        result = result + xy1**i * ym1 ** (r - i) * yv**j * c
+    return CoboundaryPolynomial(poly=result, rank=r)
+
+
 def substitute_and_divide(c, ambient_rank, flavor="arithmetic"):
     """Oracle: the transform by substitution and grlex long division."""
     xm1ym1 = MultiPoly(TUTTE_VARS, {(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 1})
@@ -126,6 +140,31 @@ def substitute_and_divide(c, ambient_rank, flavor="arithmetic"):
 
 
 small_ints = st.integers(min_value=-20, max_value=20)
+
+
+@st.composite
+def tutte_polys(draw):
+    """A random integer M(x, y) of x-degree at most its rank r."""
+    r = draw(st.integers(min_value=0, max_value=5))
+    cell = st.tuples(st.integers(0, r), st.integers(0, 6))
+    m = draw(st.dictionaries(cell, st.integers(-30, 30), max_size=12))
+    return TuttePolynomial(MultiPoly(TUTTE_VARS, m), r, r, "arithmetic")
+
+
+class TestTutteToCoboundaryOracle:
+    @given(tutte_polys())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_power_sums(self, t):
+        assert coboundary_from_tutte(t) == power_coboundary_from_tutte(t)
+
+    @given(tutte_polys(), st.integers(1, 2), st.integers(0, 6), small_ints.filter(bool))
+    @settings(max_examples=30, deadline=None)
+    def test_x_degree_past_the_rank_is_refused(self, t, excess, j, c):
+        poly = t.poly + MultiPoly(TUTTE_VARS, {(t.rank + excess, j): c})
+        t = TuttePolynomial(poly, t.rank, t.rank, "arithmetic")
+        for transform in (coboundary_from_tutte, power_coboundary_from_tutte):
+            with pytest.raises(StructureError, match="x-degree exceeds the stated rank"):
+                transform(t)
 
 
 @st.composite

@@ -5,10 +5,11 @@ import pytest
 from tuttekit import finitefield, lattice, tutte, verify
 from tuttekit.cli import EXIT_MISMATCH, EXIT_OK, main
 from tuttekit.errors import CapacityError, PrimeSearchError
+from tuttekit.invariants import derive_all
 from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config, parse_system
 from tuttekit.signed_graphs import graph_dictionary_tutte
-from tuttekit.tutte import TUTTE_VARS, TuttePolynomial
+from tuttekit.tutte import TUTTE_VARS, TuttePolynomial, arithmetic_tutte_bruteforce
 from tuttekit.verify import FAIL, PASS, SKIP, CheckResult, verify_system
 
 SMALL_SYSTEMS = [
@@ -66,6 +67,22 @@ def test_one_census_and_one_coboundary_per_system(monkeypatch):
         del censuses[:], coboundaries[:]
         assert all(r.status == PASS for r in verify_system(spec))
         assert (len(censuses), len(coboundaries)) == (1, 1)
+
+
+def test_specializations_take_no_powers_and_no_substitution(monkeypatch, capsys):
+    # Every change of variables goes through poly.compose_affine on lists.
+    def refuse(*_):
+        raise AssertionError("MultiPoly power or substitution called")
+
+    monkeypatch.setattr(MultiPoly, "__pow__", refuse)
+    monkeypatch.setattr(MultiPoly, "substitute", refuse)
+    for spec in (RootSystemSpec("C", 3, "weight"), RootSystemSpec("D", 4, "root")):
+        assert all(r.status == PASS for r in verify_system(spec))
+    derive_all(arithmetic_tutte_bruteforce(build_config(RootSystemSpec("B", 3, "root"))))
+    for lattice in ("integer", "root", "weight"):
+        argv = ["table", "--lattice", lattice, "--max-n", "6", "--report", "tutte,char,ehrhart"]
+        assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.count("\n") == 3 * 4 * 5
 
 
 @pytest.mark.parametrize(
