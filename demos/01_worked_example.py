@@ -14,11 +14,10 @@ from tuttekit import (
     coboundary_from_tutte,
     derive_all,
     extract_polynomial,
-    find_admissible_prime,
     graph_dictionary_tutte,
+    group_identity_holds,
     multiplicity_lcm,
     tutte_via_interpolation,
-    verify_finite_field_identity,
 )
 from tuttekit.cli import format_poly
 
@@ -43,10 +42,11 @@ def main():
     print()
 
     divisor = multiplicity_lcm(config)
-    p = find_admissible_prime(divisor)
     psi = coboundary_from_tutte(bf)
-    ok = verify_finite_field_identity(config, p, psi)
-    print(f"finite-field identity at p = {p} (q = {p - 1}): {'holds' if ok else 'FAILS'}")
+    d = config.lattice.rank
+    for q in (divisor, 2 * divisor):
+        ok = group_identity_holds(config, q, psi)
+        print(f"finite-field identity over (Z/{q})^{d}: {'holds' if ok else 'FAILS'}")
     print()
 
     rep = derive_all(bf)

@@ -14,15 +14,12 @@ from .errors import (
     ExactDivisionError,
     LatticeMembershipError,
     PrecisionError,
-    PrimeSearchError,
     SpanError,
     StructureError,
     TutteKitError,
 )
 from .finitefield import (
-    TorusProfile,
-    find_admissible_prime,
-    torus_profile,
+    group_identity_holds,
     tutte_via_interpolation,
     verify_classical_mode,
     verify_finite_field_identity,

@@ -3,7 +3,7 @@
 All output is deterministic: polynomials print in ascending graded-lex
 order with explicit separators, and JSON uses the canonical encoding with
 sorted keys.  Exit codes: 0 success, 1 computation error (any other package
-error, e.g. an inexact division or no admissible prime), 2 verification
+error, e.g. an inexact division or an inadmissible modulus), 2 verification
 mismatch, 3 capacity guard, 4 usage error.
 
 `verify` prints one line per check, named as in `tuttekit.verify`; a skip's
@@ -138,7 +138,7 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = parse_system(args.system)
-    results = verify_system(spec, order=args.order)
+    results = verify_system(spec)
     if args.output == "json":
         print(
             _json_dump(
@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run all cross-checks for a system")
     p.add_argument("--system", required=True)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     common(p)
     p.set_defaults(func=cmd_verify)
 

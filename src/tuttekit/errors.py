@@ -32,6 +32,3 @@ class CapacityError(TutteKitError):
 class AdmissibilityError(TutteKitError):
     """A finite-field computation was requested with an inadmissible modulus."""
 
-
-class PrimeSearchError(TutteKitError):
-    """No admissible prime was found below the search cap."""

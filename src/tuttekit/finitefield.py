@@ -6,20 +6,21 @@ configuration vector a with integer lattice coordinates c vanishes at the
 points t with c . t = 0 (mod q).  Histogramming how many vectors vanish at
 each point gives sum_t Y^h(t) = q^(d-r) psi(q, Y), valid whenever every
 subset multiplicity divides q.  Interpolation therefore samples
-q = L, 2L, ..., (r+1)L, with L the multiplicity lcm.  The torus (F_p^*)^d of
-the prime-field checks is the case q = p - 1: F_p^* is cyclic of that
-order, so a generator identifies the two histograms.
+q = L, 2L, ..., (r+1)L, with L the multiplicity lcm, and `verify` checks the
+identity at q = L and 2L.  The torus (F_p^*)^d over GF(p) is the case
+q = p - 1: F_p^* is cyclic of that order, so a generator identifies the two
+histograms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import gcd
 from typing import Dict
 
 import numpy as np
 
-from .errors import AdmissibilityError, CapacityError, PrimeSearchError
+from .errors import AdmissibilityError, CapacityError
 from .lattice import VectorConfig, multiplicity_lcm, subset_stats
 from .poly import MultiPoly, narrow
 from .tutte import (
@@ -32,20 +33,6 @@ from .tutte import (
 # Points counted per histogram; q^d beyond this refuses to run.  Read at
 # call time, so a test can lower it.
 DEFAULT_POINT_CAP = 200_000_000
-
-
-@dataclass(frozen=True)
-class TorusProfile:
-    prime: int
-    rank: int  # lattice rank d; the torus has (p-1)^d points
-    histogram: Dict[int, int]  # incidence count -> number of points
-
-    @property
-    def q(self) -> int:
-        return self.prime - 1
-
-    def total(self) -> int:
-        return sum(self.histogram.values())
 
 
 def is_prime(n: int) -> bool:
@@ -61,26 +48,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def find_admissible_prime(divisor: int, min_p: int = 2, cap: int = 100_000) -> int:
-    """Smallest prime p >= min_p with divisor | p - 1."""
-    if divisor < 1:
-        raise AdmissibilityError("divisor must be positive")
-    p = max(min_p, 2)
-    while p <= cap:
-        if (p - 1) % divisor == 0 and is_prime(p):
-            return p
-        p += 1
-    raise PrimeSearchError(
-        f"no prime p <= {cap} with {divisor} | p - 1 found above {min_p}"
-    )
-
-
-def admissible_divisor(config: VectorConfig) -> int:
-    """The lcm L of all subset multiplicities; a group order q is admissible
-    when L divides q."""
-    return multiplicity_lcm(config)
 
 
 def _check_points(q: int, d: int) -> None:
@@ -141,28 +108,13 @@ def _scaled_coboundary(psi: CoboundaryPolynomial, q: int, d: int) -> Dict[int, i
     return {j: c for j, c in at_q.items() if c}
 
 
-def torus_profile(config: VectorConfig, p: int) -> TorusProfile:
-    """Exact incidence histogram over all (p-1)^d torus points.
-
-    Refuses to run when the multiplicity lcm does not divide p - 1.
-    """
-    q = p - 1
-    divisor = admissible_divisor(config)
-    if q % divisor != 0:
-        raise AdmissibilityError(
-            f"prime {p} is inadmissible: subset multiplicity lcm {divisor} "
-            f"does not divide q = {q}"
-        )
-    return _enumerate_profile(config, p)
-
-
-def _enumerate_profile(config: VectorConfig, p: int) -> TorusProfile:
-    """The torus (F_p^*)^d, counted as the group (Z/(p-1))^d."""
+def _enumerate_profile(config: VectorConfig, p: int) -> Dict[int, int]:
+    """Incidence histogram over the torus (F_p^*)^d, counted as (Z/(p-1))^d."""
     if not is_prime(p):
         raise AdmissibilityError(f"{p} is not prime")
     q, d = p - 1, config.lattice.rank
     _check_points(q, d)
-    return TorusProfile(prime=p, rank=d, histogram=_group_histogram(config, q))
+    return _group_histogram(config, q)
 
 
 def group_identity_holds(
@@ -181,9 +133,18 @@ def group_identity_holds(
 def verify_finite_field_identity(
     config: VectorConfig, p: int, psi: CoboundaryPolynomial
 ) -> bool:
-    """Check sum over torus points of Y^h equals q^(d-r) psi(q, Y) exactly."""
-    profile = torus_profile(config, p)
-    return profile.histogram == _scaled_coboundary(psi, profile.q, profile.rank)
+    """Check sum over torus points of Y^h equals q^(d-r) psi(q, Y) exactly.
+
+    Refuses to count when the multiplicity lcm does not divide q = p - 1.
+    """
+    q, divisor = p - 1, multiplicity_lcm(config)
+    if q % divisor != 0:
+        raise AdmissibilityError(
+            f"prime {p} is inadmissible: subset multiplicity lcm {divisor} "
+            f"does not divide q = {q}"
+        )
+    histogram = _enumerate_profile(config, p)
+    return histogram == _scaled_coboundary(psi, q, config.lattice.rank)
 
 
 def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
@@ -194,7 +155,7 @@ def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
     X.  The largest of them is checked against the point cap before any
     counting starts.
     """
-    divisor = admissible_divisor(config)
+    divisor = multiplicity_lcm(config)
     d = config.lattice.rank
     r = subset_stats(config, range(len(config))).rank
     qs = [k * divisor for k in range(1, r + 2)]
@@ -230,20 +191,20 @@ def verify_classical_mode(
 ) -> bool:
     """Histogram over (F_s^*)^d against the classical coboundary polynomial.
 
-    Requires every subset multiplicity to divide s - 2, so that the torus
-    sees each hypertorus with the classical (multiplicity-free) count; the
-    right side is (s-1)^(d-r) psi_classical(s-1, Y).
+    A subset B vanishes at q^(d-r(B)) |Hom(T_B, Z/q)| points of (Z/q)^d,
+    q = s - 1, where T_B is the torsion of Lambda / ZB, of order m(B).  That
+    is the classical count q^(d-r(B)) for every B when q is prime to the
+    multiplicity lcm, which is required; the right side is then
+    q^(d-r) psi_classical(q, Y).
     """
     s = field_size
     if not is_prime(s):
         raise AdmissibilityError(f"{s} is not prime")
-    divisor = multiplicity_lcm(config)
-    if s == 2 or (s - 2) % divisor != 0:
+    q, divisor = s - 1, multiplicity_lcm(config)
+    if gcd(divisor, q) != 1:
         raise AdmissibilityError(
             f"field size {s} inadmissible for classical mode: "
-            f"multiplicity lcm {divisor} must divide s - 2 = {s - 2}"
+            f"multiplicity lcm {divisor} must be prime to s - 1 = {q}"
         )
-    profile = _enumerate_profile(config, s)
-    return profile.histogram == _scaled_coboundary(
-        classical_psi, profile.q, profile.rank
-    )
+    histogram = _enumerate_profile(config, s)
+    return histogram == _scaled_coboundary(classical_psi, q, config.lattice.rank)

@@ -3,7 +3,7 @@
 `verify_system` runs each engine once on one root system and lattice:
 
 - `bruteforce`: one sublattice census, folded into M(x, y);
-- `genfun`: the family series expanded to order n, for n <= `order`;
+- `genfun`: the family series expanded to order n;
 - `graph-dictionary`: the (signed) graph census.
 
 The first engine that runs is the baseline and reports
@@ -12,17 +12,14 @@ The first engine that runs is the baseline and reports
 baseline then feeds every structural check:
 
 - `coboundary-at-Y1`: psi(X, 1) = X^r;
-- `finite-field-p{p}`: the histogram over the torus (F_p^*)^d, that is over
-  (Z/q)^d with q = p - 1, equals q^(d-r) psi(q, Y), for the smallest prime
-  p with L | p - 1, where L is the multiplicity lcm read off the same census;
-- `finite-field-q{q}`: the same identity at the smallest multiple q of L
-  other than p - 1.
+- `finite-field-q{L}` and `finite-field-q{2L}`: the histogram over (Z/q)^d
+  equals q^(d-r) psi(q, Y), where L is the multiplicity lcm read off the
+  same census.  When q + 1 is a prime p, (Z/q)^d is the torus (F_p^*)^d.
 
 A check is skipped only when its engine raises `CapacityError`: the
 census's vector guard (which also skips the finite-field checks, as they
-need L), the graph dictionary's rank guard, the point cap of a group count,
-or n > `order` for genfun.  No admissible prime below the search cap skips
-`finite-field-p`.  The skip's detail is the error's message.
+need L), the graph dictionary's rank guard, or the point cap of a group
+count.  The skip's detail is the error's message.
 """
 
 from __future__ import annotations
@@ -31,15 +28,14 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Callable, List, TypeVar, Union
 
-from .errors import CapacityError, PrimeSearchError
-from .finitefield import find_admissible_prime, group_identity_holds
-from .genfun import DEFAULT_ORDER, GenFunRequest, extract_polynomial
+from .errors import CapacityError
+from .finitefield import group_identity_holds
+from .genfun import GenFunRequest, extract_polynomial
 from .lattice import Census, VectorConfig, sublattice_census
 from .root_systems import RootSystemSpec, build_config
 from .signed_graphs import graph_dictionary_tutte
 from .tutte import (
     CoboundaryPolynomial,
-    TuttePolynomial,
     coboundary_from_tutte,
     tutte_from_census,
 )
@@ -68,14 +64,6 @@ def _attempt(compute: Callable[[], T]) -> Union[T, CapacityError]:
         return exc
 
 
-def _genfun(spec: RootSystemSpec, order: int) -> TuttePolynomial:
-    if spec.n > order:
-        raise CapacityError(f"n > order {order}")
-    # The Z^n coefficient does not depend on the order past n.
-    req = GenFunRequest(spec.family, spec.lattice_kind, spec.n)
-    return extract_polynomial(req, spec.n)
-
-
 def _at_y1_is_power(psi: CoboundaryPolynomial) -> bool:
     """psi(X, 1) = X^r, summing the coefficients of each power of X."""
     at_one = {}
@@ -89,16 +77,8 @@ def _finite_field_checks(
 ) -> List[CheckResult]:
     divisor = lcm(*(stats.multiplicity for stats, _ in census))
     results: List[CheckResult] = []
-    groups = []  # (check name, q)
-    p = None
-    try:
-        p = find_admissible_prime(divisor)
-        groups.append((f"finite-field-p{p}", p - 1))
-    except PrimeSearchError as exc:
-        results.append(CheckResult("finite-field-p", SKIP, str(exc)))
-    q = 2 * divisor if p == divisor + 1 else divisor
-    groups.append((f"finite-field-q{q}", q))
-    for name, q in groups:
+    for q in (divisor, 2 * divisor):
+        name = f"finite-field-q{q}"
         try:
             ok = group_identity_holds(config, q, psi)
         except CapacityError as exc:
@@ -108,9 +88,7 @@ def _finite_field_checks(
     return results
 
 
-def verify_system(
-    spec: RootSystemSpec, *, order: int = DEFAULT_ORDER
-) -> List[CheckResult]:
+def verify_system(spec: RootSystemSpec) -> List[CheckResult]:
     """Run every applicable cross-check for one system; deterministic order."""
     config = build_config(spec)
     census = _attempt(lambda: sublattice_census(config))
@@ -120,7 +98,12 @@ def verify_system(
             if isinstance(census, CapacityError)
             else tutte_from_census(census, config.lattice.rank)
         ),
-        "genfun": _attempt(lambda: _genfun(spec, order)),
+        # The Z^n coefficient does not depend on the order past n.
+        "genfun": _attempt(
+            lambda: extract_polynomial(
+                GenFunRequest(spec.family, spec.lattice_kind, spec.n), spec.n
+            )
+        ),
         "graph-dictionary": _attempt(
             lambda: graph_dictionary_tutte(spec.family, spec.n, spec.lattice_kind)
         ),

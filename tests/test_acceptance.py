@@ -11,8 +11,9 @@ from math import factorial
 import pytest
 
 from tuttekit.finitefield import (
-    find_admissible_prime,
-    torus_profile,
+    _enumerate_profile,
+    group_identity_holds,
+    is_prime,
     verify_finite_field_identity,
 )
 from tuttekit.genfun import GenFunRequest, extract_polynomial
@@ -117,11 +118,15 @@ def test_criterion_4_four_way_agreement():
         assert gd.poly == bf.poly, (family, n, kind, "graphs")
         psi = coboundary_from_tutte(bf)
         divisor = multiplicity_lcm(config)
-        p = find_admissible_prime(divisor)
-        assert verify_finite_field_identity(config, p, psi)
-        p2 = find_admissible_prime(divisor, min_p=p + 1)
-        assert verify_finite_field_identity(config, p2, psi)
-    report(4, "four-way oracle agreement, n <= 4", t0, 600)
+        prime_tori = 0
+        for q in (divisor, 2 * divisor):
+            if is_prime(q + 1):  # (Z/q)^d is the torus (F_{q+1}^*)^d
+                assert verify_finite_field_identity(config, q + 1, psi), (family, n, kind, q)
+                prime_tori += 1
+            else:
+                assert group_identity_holds(config, q, psi), (family, n, kind, q)
+        assert prime_tori, (family, n, kind, "no prime torus at q = L or 2L")
+    report(4, "four-way oracle agreement, n <= 4", t0, 60)
 
 
 def test_criterion_5_signed_graph_theorems():
@@ -208,6 +213,6 @@ def test_criterion_9_property_suite():
     # histogram totals (p-1)^d.
     for family, n, kind, p in [("C", 2, "integer", 5), ("B", 2, "weight", 5)]:
         config = build_config(RootSystemSpec(family, n, kind))
-        profile = torus_profile(config, p)
-        assert profile.total() == (p - 1) ** config.lattice.rank
+        histogram = _enumerate_profile(config, p)
+        assert sum(histogram.values()) == (p - 1) ** config.lattice.rank
     report(9, "structural property suite", t0, 60)

@@ -19,7 +19,6 @@ from tuttekit.errors import (
     AdmissibilityError,
     CapacityError,
     ExactDivisionError,
-    PrimeSearchError,
     StructureError,
     TutteKitError,
 )
@@ -113,7 +112,6 @@ class TestExitCodes:
         [
             (ExactDivisionError, EXIT_ERROR, "error:"),
             (AdmissibilityError, EXIT_ERROR, "error:"),
-            (PrimeSearchError, EXIT_ERROR, "error:"),
             (TutteKitError, EXIT_ERROR, "error:"),
             (CapacityError, EXIT_CAPACITY, "capacity:"),
             (StructureError, EXIT_USAGE, "usage:"),
@@ -143,13 +141,26 @@ class TestVerify:
         assert "fail" not in out
 
     def test_graph_dictionary_becomes_the_baseline(self, capsys, monkeypatch):
-        # A census guard below its 25 vectors skips bruteforce and order 2
-        # skips genfun, so the graph dictionary is the first engine to run.
+        # A census guard below its 25 vectors skips bruteforce and a refusing
+        # genfun skips it too, so the graph dictionary is the first engine.
+        def refuse(*_):
+            raise CapacityError("genfun refused")
+
         monkeypatch.setattr(lattice, "DEFAULT_CAPACITY", 24)
-        code, out, _ = run(capsys, "verify", "--system", "B:5:integer", "--order", "2")
+        monkeypatch.setattr(verify, "extract_polynomial", refuse)
+        code, out, _ = run(capsys, "verify", "--system", "B:5:integer")
         assert code == EXIT_OK
         assert "fail" not in out
+        assert "genfun: skip (genfun refused)" in out
         assert "graph-dictionary: pass (taken as baseline)" in out
+
+    def test_a9_cross_checks_genfun_against_the_graph_dictionary(self, capsys):
+        # 36 vectors skip the census; genfun still runs at order n = 9.
+        code, out, _ = run(capsys, "verify", "--system", "A:9:root")
+        assert code == EXIT_OK
+        assert "fail" not in out
+        assert "genfun: pass (taken as baseline)" in out
+        assert "graph-dictionary-vs-genfun: pass" in out
 
     def test_b5_integer_runs_every_check(self, capsys):
         code, out, _ = run(capsys, "verify", "--system", "B:5:integer")
@@ -165,7 +176,7 @@ class TestVerify:
             return extract_polynomial(req, n)
 
         monkeypatch.setattr(verify, "extract_polynomial", spy)
-        results = verify.verify_system(RootSystemSpec("C", 3, "root"), order=8)
+        results = verify.verify_system(RootSystemSpec("C", 3, "root"))
         assert orders == [3]
         assert CheckResult("genfun-vs-bruteforce", "pass") in results
 
@@ -280,6 +291,7 @@ class TestPackage:
             ["compute", "--system", "C:2:integer", "--threads", "2"],
             ["verify", "--system", "C:2:integer", "--method", "all"],
             ["verify", "--system", "C:2:integer", "--primes", "2"],
+            ["verify", "--system", "C:2:integer", "--order", "8"],
         ],
     )
     def test_removed_flags_are_usage_errors(self, capsys, argv):

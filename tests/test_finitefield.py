@@ -1,9 +1,12 @@
 """Finite-group point counts and interpolation.
 
 `power_table_profile` is the torus enumerator the group count replaced,
-kept verbatim as an oracle: over F_p^* it tests prod t_i^(c_i) = 1
-directly, so it shares no counting code with `_group_histogram`.
+its counting kept verbatim as an oracle: over F_p^* it tests
+prod t_i^(c_i) = 1 directly, so it shares no counting code with
+`_group_histogram`.  It returns {incidence count: number of points}.
 """
+
+from typing import Dict
 
 import numpy as np
 import pytest
@@ -12,15 +15,12 @@ from hypothesis import strategies as st
 
 from conftest import configs
 from tuttekit import finitefield
-from tuttekit.errors import AdmissibilityError, CapacityError, PrimeSearchError
+from tuttekit.errors import AdmissibilityError, CapacityError
 from tuttekit.finitefield import (
     DEFAULT_POINT_CAP,
-    TorusProfile,
+    _enumerate_profile,
     _group_histogram,
-    admissible_divisor,
-    find_admissible_prime,
     is_prime,
-    torus_profile,
     tutte_via_interpolation,
     verify_classical_mode,
     verify_finite_field_identity,
@@ -45,7 +45,7 @@ _CHUNK_THRESHOLD = 1 << 22
 
 def power_table_profile(
     config: VectorConfig, p: int, point_cap: int = DEFAULT_POINT_CAP
-) -> TorusProfile:
+) -> Dict[int, int]:
     if not is_prime(p):
         raise AdmissibilityError(f"{p} is not prime")
     q = p - 1
@@ -54,7 +54,7 @@ def power_table_profile(
         raise CapacityError(f"(p-1)^d = {q**d} exceeds point cap {point_cap}")
 
     if len(config) == 0 or d == 0:
-        return TorusProfile(prime=p, rank=d, histogram={0: q**d})
+        return {0: q**d}
 
     # Per-vector power tables: table[i][v-1] = v^(c_i mod q) mod p.
     values = np.arange(1, p, dtype=np.int64)
@@ -87,8 +87,7 @@ def power_table_profile(
                 counts[i * block : (i + 1) * block] += (chunk == 1).astype(np.int16)
 
     hist_counts = np.bincount(counts)
-    histogram = {h: int(c) for h, c in enumerate(hist_counts) if c}
-    return TorusProfile(prime=p, rank=d, histogram=histogram)
+    return {h: int(c) for h, c in enumerate(hist_counts) if c}
 
 
 def interpolation_points(config):
@@ -106,42 +105,38 @@ class TestPrimes:
         primes = [p for p in range(60) if is_prime(p)]
         assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
-    def test_find_admissible(self):
-        assert find_admissible_prime(2) == 3
-        assert find_admissible_prime(4) == 5
-        assert find_admissible_prime(16) == 17
-        assert find_admissible_prime(16, min_p=18) == 97
-
-    def test_search_cap(self):
-        with pytest.raises(PrimeSearchError):
-            find_admissible_prime(9973 * 2, cap=100)
-
 
 class TestTorusProfile:
     def test_histogram_total_is_torus_size(self):
         c = cfg("C", 2, "integer")
-        profile = torus_profile(c, 5)
-        assert profile.total() == 4**2
+        assert sum(_enumerate_profile(c, 5).values()) == 4**2
 
     def test_inadmissible_prime_refused(self):
         c = cfg("C", 2, "integer")  # multiplicity lcm 4
+        psi = coboundary_from_tutte(arithmetic_tutte_bruteforce(c))
         with pytest.raises(AdmissibilityError):
-            torus_profile(c, 7)  # 4 does not divide 6
+            verify_finite_field_identity(c, 7, psi)  # 4 does not divide 6
 
-    def test_claimed_divisor_must_be_a_multiple_of_the_lcm(self):
+    def test_claimed_divisor_must_be_a_multiple_of_the_lcm(self, monkeypatch):
         # Only B = {(4, 0)} has m(B) = 4; every other subset has m(B) = 1,
         # so sampling subsets would almost never see the 4.
         vectors = ((4, 0),) + ((1, 0),) * 19
         c = VectorConfig(vectors=vectors, lattice=LatticeBasis.standard(2))
-        assert admissible_divisor(c) == 4
+        assert multiplicity_lcm(c) == 4
+        psi = coboundary_from_tutte(arithmetic_tutte_bruteforce(c))
+
+        def refuse(*_):
+            raise AssertionError("counted at an inadmissible prime")
+
+        monkeypatch.setattr(finitefield, "_group_histogram", refuse)
         with pytest.raises(AdmissibilityError):
-            torus_profile(c, 3)  # q = 2 is not a multiple of 4
+            verify_finite_field_identity(c, 3, psi)  # q = 2 is not a multiple of 4
 
     def test_point_cap(self, monkeypatch):
         c = cfg("B", 3, "integer")
         monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 10)
         with pytest.raises(CapacityError):
-            torus_profile(c, 11)
+            _enumerate_profile(c, 11)
 
 
 class TestIdentity:
@@ -168,8 +163,8 @@ class TestIdentity:
 
 
 class TestClassicalMode:
-    # Even multiplicity lcms can never divide s - 2 for an odd prime s, so
-    # classical mode is only exercisable on multiplicity-free configurations.
+    # The torus (F_s^*)^d sees the classical count exactly when the
+    # multiplicity lcm L is prime to s - 1; any L is exercisable at such s.
     @pytest.mark.parametrize("s", [3, 5, 7])
     def test_type_a_any_prime(self, s):
         c = cfg("A", 3, "integer")
@@ -186,7 +181,15 @@ class TestClassicalMode:
         c = cfg("C", 2, "integer")
         psi = coboundary_from_tutte(classical_tutte_bruteforce(c))
         with pytest.raises(AdmissibilityError):
-            verify_classical_mode(c, 5, psi)  # s-2 = 3 not divisible by 4
+            verify_classical_mode(c, 5, psi)  # gcd(4, 4) = 4
+
+    def test_lcm_prime_to_s_minus_1(self):
+        c = cfg("A", 5, "weight")
+        assert multiplicity_lcm(c) == 5
+        psi = coboundary_from_tutte(classical_tutte_bruteforce(c))
+        assert verify_classical_mode(c, 13, psi)  # gcd(5, 12) = 1
+        with pytest.raises(AdmissibilityError):
+            verify_classical_mode(c, 11, psi)  # gcd(5, 10) = 5
 
 
 class TestInterpolation:
@@ -235,20 +238,20 @@ class TestRandomConfigurations:
     @given(configs(), st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]))
     @settings(max_examples=60, deadline=None)
     def test_group_count_matches_power_tables(self, config, p):
-        expected = power_table_profile(config, p).histogram
+        expected = power_table_profile(config, p)
         assert _group_histogram(config, p - 1) == expected
 
     @pytest.mark.parametrize("p", [127, 131, 257])
     def test_moduli_past_the_uint8_range(self, p):
         # q = 126 fits uint8 sums (< 2q); q = 130 and 256 need uint16.
         c = cfg("B", 2, "integer")
-        assert _group_histogram(c, p - 1) == power_table_profile(c, p).histogram
+        assert _group_histogram(c, p - 1) == power_table_profile(c, p)
 
     @pytest.mark.parametrize("p", [2, 3, 7, 13, 101])
     def test_rank_1_counted_without_stepping(self, p):
         vectors = ((1,), (2,), (-3,), (0,), (6,), (4,))
         c = VectorConfig(vectors=vectors, lattice=LatticeBasis.standard(1))
-        assert _group_histogram(c, p - 1) == power_table_profile(c, p).histogram
+        assert _group_histogram(c, p - 1) == power_table_profile(c, p)
 
     @given(configs())
     @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 
 from tuttekit import finitefield, lattice, tutte, verify
 from tuttekit.cli import EXIT_MISMATCH, EXIT_OK, main
-from tuttekit.errors import CapacityError, PrimeSearchError
+from tuttekit.errors import CapacityError
 from tuttekit.invariants import derive_all
 from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config, parse_system
@@ -40,8 +40,8 @@ def statuses(results):
     return {r.name: r.status for r in results}
 
 
-def test_signature_has_only_spec_and_order():
-    assert list(inspect.signature(verify_system).parameters) == ["spec", "order"]
+def test_signature_has_only_spec():
+    assert list(inspect.signature(verify_system).parameters) == ["spec"]
 
 
 def test_small_systems_pass_every_check():
@@ -53,7 +53,7 @@ def test_small_systems_pass_every_check():
             "bruteforce", "genfun-vs-bruteforce", "graph-dictionary-vs-bruteforce"
         ]
         assert names[3] == "coboundary-at-Y1"
-        assert names[4].startswith("finite-field-p")
+        assert names[4].startswith("finite-field-q")
         assert names[5].startswith("finite-field-q")
         assert len(names) == 6
 
@@ -88,15 +88,33 @@ def test_specializations_take_no_powers_and_no_substitution(monkeypatch, capsys)
 @pytest.mark.parametrize(
     "system,prime,q",
     [
-        ("A:3:integer", 2, 2),  # L = 1: p - 1 = L, so the group check takes 2L
-        ("A:3:weight", 7, 3),  # L = 3
-        ("C:3:integer", 17, 8),  # L = 8
-        ("B:2:integer", 3, 4),  # L = 2: p - 1 = L
+        ("A:3:integer", 2, 2),  # L = 1: (F_2^*)^d is (Z/L)^d, and q = 2L
+        ("A:3:weight", 7, 3),  # L = 3: q = L, and (F_7^*)^d is (Z/2L)^d
+        ("C:3:integer", 17, 8),  # L = 8: q = L, and (F_17^*)^d is (Z/2L)^d
+        ("B:2:integer", 3, 4),  # L = 2: (F_3^*)^d is (Z/L)^d, and q = 2L
     ],
 )
 def test_finite_field_check_names(system, prime, q):
+    # Here the checks at L and 2L count the same two groups as the torus over
+    # F_p (p the smallest prime with L | p - 1) and (Z/q)^d, L first.
     names = [r.name for r in verify_system(parse_system(system))]
-    assert names[-2:] == [f"finite-field-p{prime}", f"finite-field-q{q}"]
+    assert names[-2:] == [f"finite-field-q{k}" for k in sorted((prime - 1, q))]
+
+
+@pytest.mark.parametrize(
+    "system,groups",
+    [
+        ("C:2:integer", [4, 8]),
+        # (Z/28)^6, at the smallest prime 29 with 7 | p - 1, is past the
+        # point cap; (Z/14)^6 is not.
+        ("A:7:weight", [7, 14]),
+    ],
+)
+def test_counts_only_at_the_lcm_and_twice_it(monkeypatch, system, groups):
+    calls = count_calls(monkeypatch, "_group_histogram", [finitefield])
+    results = verify_system(parse_system(system))
+    assert [q for _, q in calls] == groups
+    assert all(r.status == PASS for r in results), results
 
 
 def test_perturbed_genfun_fails(monkeypatch, capsys):
@@ -127,20 +145,8 @@ def test_perturbed_group_count_fails_both_finite_field_checks(monkeypatch):
     monkeypatch.setattr(finitefield, "_group_histogram", perturbed)
     got = statuses(verify_system(RootSystemSpec("B", 3, "root")))
     failed = sorted(name for name, status in got.items() if status == FAIL)
-    assert len(failed) == 2
-    assert failed[0].startswith("finite-field-p")
-    assert failed[1].startswith("finite-field-q")
+    assert failed == ["finite-field-q2", "finite-field-q4"]  # L = 2
     assert all(status == PASS for name, status in got.items() if name not in failed)
-
-
-def test_no_admissible_prime_skips_only_the_prime_check(monkeypatch):
-    def no_prime(divisor, **_):
-        raise PrimeSearchError("no prime")
-
-    monkeypatch.setattr(verify, "find_admissible_prime", no_prime)
-    results = verify_system(RootSystemSpec("C", 2, "integer"))
-    assert CheckResult("finite-field-p", SKIP, "no prime") in results
-    assert statuses(results)["finite-field-q4"] == PASS  # L = 4
 
 
 def test_skips_carry_the_engines_own_messages(capsys):
