@@ -7,8 +7,10 @@ error, e.g. an inexact division or an inadmissible modulus), 2 verification
 mismatch, 3 capacity guard, 4 usage error.
 
 `verify` prints one line per check, named as in `tuttekit.verify`; a skip's
-reason is the message of the `CapacityError` its engine raised.  Skips keep
-exit code 0 and any failed check gives 2.
+reason is the message of the `CapacityError` its engine raised.  A run in
+which no second engine reached a verdict (no `-vs-` and no `finite-field-q`
+check) ends with `cross-check: skip (no second engine reaches <system>)`.
+Skips keep exit code 0 and any failed check gives 2.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .finitefield import tutte_via_interpolation
 from .genfun import DEFAULT_ORDER, GenFunRequest, expand_genfun
 from .genfun import extract_polynomial, tutte_from_series
 from .invariants import characteristic_polynomial, derive_all, ehrhart_polynomial
-from .poly import MultiPoly
+from .poly import MultiPoly, narrow
 from .root_systems import RootSystemSpec, build_config, parse_system
 from .signed_graphs import graph_dictionary_tutte
 from .tables import (
@@ -34,7 +36,7 @@ from .tables import (
     weight_tutte_fixture,
 )
 from .tutte import TuttePolynomial, arithmetic_tutte_bruteforce
-from .verify import all_passed, verify_system
+from .verify import SKIP, CheckResult, all_passed, cross_checked, verify_system
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -50,25 +52,14 @@ def format_poly(poly: MultiPoly) -> str:
     if poly.is_zero():
         return "0"
     parts: List[str] = []
-    for exps, coeff in reversed(poly.sorted_terms()):
-        factors = []
-        for var, e in zip(poly.vars, exps):
-            if e == 1:
-                factors.append(var)
-            elif e > 1:
-                factors.append(f"{var}^{e}")
-        mono = "".join(factors)
+    for exps, c in reversed(poly.sorted_terms()):
+        coeff = narrow(c)
+        mono = "".join(
+            var if e == 1 else f"{var}^{e}" for var, e in zip(poly.vars, exps) if e
+        )
         mag = abs(coeff)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}{mono}"
-        if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
-        else:
-            parts.append(("+" if coeff > 0 else "-") + body)
+        body = mono if mono and mag == 1 else f"{mag}{mono}"
+        parts.append(("-" if coeff < 0 else "+" if parts else "") + body)
     return "".join(parts)
 
 
@@ -139,6 +130,10 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     spec = parse_system(args.system)
     results = verify_system(spec)
+    if not cross_checked(results):
+        results.append(
+            CheckResult("cross-check", SKIP, f"no second engine reaches {spec}")
+        )
     if args.output == "json":
         print(
             _json_dump(

@@ -1,10 +1,17 @@
 """Lattices as rational basis matrices; ranks and multiplicities of subsets.
 
 A lattice of rank d inside Q^m is stored as an m x d matrix of exact
-rationals whose columns are the basis vectors.  The multiplicity of a
-vector subset B is the index of ZB inside span(B) intersected with the
-lattice, computed as the product of the Smith normal form invariant
-factors of B's integer coordinate matrix.
+rationals whose columns are the basis vectors.  One exact elimination at
+construction gives an integer left inverse over one denominator, so the
+lattice coordinates of a vector are an int matrix-vector product and a
+divisibility test.  The multiplicity of a vector subset B is the index of
+ZB inside span(B) intersected with the lattice, computed as the product of
+the Smith normal form invariant factors of B's integer coordinate matrix.
+
+`sublattice_census` folds the vectors in one at a time over a map from each
+distinct lattice ZB, keyed by its canonical Hermite normal form, to its
+subset counts by size, packed into one int as base-2^(n+1) digits.  A vector
+that is already a member of a state's lattice leaves that key unchanged.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import gcd, lcm
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .errors import CapacityError, LatticeMembershipError, SpanError, StructureError
@@ -22,43 +30,32 @@ Vector = Tuple[Q, ...]
 DEFAULT_CAPACITY = 25
 
 
-def _solve_exact(columns: Sequence[Vector], v: Vector) -> List[Q]:
-    """Solve sum_j c_j * columns[j] = v exactly; raise SpanError if unsolvable."""
-    m = len(v)
-    d = len(columns)
-    # Augmented matrix, rows are equations.
-    rows = [[columns[j][i] for j in range(d)] + [v[i]] for i in range(m)]
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(d):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = rows[r]
-        inv = Q(1) / pr[c]
-        rows[r] = pr = [x * inv for x in pr]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        pivots.append((r, c))
-        r += 1
-    # Consistency: rows below rank must have zero rhs.
-    for i in range(r, m):
-        if rows[i][d] != 0:
-            raise SpanError("vector outside the rational span of the basis")
-    sol = [Q(0)] * d
-    for row, col in pivots:
-        sol[col] = rows[row][d]
-    return sol
+def _dot(row: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, row, v))
+
+
+def _over_one_denominator(rows: Sequence[Sequence[Q]]) -> Tuple[List[List[int]], int]:
+    """Integer numerators of rational rows over their least common denominator."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Full-column-rank rational basis; columns generate the lattice."""
+    """Full-column-rank rational basis; columns generate the lattice.
+
+    One Gauss-Jordan pass over [basis | I] at construction gives the row
+    operations T with T basis = [I; 0].  The top rows of T, as ints over one
+    denominator, are a left inverse of the basis, so the coordinates of v
+    are an int matrix-vector product; the rows below (scaled to ints) span
+    the left null space, so v is in the rational span exactly when
+    they all annihilate it.  A square basis has no such rows.
+    """
 
     basis: Tuple[Vector, ...]  # columns
+    _inverse: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _denominator: int = field(init=False, repr=False, compare=False)
+    _cokernel: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cols = tuple(tuple(Q(x) for x in col) for col in self.basis)
@@ -68,8 +65,28 @@ class LatticeBasis:
         m = len(cols[0])
         if any(len(c) != m for c in cols):
             raise StructureError("basis columns of unequal length")
-        if _rational_rank([list(c) for c in cols]) != len(cols):
-            raise StructureError("basis columns are linearly dependent")
+        d = len(cols)
+        rows = [
+            [col[i] for col in cols] + [Q(int(i == k)) for k in range(m)]
+            for i in range(m)
+        ]
+        for c in range(d):
+            # Every column has a pivot, so column c's lands in row c.
+            pivot = next((i for i in range(c, m) if rows[i][c]), None)
+            if pivot is None:
+                raise StructureError("basis columns are linearly dependent")
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            inv = 1 / rows[c][c]
+            rows[c] = pr = [x * inv for x in rows[c]]
+            for i in range(m):
+                f = rows[i][c]
+                if i != c and f:
+                    rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        inverse, den = _over_one_denominator([row[d:] for row in rows[:d]])
+        cokernel, _ = _over_one_denominator([row[d:] for row in rows[d:]])
+        object.__setattr__(self, "_inverse", tuple(map(tuple, inverse)))
+        object.__setattr__(self, "_denominator", den)
+        object.__setattr__(self, "_cokernel", tuple(map(tuple, cokernel)))
 
     @property
     def ambient_dim(self) -> int:
@@ -92,12 +109,17 @@ class LatticeBasis:
         Raises SpanError if v is outside the rational span, and
         LatticeMembershipError if the coordinates are not integral.
         """
-        sol = _solve_exact(self.basis, tuple(Q(x) for x in v))
-        if any(c.denominator != 1 for c in sol):
+        (w,), den = _over_one_denominator([[Q(x) for x in v]])
+        if any(_dot(row, w) for row in self._cokernel):
+            raise SpanError("vector outside the rational span of the basis")
+        scale = self._denominator * den
+        sums = [_dot(row, w) for row in self._inverse]
+        if any(s % scale for s in sums):
+            sol = [Q(s, scale) for s in sums]
             raise LatticeMembershipError(
                 f"vector {tuple(v)} is not in the lattice (coords {sol})"
             )
-        return tuple(int(c) for c in sol)
+        return tuple(s // scale for s in sums)
 
     def index_of_sublattice(self, sub: "LatticeBasis") -> int:
         """Index [self : sub] for a finite-index sublattice of the same rank."""
@@ -153,27 +175,6 @@ Census = List[Tuple[SubsetStats, List[int]]]
 
 # ----------------------------------------------------------------------
 # exact linear algebra over Z and Q
-
-
-def _rational_rank(columns: List[List[Q]]) -> int:
-    if not columns:
-        return 0
-    m = len(columns[0])
-    rows = [[col[i] for col in columns] for i in range(m)]
-    rank = 0
-    ncols = len(columns)
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, m):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pr[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-    return rank
 
 
 def int_matrix_rank(rows: List[List[int]]) -> int:
@@ -302,6 +303,18 @@ def subset_stats(config: VectorConfig, subset: Sequence[int]) -> SubsetStats:
     return SubsetStats(rank=rank, multiplicity=mult)
 
 
+def _pivots(rows: Sequence[Sequence[int]]) -> List[int]:
+    """Pivot column (first nonzero entry) of each row of an echelon matrix."""
+    pivots = []
+    c = 0
+    for row in rows:
+        while not row[c]:
+            c += 1
+        pivots.append(c)
+        c += 1
+    return pivots
+
+
 def _hnf_add(
     rows: Tuple[Tuple[int, ...], ...], v: Sequence[int]
 ) -> Tuple[Tuple[int, ...], ...]:
@@ -311,32 +324,57 @@ def _hnf_add(
     columns increasing, entries above each pivot reduced into [0, pivot).
     The pivot columns and pivot values of an echelon basis depend only on
     the lattice, so the reduced form is unique and serves as its key.
+
+    v is first reduced down the rows while each pivot divides it, which
+    changes no row; if it reaches 0, v is a member and `rows` itself is
+    returned.  Otherwise the first row it cannot pass is the first one to
+    change: v is merged into it by Euclid or inserted before it, and only
+    the rows from there on are normalized again, each reducing the entries
+    above it.
     """
-    out = [list(r) for r in rows]
-    i = 0
-    while any(v):
-        c = next(j for j, x in enumerate(v) if x)
-        while i < len(out) and any(out[i][:c]):
-            i += 1
-        if i == len(out) or not out[i][c]:
-            out.insert(i, list(v))
+    pivots = _pivots(rows)
+    start = 0  # v is 0 in every column before start
+    for i, (row, c) in enumerate(zip(rows, pivots)):
+        x = v[c]
+        if any(v[start:c]) or x % row[c]:
             break
-        # Euclid on the two rows: the row keeps the gcd at c, v gets a 0.
+        if x:
+            q = x // row[c]
+            v = [a - q * b for a, b in zip(v, row)]
+        start = c + 1
+    else:
+        if not any(v[start:]):
+            return rows
+        i = len(rows)
+    out: List[Sequence[int]] = list(rows)
+    first, lead = i, start
+    while True:
+        while not v[lead]:
+            lead += 1
+        while i < len(out) and pivots[i] < lead:
+            i += 1
+        if i == len(out) or pivots[i] > lead:
+            out.insert(i, v)
+            pivots.insert(i, lead)
+            break
+        # Euclid on the two rows: the row keeps the gcd at lead, v gets a 0.
         h = out[i]
-        while v[c]:
-            q = h[c] // v[c]
+        while v[lead]:
+            q = h[lead] // v[lead]
             h, v = v, [x - q * y for x, y in zip(h, v)]
         out[i] = h
         i += 1
-    for i, row in enumerate(out):
-        c = next(j for j, x in enumerate(row) if x)
+        if not any(v):
+            break
+    for i in range(first, len(out)):
+        row, c = out[i], pivots[i]
         if row[c] < 0:
             out[i] = row = [-x for x in row]
         for above in range(i):
             q = out[above][c] // row[c]
             if q:
                 out[above] = [x - q * y for x, y in zip(out[above], row)]
-    return tuple(tuple(r) for r in out)
+    return tuple(map(tuple, out))
 
 
 def sublattice_census(config: VectorConfig) -> Census:
@@ -347,6 +385,10 @@ def sublattice_census(config: VectorConfig) -> Census:
     The vectors are folded in one at a time over a map from canonical HNF
     to counts, so the work grows with the number of distinct lattices, not
     with 2^|A|; one Smith normal form per final lattice gives m(B).
+    The counts of a state are packed into one int, counts[k] in digit k of
+    base 2^(n+1), so folding in a vector adds the counts shifted one digit
+    up; no digit carries, as counts[k] <= C(n, k) < 2^(n+1).  The digits are
+    unpacked once per final lattice.
     Refuses more than DEFAULT_CAPACITY vectors.
     """
     n = len(config)
@@ -354,19 +396,21 @@ def sublattice_census(config: VectorConfig) -> Census:
         raise CapacityError(
             f"{n} vectors exceeds the census capacity guard of {DEFAULT_CAPACITY}"
         )
-    states = {(): [1] + [0] * n}
+    width = n + 1
+    states = {(): 1}
     for v in config.coord_matrix:
-        grown = {key: counts[:] for key, counts in states.items()}
-        for key, counts in states.items():
-            target = grown.setdefault(_hnf_add(key, v), [0] * (n + 1))
-            for k in range(n):
-                target[k + 1] += counts[k]
+        grown = dict(states)
+        for key, c in states.items():
+            t = _hnf_add(key, v)
+            grown[t] = grown.get(t, 0) + (c << width)
         states = grown
+    digit = (1 << width) - 1
     census = []
-    for rows, counts in states.items():
+    for rows, packed in states.items():
         mult = 1
         for f in snf_invariant_factors(rows):
             mult *= f
+        counts = [packed >> width * k & digit for k in range(n + 1)]
         census.append((SubsetStats(rank=len(rows), multiplicity=mult), counts))
     return census
 

@@ -135,5 +135,17 @@ def verify_system(spec: RootSystemSpec) -> List[CheckResult]:
     return results
 
 
+def cross_checked(results: List[CheckResult]) -> bool:
+    """Whether a second engine reached a verdict on the baseline.
+
+    That is a `-vs-` check or a finite-field check that passed or failed;
+    the baseline and `coboundary-at-Y1` alone check no engine against another.
+    """
+    return any(
+        r.status != SKIP and ("-vs-" in r.name or r.name.startswith("finite-field-q"))
+        for r in results
+    )
+
+
 def all_passed(results: List[CheckResult]) -> bool:
     return all(r.status != FAIL for r in results)

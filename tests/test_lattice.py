@@ -1,11 +1,16 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import int_matrices
-from tuttekit.errors import CapacityError, LatticeMembershipError, SpanError
+from conftest import configs, int_matrices
+from tuttekit.errors import (
+    CapacityError,
+    LatticeMembershipError,
+    SpanError,
+    StructureError,
+)
 from tuttekit.lattice import (
     DEFAULT_CAPACITY,
     LatticeBasis,
@@ -121,3 +126,118 @@ class TestVectorConfig:
         cfg = VectorConfig(vectors=vecs, lattice=plane)
         with pytest.raises(CapacityError):
             multiplicity_lcm(cfg)
+
+
+# ----------------------------------------------------------------------
+# coordinates against the per-vector Fraction solve they replaced
+
+
+def oracle_solve(columns, v):
+    """Solve sum_j c_j * columns[j] = v exactly; raise SpanError if unsolvable."""
+    m = len(v)
+    d = len(columns)
+    # Augmented matrix, rows are equations.
+    rows = [[columns[j][i] for j in range(d)] + [v[i]] for i in range(m)]
+    pivots = []  # (row, col)
+    r = 0
+    for c in range(d):
+        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pr = rows[r]
+        inv = Q(1) / pr[c]
+        rows[r] = pr = [x * inv for x in pr]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        pivots.append((r, c))
+        r += 1
+    # Consistency: rows below rank must have zero rhs.
+    for i in range(r, m):
+        if rows[i][d] != 0:
+            raise SpanError("vector outside the rational span of the basis")
+    sol = [Q(0)] * d
+    for row, col in pivots:
+        sol[col] = rows[row][d]
+    return sol
+
+
+def oracle_coordinates(lattice, v):
+    sol = oracle_solve(lattice.basis, tuple(Q(x) for x in v))
+    if any(c.denominator != 1 for c in sol):
+        raise LatticeMembershipError(
+            f"vector {tuple(v)} is not in the lattice (coords {sol})"
+        )
+    return tuple(int(c) for c in sol)
+
+
+def outcome(coordinates, *args):
+    """The coordinates, or the error type and message they raise."""
+    try:
+        return coordinates(*args)
+    except (SpanError, LatticeMembershipError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def bases_and_vectors(draw):
+    """A random full-rank rational basis of Q^d inside Q^m, and a vector there.
+
+    The vector is half the time an integer or half-integer combination of the
+    columns and half the time any rational vector, so every outcome occurs.
+    """
+    m = draw(st.integers(1, 4))
+    d = draw(st.integers(1, m))
+    entries = st.builds(Q, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+    basis = draw(st.lists(st.tuples(*[entries] * m), min_size=d, max_size=d))
+    try:
+        lattice = LatticeBasis(tuple(basis))
+    except StructureError:
+        assume(False)
+    if draw(st.booleans()):
+        halves = st.builds(Q, st.integers(-4, 4), st.sampled_from([1, 2]))
+        coeffs = draw(st.lists(halves, min_size=d, max_size=d))
+        v = tuple(sum(c * col[i] for c, col in zip(coeffs, basis)) for i in range(m))
+    else:
+        v = draw(st.tuples(*[entries] * m))
+    return lattice, v
+
+
+class TestCoordinatesAgainstOracle:
+    @given(configs())
+    @settings(max_examples=60, deadline=None)
+    def test_configs(self, config):
+        for v in config.vectors:
+            assert config.lattice.coordinates(v) == oracle_coordinates(config.lattice, v)
+
+    @given(bases_and_vectors())
+    @settings(max_examples=300, deadline=None)
+    def test_random_bases(self, case):
+        lattice, v = case
+        assert outcome(lattice.coordinates, v) == outcome(oracle_coordinates, lattice, v)
+
+    def test_triangular_half_integer_basis(self):
+        lattice = LatticeBasis(
+            (V(2, 0, 0), V(Q(1, 2), 1, 0), V(Q(-1, 2), Q(1, 2), 3))
+        )
+        for v in (V(Q(5, 2), 1, 0), V(0, Q(1, 2), 3), V(1, 0, 0), V(0, 0, 1)):
+            assert outcome(lattice.coordinates, v) == outcome(oracle_coordinates, lattice, v)
+        assert lattice.coordinates(V(Q(-1, 2), Q(1, 2), 3)) == (0, 0, 1)
+        assert lattice.coordinates(V(Q(5, 2), 1, 0)) == (1, 1, 0)
+        with pytest.raises(LatticeMembershipError):
+            lattice.coordinates(V(1, 0, 0))
+
+    def test_one_column_in_three_dimensions(self):
+        line = LatticeBasis((V(2, Q(1, 2), -1),))
+        assert line.coordinates(V(-6, Q(-3, 2), 3)) == (-3,)
+        assert line.coordinates(V(0, 0, 0)) == (0,)
+        with pytest.raises(LatticeMembershipError) as not_member:
+            line.coordinates(V(1, Q(1, 4), Q(-1, 2)))
+        assert str(not_member.value) == str(
+            outcome(oracle_coordinates, line, V(1, Q(1, 4), Q(-1, 2)))[1]
+        )
+        for off_line in (V(2, Q(1, 2), 0), V(0, 0, 1), V(1, 1, 1)):
+            with pytest.raises(SpanError):
+                line.coordinates(off_line)

@@ -1,4 +1,5 @@
 import inspect
+import json
 
 import pytest
 
@@ -173,3 +174,40 @@ def test_graph_dictionary_reaches_rank_six(capsys):
     # D6 has 30 vectors, past the census guard, so genfun is the baseline.
     assert main(["verify", "--system", "D:6:weight"]) == EXIT_OK
     assert "graph-dictionary-vs-genfun: pass" in capsys.readouterr().out
+
+
+LABEL = "cross-check: skip (no second engine reaches B:8:integer)"
+
+
+def test_single_engine_run_is_labelled_in_text(capsys):
+    # genfun is the only engine that reaches B:8; the run still exits 0.
+    assert main(["verify", "--system", "B:8:integer"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"B:8:integer  {LABEL}"
+    assert sum("cross-check" in line for line in lines) == 1
+
+
+def test_single_engine_run_is_labelled_in_json(capsys):
+    assert main(["verify", "--system", "B:8:integer", "--output", "json"]) == EXIT_OK
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[-1] == {
+        "name": "cross-check",
+        "status": SKIP,
+        "detail": "no second engine reaches B:8:integer",
+    }
+
+
+@pytest.mark.parametrize("system", ["C:3:weight", "D:6:weight", "A:8:root"])
+def test_cross_checked_runs_carry_no_label(capsys, system):
+    # Census + genfun + graphs; genfun + graphs past the census guard.
+    assert main(["verify", "--system", system]) == EXIT_OK
+    assert "cross-check" not in capsys.readouterr().out
+
+
+def test_a_failed_cross_check_is_a_verdict():
+    baseline = CheckResult("genfun", PASS, "taken as baseline")
+    failed = CheckResult("graph-dictionary-vs-genfun", FAIL, "differs")
+    skipped = CheckResult("finite-field", SKIP, "guard")
+    assert verify.cross_checked([baseline, failed, skipped])
+    assert not verify.cross_checked([baseline, skipped])
+    assert verify.cross_checked([baseline, CheckResult("finite-field-q4", PASS)])
