@@ -6,11 +6,10 @@ sorted keys.  Exit codes: 0 success, 1 computation error (any other package
 error, e.g. an inexact division or an inadmissible modulus), 2 verification
 mismatch, 3 capacity guard, 4 usage error.
 
-`verify` prints one line per check, named as in `tuttekit.verify`; a skip's
-reason is the message of the `CapacityError` its engine raised.  A run in
-which no second engine reached a verdict (no `-vs-` and no `finite-field-q`
-check) ends with `cross-check: skip (no second engine reaches <system>)`.
-Skips keep exit code 0 and any failed check gives 2.
+`verify` prints one line per check of `tuttekit.verify.verify_system`,
+including its closing `cross-check` skip when no second engine reached a
+verdict; a skip's reason is the message of the `CapacityError` its engine
+raised.  Skips keep exit code 0 and any failed check gives 2.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .tables import (
     weight_tutte_fixture,
 )
 from .tutte import TuttePolynomial, arithmetic_tutte_bruteforce
-from .verify import SKIP, CheckResult, all_passed, cross_checked, verify_system
+from .verify import all_passed, verify_system
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -130,10 +129,6 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     spec = parse_system(args.system)
     results = verify_system(spec)
-    if not cross_checked(results):
-        results.append(
-            CheckResult("cross-check", SKIP, f"no second engine reaches {spec}")
-        )
     if args.output == "json":
         print(
             _json_dump(
@@ -160,6 +155,8 @@ def cmd_table(args) -> int:
     for r in reports:
         if r not in ("tutte", "char", "ehrhart"):
             raise StructureError(f"unknown report {r!r}")
+    if args.max_n < 2:
+        raise StructureError(f"--max-n must be at least 2, got {args.max_n}")
     rows = []
     order = max(DEFAULT_ORDER, args.max_n)  # Z^n coefficients do not depend on it
     for family in "ABCD":

@@ -9,6 +9,16 @@ Tutte polynomial follows by the standard change of variables.
 Type A in the weight lattice is handled separately: the connected-graph
 logarithm is filtered down to every n-th term and re-exponentiated, summed
 against Euler's totient.
+
+The expansion runs on integer numerators end to end.  Each power is taken
+by Miller's recurrence (`TruncSeries.pow_poly`), and every product pairs a
+series that depends on X with one in Y alone: the factors free of X are
+multiplied together first, and the weight-lattice B/D product
+f2^(X/4-1) middle (f2^(X/4) + F(-2Z,Y)^(X/4)) is regrouped as
+f2^(X/2-1) middle + (f2 F(-2Z,Y))^(X/4) (middle f2^(-1)), with
+f2 = F(2Z,Y).  `tutte_from_series` reads psi = n! [Z^n] as integer rows
+{i: P_i(Y)} and hands them to `tutte.tutte_from_psi_rows`, with no
+rational polynomial in between.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import factorial, gcd
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import ExactDivisionError, StructureError
 from .poly import MultiPoly
@@ -25,7 +35,7 @@ from .tutte import (
     COBOUNDARY_VARS,
     CoboundaryPolynomial,
     TuttePolynomial,
-    tutte_from_coboundary,
+    tutte_from_psi_rows,
 )
 
 DEFAULT_ORDER = 8
@@ -99,18 +109,16 @@ def expand_genfun(req: GenFunRequest) -> TruncSeries:
         return head * f["F_Z_Y2"]
 
     half_exp = _x_poly(Q(1, 2), -1)  # X/2 - 1
-    quarter_exp = _x_poly(Q(1, 4), -1)  # X/4 - 1
-    quarter = _x_poly(Q(1, 4), 0)  # X/4
 
     if kind == "integer" or (kind == "root" and family == "B") or (
         kind == "weight" and family == "C"
     ):
         head = f2.pow_poly(half_exp)
         if family == "B":
-            return head * f["F_Z_Y2"] * f["F_YZ_Y2"]
+            return head * (f["F_Z_Y2"] * f["F_YZ_Y2"])
         if family == "C":
-            return head * f["F_YZ_Y2"] * f["F_YZ_Y2"]
-        return head * f["F_Z_Y2"] * f["F_Z_Y2"]
+            return head * (f["F_YZ_Y2"] * f["F_YZ_Y2"])
+        return head * (f["F_Z_Y2"] * f["F_Z_Y2"])
 
     if kind == "root":  # C or D: bracket sum with an exact halving
         head = f2.pow_poly(half_exp)
@@ -118,33 +126,45 @@ def expand_genfun(req: GenFunRequest) -> TruncSeries:
         bracket = f2 + square * square
         return (head * bracket) * Q(1, 2)
 
-    # weight lattice, B or D
-    head = f2.pow_poly(quarter_exp)
+    # Weight lattice, B or D: f2^(X/4-1) middle (f2^(X/4) + F(-2Z,Y)^(X/4)),
+    # regrouped so that every product has a factor free of X.
     middle = f["F_Z_Y2"] * (f["F_YZ_Y2"] if family == "B" else f["F_Z_Y2"])
-    bracket = f2.pow_poly(quarter) + f["F_m2Z_Y"].pow_poly(quarter)
-    return head * middle * bracket
+    even = f2 * f["F_m2Z_Y"]  # even in Z
+    inverse = f2.pow_poly(MultiPoly.const(COBOUNDARY_VARS, -1))
+    quarter = _x_poly(Q(1, 4), 0)  # X/4
+    return f2.pow_poly(half_exp) * middle + even.pow_poly(quarter) * (middle * inverse)
+
+
+def _psi_rows(
+    series: TruncSeries, family: str, n: int
+) -> Tuple[Dict[int, List[int]], int]:
+    """psi = sum_i X^i P_i(Y) of the rank-n (or n-coordinate, type A) system
+    as rows {i: P_i lowest degree first}, and its rank.
+
+    psi is n! times the Z^n coefficient.  For type A, n counts coordinates
+    (the configuration has rank n-1) and the series carries an extra factor
+    of X, which is divided out exactly.
+    """
+    if n > series.order:
+        raise StructureError(f"n={n} exceeds series order {series.order}")
+    shift = 1 if family == "A" else 0
+    rows: Dict[int, List[int]] = {}
+    for (i, j), c in series.integer_coefficient(n, factorial(n)).items():
+        if i < shift:
+            raise ExactDivisionError("non-exact polynomial division")
+        row = rows.setdefault(i - shift, [])
+        row.extend([0] * (j + 1 - len(row)))
+        row[j] = c
+    return rows, n - shift
 
 
 def extract_coboundary(
     series: TruncSeries, family: str, n: int
 ) -> CoboundaryPolynomial:
-    """Coboundary polynomial of the rank-n system from a family series.
-
-    For type A, n counts coordinates (the configuration has rank n-1) and
-    the series carries an extra factor of X which is divided out exactly.
-    """
-    if n > series.order:
-        raise StructureError(f"n={n} exceeds series order {series.order}")
-    psi = series.coefficient(n) * factorial(n)
-    if family == "A":
-        if any(i == 0 for i, _ in psi.terms):
-            raise ExactDivisionError("non-exact polynomial division")
-        shifted = {(i - 1, j): c for (i, j), c in psi.terms.items()}
-        psi = MultiPoly(COBOUNDARY_VARS, shifted)
-        rank = n - 1
-    else:
-        rank = n
-    return CoboundaryPolynomial(poly=psi, rank=rank)
+    """Coboundary polynomial of the rank-n system from a family series."""
+    rows, rank = _psi_rows(series, family, n)
+    terms = {(i, j): c for i, row in rows.items() for j, c in enumerate(row) if c}
+    return CoboundaryPolynomial(MultiPoly(COBOUNDARY_VARS, terms), rank)
 
 
 def tutte_from_series(
@@ -152,16 +172,11 @@ def tutte_from_series(
 ) -> TuttePolynomial:
     """Tutte polynomial of the rank-n (or n-coordinate, type A) system, read
     from the family series of `expand_genfun`."""
-    psi = extract_coboundary(series, family, n)
+    rows, rank = _psi_rows(series, family, n)
     # Type A has rank n-1; only the integer lattice spans all n coordinates.
     ambient = n - 1 if family == "A" and lattice_kind != "integer" else n
     flavor = "classical" if lattice_kind == "classical" else "arithmetic"
-    result = tutte_from_coboundary(psi, ambient_rank=ambient, flavor=flavor)
-    if not result.poly.has_integer_coefficients():
-        raise StructureError(
-            f"extracted polynomial has non-integer coefficients: {result.poly}"
-        )
-    return result
+    return tutte_from_psi_rows(rows, rank, ambient, flavor)
 
 
 def extract_polynomial(req: GenFunRequest, n: int) -> TuttePolynomial:

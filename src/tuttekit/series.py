@@ -12,7 +12,14 @@ zero stored as ({}, 1).  Every operation reduces each result coefficient
 once, so results stay exact and equal series are equal structurally.
 MultiPoly appears only at the boundary: the constructor takes MultiPoly
 coefficients, scalar and MultiPoly operands are converted once, and
-`coefficient(k)` returns a MultiPoly.
+`coefficient(k)` returns a MultiPoly.  `integer_coefficient(k, factor)`
+skips MultiPoly altogether: it returns factor times the Z^k coefficient as
+{exponents: int}, checking that the product is integral.
+
+`pow_poly` raises a series with constant term 1 to a polynomial power by
+J. C. P. Miller's recurrence, n g_n = sum_k ((a+1)k - n) f_k g_{n-k}: one
+quadratic pass, against three for exp(a log f).  `exp` and `log` remain for
+series that need them as such (the type-A weight series).
 
 A key packs an exponent vector (e_1, ..., e_n) into one int, with the total
 degree in the top field: T * B^n + e_1 * B^(n-1) + ... + e_n, B = 2^32.
@@ -27,7 +34,7 @@ from fractions import Fraction as Q
 from math import factorial, gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-from .errors import CapacityError, PrecisionError, StructureError
+from .errors import CapacityError, ExactDivisionError, PrecisionError, StructureError
 from .poly import Exps, MultiPoly, Scalar
 
 Nums = Dict[int, int]  # packed exponent key -> integer numerator
@@ -142,6 +149,21 @@ class TruncSeries:
         nv = len(self.vars)
         return MultiPoly(self.vars, {_unpack(e, nv): Q(c, den) for e, c in nums.items()})
 
+    def integer_coefficient(self, k: int, factor: int = 1) -> Dict[Exps, int]:
+        """factor times the Z^k coefficient, as integer terms.
+
+        The numerators share no factor with den, so the product is integral
+        exactly when den divides factor; ExactDivisionError otherwise.
+        """
+        nums, den = self._coeffs[k]
+        scale, rest = divmod(factor, den)
+        if rest:
+            raise ExactDivisionError(
+                f"{factor} times the Z^{k} coefficient is not integral"
+            )
+        nv = len(self.vars)
+        return {_unpack(e, nv): c * scale for e, c in nums.items()}
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncSeries)
@@ -249,10 +271,30 @@ class TruncSeries:
         return TruncSeries._make(self.vars, t)
 
     def pow_poly(self, exponent: MultiPoly) -> "TruncSeries":
-        """self ** exponent for a polynomial exponent, via exp(e * log self)."""
+        """self ** exponent for a polynomial exponent and constant term 1.
+
+        Uses J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7): g = f^a
+        satisfies n*g_n = sum_{k=1..n} ((a+1)k - n) f_k g_{n-k}, from
+        g' f = a f' g.  One pass, with (a+1) f_k formed once per k and every
+        k with f_k = 0 skipped.
+        """
         if exponent.vars != self.vars:
             raise StructureError("exponent over differing variable list")
-        return (self.log() * exponent).exp()
+        f, nv = self._coeffs, len(self.vars)
+        if f[0] != ONE:
+            raise PrecisionError("a polynomial power requires constant term 1")
+        a1 = self._operand(exponent + 1)
+        ks = [k for k in range(1, self.order + 1) if f[k][0]]
+        a1f = {k: _sum_of_products(nv, ((1, a1, f[k]),)) for k in ks}
+        g = [ONE]
+        for n in range(1, self.order + 1):
+            products = []
+            for k in ks:
+                if k > n:
+                    break
+                products += ((k, a1f[k], g[n - k]), (-n, f[k], g[n - k]))
+            g.append(_sum_of_products(nv, products, n))
+        return TruncSeries._make(self.vars, g)
 
     def filter_every_nth(self, n: int) -> "TruncSeries":
         """Zero every coefficient of Z^k with n not dividing k."""
@@ -312,9 +354,24 @@ def deformed_exponential(
 
     The first argument is scale * Y^alpha_y_power * Z and the second is
     Y^beta_power, which covers every shape needed by the generating
-    functions here: F(Z,Y), F(2Z,Y), F(-2Z,Y), F(Z,Y^2), F(YZ,Y^2).
+    functions here: F(Z,Y), F(2Z,Y), F(-2Z,Y), F(Z,Y^2), F(YZ,Y^2).  The
+    Z^n coefficient is the single term
+    scale^n / n! * Y^(alpha_y_power * n + beta_power * C(n,2)),
+    written down directly.
     """
     vs = tuple(variables)
-    alpha = MultiPoly.var(vs, "Y", alpha_y_power) * scale
-    beta = MultiPoly.var(vs, "Y", beta_power)
-    return deformed_exp_general(alpha, beta, order)
+    if "Y" not in vs:
+        raise StructureError(f"unknown variable 'Y' among {vs}")
+    if order < 0:
+        raise StructureError("order must be non-negative")
+    y = vs.index("Y")
+    coeffs = []
+    for n in range(order + 1):
+        c = Q(scale) ** n / factorial(n)
+        if not c:
+            coeffs.append(ZERO)
+            continue
+        exps = [0] * len(vs)
+        exps[y] = alpha_y_power * n + beta_power * (n * (n - 1) // 2)
+        coeffs.append(({_pack(tuple(exps)): c.numerator}, c.denominator))
+    return TruncSeries._make(vs, coeffs)

@@ -159,16 +159,27 @@ def tutte_from_coboundary(
     ambient_rank: int,
     flavor: str = "arithmetic",
 ) -> TuttePolynomial:
-    """Recover M(x, y) = psi((x-1)(y-1), y) / (y-1)^r row by row.
-
-    With psi = sum_i X^i P_i(Y), M = sum_i (x-1)^i P_i(y) (y-1)^(i-r), and
-    (y-1)^r divides the whole exactly when (y-1)^(r-i) divides each P_i.
-    """
-    r = c.rank
+    """Recover M(x, y) = psi((x-1)(y-1), y) / (y-1)^r; see `tutte_from_psi_rows`."""
     width = c.poly.degree_in("Y") + 1
     rows: Dict[int, List[Scalar]] = {}  # P_i, lowest degree first
     for (i, j), coeff in c.poly.terms.items():
         rows.setdefault(i, [0] * width)[j] = narrow(coeff)
+    return tutte_from_psi_rows(rows, c.rank, ambient_rank, flavor)
+
+
+def tutte_from_psi_rows(
+    rows: Dict[int, List[Scalar]],
+    rank: int,
+    ambient_rank: int,
+    flavor: str = "arithmetic",
+) -> TuttePolynomial:
+    """M(x, y) of the rank-r configuration whose psi = sum_i X^i P_i(Y),
+    given as rows {i: P_i lowest degree first}; the lists are consumed.
+
+    M = sum_i (x-1)^i P_i(y) (y-1)^(i-r), and (y-1)^r divides the whole
+    exactly when (y-1)^(r-i) divides each P_i.
+    """
+    r = rank
     for i, p in rows.items():
         for _ in range(r - i):  # synthetic division by y - 1
             for k in range(len(p) - 2, -1, -1):

@@ -19,7 +19,9 @@ baseline then feeds every structural check:
 A check is skipped only when its engine raises `CapacityError`: the
 census's vector guard (which also skips the finite-field checks, as they
 need L), the graph dictionary's rank guard, or the point cap of a group
-count.  The skip's detail is the error's message.
+count.  The skip's detail is the error's message.  A run in which no second
+engine reached a verdict (no `-vs-` and no `finite-field-q` check) ends with
+`cross-check: skip (no second engine reaches <system>)`.
 """
 
 from __future__ import annotations
@@ -123,15 +125,18 @@ def verify_system(spec: RootSystemSpec) -> List[CheckResult]:
             results.append(
                 CheckResult(f"{engine}-vs-{baseline_name}", PASS if ok else FAIL, detail)
             )
-    if baseline is None:
-        return results
-
-    psi = coboundary_from_tutte(baseline)
-    results.append(_check("coboundary-at-Y1", _at_y1_is_power(psi), "psi(X, 1) != X^r"))
-    if isinstance(census, CapacityError):
-        results.append(CheckResult("finite-field", SKIP, str(census)))
-    else:
-        results.extend(_finite_field_checks(config, census, psi))
+    if baseline is not None:
+        psi = coboundary_from_tutte(baseline)
+        results.append(
+            _check("coboundary-at-Y1", _at_y1_is_power(psi), "psi(X, 1) != X^r")
+        )
+        if isinstance(census, CapacityError):
+            results.append(CheckResult("finite-field", SKIP, str(census)))
+        else:
+            results.extend(_finite_field_checks(config, census, psi))
+    if not cross_checked(results):
+        why = f"no second engine reaches {spec}"
+        results.append(CheckResult("cross-check", SKIP, why))
     return results
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -216,6 +217,29 @@ class TestTable:
         )
         assert code == EXIT_OK
         assert "-2+q" in out and "1+2t" in out
+
+    @pytest.mark.parametrize("max_n", ["1", "-3"])
+    def test_max_n_below_two_is_a_usage_error(self, capsys, max_n):
+        code, out, err = run(capsys, "table", "--max-n", max_n)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage: --max-n must be at least 2, got {max_n}\n"
+
+    # sha256 of the stdout of `table --lattice <lattice> --max-n 14 --report
+    # tutte,char,ehrhart --output json`, computed at commit 95057f2, before
+    # the series powers moved to Miller's recurrence.
+    TABLE_14_SHA256 = {
+        "weight": "5c24b7430609265483a22df55960d8418bc776e9243695297246995414cfe5fe",
+        "integer": "e5ee0ecc1da8e0465692a8dc7b6786f6791642c9fdb97e21c5d5d36ef758e0d1",
+        "root": "5ccefd676ef37cc66f3d09546e8778617fb0c89fc8306d8cb563dc3820b14148",
+    }
+
+    @pytest.mark.parametrize("lattice", sorted(TABLE_14_SHA256))
+    def test_table_14_output_is_pinned(self, capsys, lattice):
+        argv = ["table", "--lattice", lattice, "--max-n", "14", "--report",
+                "tutte,char,ehrhart", "--output", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TABLE_14_SHA256[lattice]
 
 
 C2_INTEGER_INVARIANTS = """\

@@ -1,8 +1,12 @@
+from fractions import Fraction as Q
+
 import pytest
 
 from tuttekit.errors import ExactDivisionError, StructureError
 from tuttekit.genfun import (
+    GENFUN_KINDS,
     GenFunRequest,
+    _x_poly,
     euler_phi,
     expand_genfun,
     extract_coboundary,
@@ -17,7 +21,7 @@ from tuttekit.invariants import (
 )
 from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config
-from tuttekit.series import TruncSeries
+from tuttekit.series import TruncSeries, deformed_exp_general
 from tuttekit.tables import parse_poly_terms
 from tuttekit.tutte import (
     COBOUNDARY_VARS,
@@ -109,6 +113,84 @@ class TestClosedFormsToRankTwelve:
             assert characteristic_polynomial(t) == weight_characteristic_type_A(n), n
 
 
+# ----------------------------------------------------------------------
+# Oracle: expand_genfun as it was before the series powers moved to Miller's
+# recurrence and the products were regrouped, kept verbatim apart from the
+# power exp(e log f) and the deformed exponentials of deformed_exp_general.
+
+
+def oracle_pow(f: TruncSeries, e: MultiPoly) -> TruncSeries:
+    return (f.log() * e).exp()
+
+
+def oracle_factors(order):
+    vs = COBOUNDARY_VARS
+
+    def shape(scale, beta_power=1, alpha_y_power=0):
+        alpha = MultiPoly.var(vs, "Y", alpha_y_power) * scale
+        return deformed_exp_general(alpha, MultiPoly.var(vs, "Y", beta_power), order)
+
+    return {
+        "F_Z_Y": shape(1),
+        "F_2Z_Y": shape(2),
+        "F_m2Z_Y": shape(-2),
+        "F_Z_Y2": shape(1, beta_power=2),
+        "F_YZ_Y2": shape(1, beta_power=2, alpha_y_power=1),
+    }
+
+
+def oracle_expand_genfun(req: GenFunRequest) -> TruncSeries:
+    family, kind, order = req.family, req.lattice_kind, req.order
+    if family == "A":
+        if kind == "weight":
+            return typeA_weight_series(order)
+        # Integer and root lattices agree for type A (unimodular configuration).
+        f = oracle_factors(order)["F_Z_Y"]
+        x = MultiPoly.var(COBOUNDARY_VARS, "X")
+        return oracle_pow(f, x)
+
+    f = oracle_factors(order)
+    f2 = f["F_2Z_Y"]
+    if kind == "classical":
+        head = oracle_pow(f2, _x_poly(Q(1, 2), Q(-1, 2)))  # (X-1)/2
+        if family in ("B", "C"):
+            return head * f["F_YZ_Y2"]
+        return head * f["F_Z_Y2"]
+
+    half_exp = _x_poly(Q(1, 2), -1)  # X/2 - 1
+    quarter_exp = _x_poly(Q(1, 4), -1)  # X/4 - 1
+    quarter = _x_poly(Q(1, 4), 0)  # X/4
+
+    if kind == "integer" or (kind == "root" and family == "B") or (
+        kind == "weight" and family == "C"
+    ):
+        head = oracle_pow(f2, half_exp)
+        if family == "B":
+            return head * f["F_Z_Y2"] * f["F_YZ_Y2"]
+        if family == "C":
+            return head * f["F_YZ_Y2"] * f["F_YZ_Y2"]
+        return head * f["F_Z_Y2"] * f["F_Z_Y2"]
+
+    if kind == "root":  # C or D: bracket sum with an exact halving
+        head = oracle_pow(f2, half_exp)
+        square = f["F_YZ_Y2"] if family == "C" else f["F_Z_Y2"]
+        bracket = f2 + square * square
+        return (head * bracket) * Q(1, 2)
+
+    # weight lattice, B or D
+    head = oracle_pow(f2, quarter_exp)
+    middle = f["F_Z_Y2"] * (f["F_YZ_Y2"] if family == "B" else f["F_Z_Y2"])
+    bracket = oracle_pow(f2, quarter) + oracle_pow(f["F_m2Z_Y"], quarter)
+    return head * middle * bracket
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+@pytest.mark.parametrize("kind", GENFUN_KINDS)
+def test_series_match_the_unregrouped_oracle(family, kind):
+    req = GenFunRequest(family, kind, 12)
+    assert expand_genfun(req) == oracle_expand_genfun(req)
+
+
 class TestClassicalSeries:
     def test_b_and_c_series_coincide(self):
         b = expand_genfun(GenFunRequest("B", "classical", ORDER))
@@ -130,6 +212,15 @@ class TestExtraction:
         with pytest.raises(ExactDivisionError, match="non-exact polynomial division"):
             extract_coboundary(series, "A", 1)
         assert extract_coboundary(TruncSeries((one, x * 3)), "A", 1).poly == one * 3
+
+    def test_psi_must_be_integral(self):
+        # 1! times the Z^1 coefficient X/2 is not an integer polynomial.
+        one = MultiPoly.const(COBOUNDARY_VARS, 1)
+        series = TruncSeries((one, MultiPoly.var(COBOUNDARY_VARS, "X") * Q(1, 2)))
+        with pytest.raises(ExactDivisionError, match="not integral"):
+            extract_coboundary(series, "B", 1)
+        with pytest.raises(ExactDivisionError, match="not integral"):
+            tutte_from_series(series, "B", "integer", 1)
 
     def test_order_bound_enforced(self):
         series = expand_genfun(GenFunRequest("B", "integer", 3))

@@ -93,6 +93,19 @@ class TestDeformedExponential:
             expected = MultiPoly(XY, {(0, n + 2 * comb(n, 2)): Q(1, factorial(n))})
             assert f.coefficient(n) == expected
 
+    @pytest.mark.parametrize(
+        "scale, beta_power, alpha_y_power",
+        [(1, 1, 0), (2, 1, 0), (-2, 1, 0), (1, 2, 0), (1, 2, 1), (Q(1, 3), 3, 2)],
+    )
+    def test_closed_form_matches_general(self, scale, beta_power, alpha_y_power):
+        # The first five are the shapes of genfun._factors.
+        f = deformed_exponential(
+            scale, 12, beta_power=beta_power, alpha_y_power=alpha_y_power
+        )
+        alpha = MultiPoly.var(XY, "Y", alpha_y_power) * scale
+        beta = MultiPoly.var(XY, "Y", beta_power)
+        assert f == deformed_exp_general(alpha, beta, 12)
+
     def test_general_form(self):
         alpha = MultiPoly(XY, {(1, 0): Q(1)})  # X
         beta = MultiPoly(XY, {(0, 1): Q(1)})  # Y
@@ -114,6 +127,51 @@ class TestPowPoly:
         lhs = f.pow_poly(x) * f.pow_poly(x)
         rhs = f.pow_poly(x * 2)
         assert lhs == rhs
+
+
+def exp_log_power(f: TruncSeries, exponent: MultiPoly) -> TruncSeries:
+    """Oracle: the power exp(exponent * log f) that Miller's recurrence replaced."""
+    if exponent.vars != f.vars:
+        raise StructureError("exponent over differing variable list")
+    return (f.log() * exponent).exp()
+
+
+QUARTERS = st.builds(Q, st.integers(-8, 8), st.just(4))  # half and quarter steps
+
+
+@st.composite
+def power_exponents(draw):
+    """a X + b with quarter-integer a and b, or one of the constants -1 and 0."""
+    x, one = MultiPoly.var(XY, "X"), MultiPoly.const(XY, 1)
+    if draw(st.booleans()):
+        return one * draw(st.sampled_from([-1, 0]))
+    return x * draw(QUARTERS) + one * draw(QUARTERS)
+
+
+class TestMillerPower:
+    @given(
+        st.lists(polys(XY, max_exp=2, max_terms=3), min_size=1, max_size=6),
+        power_exponents(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_exp_of_log(self, tail, e):
+        f = TruncSeries([MultiPoly.const(XY, 1)] + tail)
+        assert f.pow_poly(e) == exp_log_power(f, e)
+
+    @given(st.lists(polys(XY, max_exp=2, max_terms=3), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_inverse(self, tail):
+        f = TruncSeries([MultiPoly.const(XY, 1)] + tail)
+        inverse = f.pow_poly(MultiPoly.const(XY, -1))
+        assert f * inverse == TruncSeries.constant(XY, 1, f.order)
+
+    @pytest.mark.parametrize("head", [Q(0), Q(2), Q(-1), "1+X"])
+    def test_constant_term_other_than_one_is_refused(self, head):
+        one = MultiPoly.const(XY, 1)
+        c0 = one + MultiPoly.var(XY, "X") if head == "1+X" else one * head
+        f = TruncSeries([c0, one, one])
+        with pytest.raises(PrecisionError):
+            f.pow_poly(MultiPoly.var(XY, "X"))
 
 
 class TestFilter:

@@ -163,6 +163,7 @@ def test_skips_carry_the_engines_own_messages(capsys):
         "bruteforce": str(census_error.value),
         "graph-dictionary": str(dictionary_error.value),
         "finite-field": str(census_error.value),
+        "cross-check": "no second engine reaches B:8:integer",
     }
     assert CheckResult("genfun", PASS, "taken as baseline") in results
     assert main(["verify", "--system", "B:8:integer"]) == EXIT_OK
