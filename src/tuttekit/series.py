@@ -149,7 +149,7 @@ class TruncSeries:
         nv = len(self.vars)
         return MultiPoly(self.vars, {_unpack(e, nv): Q(c, den) for e, c in nums.items()})
 
-    def integer_coefficient(self, k: int, factor: int = 1) -> Dict[Exps, int]:
+    def integer_coefficient(self, k: int, factor: int) -> Dict[Exps, int]:
         """factor times the Z^k coefficient, as integer terms.
 
         The numerators share no factor with den, so the product is integral
