@@ -16,9 +16,9 @@ series that depends on X with one in Y alone: the factors free of X are
 multiplied together first, and the weight-lattice B/D product
 f2^(X/4-1) middle (f2^(X/4) + F(-2Z,Y)^(X/4)) is regrouped as
 f2^(X/2-1) middle + (f2 F(-2Z,Y))^(X/4) (middle f2^(-1)), with
-f2 = F(2Z,Y).  `tutte_from_series` reads psi = n! [Z^n] as integer rows
-{i: P_i(Y)} and hands them to `tutte.tutte_from_psi_rows`, with no
-rational polynomial in between.
+f2 = F(2Z,Y).  `tutte_from_series` reads psi = n! [Z^n] as integer terms
+and hands them to `tutte.tutte_from_psi_terms`, with no rational
+polynomial in between.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import factorial, gcd
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .errors import ExactDivisionError, StructureError
 from .poly import MultiPoly
@@ -35,7 +35,7 @@ from .tutte import (
     COBOUNDARY_VARS,
     CoboundaryPolynomial,
     TuttePolynomial,
-    tutte_from_psi_rows,
+    tutte_from_psi_terms,
 )
 
 DEFAULT_ORDER = 8
@@ -135,11 +135,11 @@ def expand_genfun(req: GenFunRequest) -> TruncSeries:
     return f2.pow_poly(half_exp) * middle + even.pow_poly(quarter) * (middle * inverse)
 
 
-def _psi_rows(
+def _psi_terms(
     series: TruncSeries, family: str, n: int
-) -> Tuple[Dict[int, List[int]], int]:
-    """psi = sum_i X^i P_i(Y) of the rank-n (or n-coordinate, type A) system
-    as rows {i: P_i lowest degree first}, and its rank.
+) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """psi of the rank-n (or n-coordinate, type A) system as integer terms
+    {(i, j): coefficient of X^i Y^j}, and its rank.
 
     psi is n! times the Z^n coefficient.  For type A, n counts coordinates
     (the configuration has rank n-1) and the series carries an extra factor
@@ -147,23 +147,19 @@ def _psi_rows(
     """
     if n > series.order:
         raise StructureError(f"n={n} exceeds series order {series.order}")
-    shift = 1 if family == "A" else 0
-    rows: Dict[int, List[int]] = {}
-    for (i, j), c in series.integer_coefficient(n, factorial(n)).items():
-        if i < shift:
-            raise ExactDivisionError("non-exact polynomial division")
-        row = rows.setdefault(i - shift, [])
-        row.extend([0] * (j + 1 - len(row)))
-        row[j] = c
-    return rows, n - shift
+    psi = series.integer_coefficient(n, factorial(n))
+    if family != "A":
+        return psi, n
+    if any(i == 0 for i, _ in psi):
+        raise ExactDivisionError("non-exact polynomial division")
+    return {(i - 1, j): c for (i, j), c in psi.items()}, n - 1
 
 
 def extract_coboundary(
     series: TruncSeries, family: str, n: int
 ) -> CoboundaryPolynomial:
     """Coboundary polynomial of the rank-n system from a family series."""
-    rows, rank = _psi_rows(series, family, n)
-    terms = {(i, j): c for i, row in rows.items() for j, c in enumerate(row) if c}
+    terms, rank = _psi_terms(series, family, n)
     return CoboundaryPolynomial(MultiPoly(COBOUNDARY_VARS, terms), rank)
 
 
@@ -172,11 +168,11 @@ def tutte_from_series(
 ) -> TuttePolynomial:
     """Tutte polynomial of the rank-n (or n-coordinate, type A) system, read
     from the family series of `expand_genfun`."""
-    rows, rank = _psi_rows(series, family, n)
+    terms, rank = _psi_terms(series, family, n)
     # Type A has rank n-1; only the integer lattice spans all n coordinates.
     ambient = n - 1 if family == "A" and lattice_kind != "integer" else n
     flavor = "classical" if lattice_kind == "classical" else "arithmetic"
-    return tutte_from_psi_rows(rows, rank, ambient, flavor)
+    return tutte_from_psi_terms(terms, rank, ambient, flavor)
 
 
 def extract_polynomial(req: GenFunRequest, n: int) -> TuttePolynomial:

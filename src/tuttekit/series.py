@@ -354,24 +354,9 @@ def deformed_exponential(
 
     The first argument is scale * Y^alpha_y_power * Z and the second is
     Y^beta_power, which covers every shape needed by the generating
-    functions here: F(Z,Y), F(2Z,Y), F(-2Z,Y), F(Z,Y^2), F(YZ,Y^2).  The
-    Z^n coefficient is the single term
-    scale^n / n! * Y^(alpha_y_power * n + beta_power * C(n,2)),
-    written down directly.
+    functions here: F(Z,Y), F(2Z,Y), F(-2Z,Y), F(Z,Y^2), F(YZ,Y^2).
     """
     vs = tuple(variables)
-    if "Y" not in vs:
-        raise StructureError(f"unknown variable 'Y' among {vs}")
-    if order < 0:
-        raise StructureError("order must be non-negative")
-    y = vs.index("Y")
-    coeffs = []
-    for n in range(order + 1):
-        c = Q(scale) ** n / factorial(n)
-        if not c:
-            coeffs.append(ZERO)
-            continue
-        exps = [0] * len(vs)
-        exps[y] = alpha_y_power * n + beta_power * (n * (n - 1) // 2)
-        coeffs.append(({_pack(tuple(exps)): c.numerator}, c.denominator))
-    return TruncSeries._make(vs, coeffs)
+    alpha = MultiPoly.var(vs, "Y", alpha_y_power) * scale
+    beta = MultiPoly.var(vs, "Y", beta_power)
+    return deformed_exp_general(alpha, beta, order)

@@ -64,6 +64,17 @@ def _times_y_minus_1(p: List[Scalar], times: int) -> List[Scalar]:
     return p
 
 
+def _rows(terms: Dict[Tuple[int, int], Scalar]) -> Dict[int, List[Scalar]]:
+    """Terms {(i, j): c} as rows {i: [c_i0, c_i1, ...]}, each row ending at
+    its highest j."""
+    rows: Dict[int, List[Scalar]] = {}
+    for (i, j), c in terms.items():
+        row = rows.setdefault(i, [])
+        row.extend([0] * (j + 1 - len(row)))
+        row[j] = c
+    return rows
+
+
 def _expand_x_minus_1(rows: Dict[int, List[Scalar]]) -> MultiPoly:
     """sum_i (x-1)^i P_i(y) over (x, y), for rows {i: P_i lowest degree first}."""
     terms: Dict[Tuple[int, int], Scalar] = {}
@@ -80,14 +91,10 @@ def poly_from_rank_sizes(
 ) -> MultiPoly:
     """sum w (x-1)^(full_rank-r) (y-1)^(k-r) over {(r, k): w}, on ints.
 
-    The weights are first summed by the two exponents; each row
+    The weights are first laid out by the two exponents; each row
     sum_j w_j (y-1)^j is then the weight list composed with y - 1.
     """
-    rows: Dict[int, List[int]] = {}  # full_rank - r -> weights by k - r
-    for (r, k), w in counts.items():
-        row = rows.setdefault(full_rank - r, [])
-        row.extend([0] * (k - r + 1 - len(row)))
-        row[k - r] += w
+    rows = _rows({(full_rank - r, k - r): w for (r, k), w in counts.items()})
     return _expand_x_minus_1({i: compose_affine(row, -1) for i, row in rows.items()})
 
 
@@ -159,27 +166,25 @@ def tutte_from_coboundary(
     ambient_rank: int,
     flavor: str = "arithmetic",
 ) -> TuttePolynomial:
-    """Recover M(x, y) = psi((x-1)(y-1), y) / (y-1)^r; see `tutte_from_psi_rows`."""
-    width = c.poly.degree_in("Y") + 1
-    rows: Dict[int, List[Scalar]] = {}  # P_i, lowest degree first
-    for (i, j), coeff in c.poly.terms.items():
-        rows.setdefault(i, [0] * width)[j] = narrow(coeff)
-    return tutte_from_psi_rows(rows, c.rank, ambient_rank, flavor)
+    """Recover M(x, y) = psi((x-1)(y-1), y) / (y-1)^r; see `tutte_from_psi_terms`."""
+    terms = {e: narrow(coeff) for e, coeff in c.poly.terms.items()}
+    return tutte_from_psi_terms(terms, c.rank, ambient_rank, flavor)
 
 
-def tutte_from_psi_rows(
-    rows: Dict[int, List[Scalar]],
+def tutte_from_psi_terms(
+    terms: Dict[Tuple[int, int], Scalar],
     rank: int,
     ambient_rank: int,
     flavor: str = "arithmetic",
 ) -> TuttePolynomial:
     """M(x, y) of the rank-r configuration whose psi = sum_i X^i P_i(Y),
-    given as rows {i: P_i lowest degree first}; the lists are consumed.
+    given as terms {(i, j): coefficient of X^i Y^j}.
 
     M = sum_i (x-1)^i P_i(y) (y-1)^(i-r), and (y-1)^r divides the whole
     exactly when (y-1)^(r-i) divides each P_i.
     """
     r = rank
+    rows = _rows(terms)  # P_i, lowest degree first
     for i, p in rows.items():
         for _ in range(r - i):  # synthetic division by y - 1
             for k in range(len(p) - 2, -1, -1):
