@@ -6,10 +6,13 @@ sorted keys.  Exit codes: 0 success, 1 computation error (any other package
 error, e.g. an inexact division or an inadmissible modulus), 2 verification
 mismatch, 3 capacity guard, 4 usage error.
 
-`verify` prints one line per check of `tuttekit.verify.verify_system`,
-including its closing `cross-check` skip when no second engine reached a
-verdict; a skip's reason is the message of the `CapacityError` its engine
-raised.  Skips keep exit code 0 and any failed check gives 2.
+`compute --method` takes the names of `tuttekit.verify.ENGINES` and calls
+that entry; `all` runs every entry, skips those that raise `CapacityError`
+and compares the rest.  `verify` prints one line per check of
+`tuttekit.verify.verify_system`, including its closing `cross-check` skip
+when no second engine reached a verdict; a skip's reason is the message of
+the `CapacityError` its engine raised.  Skips keep exit code 0 and any
+failed check gives 2.
 """
 
 from __future__ import annotations
@@ -21,13 +24,10 @@ import sys
 from typing import List, Optional
 
 from .errors import CapacityError, StructureError, TutteKitError
-from .finitefield import tutte_via_interpolation
-from .genfun import DEFAULT_ORDER, GenFunRequest, expand_genfun
-from .genfun import extract_polynomial, tutte_from_series
+from .genfun import DEFAULT_ORDER, GenFunRequest, expand_genfun, tutte_from_series
 from .invariants import characteristic_polynomial, derive_all, ehrhart_polynomial
 from .poly import MultiPoly, narrow
 from .root_systems import RootSystemSpec, build_config, parse_system
-from .signed_graphs import graph_dictionary_tutte
 from .tables import (
     all_rows,
     characteristic_fixture,
@@ -35,7 +35,7 @@ from .tables import (
     weight_tutte_fixture,
 )
 from .tutte import TuttePolynomial, arithmetic_tutte_bruteforce
-from .verify import all_passed, verify_system
+from .verify import ENGINES, all_passed, attempt, verify_system
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -43,7 +43,13 @@ EXIT_MISMATCH = 2
 EXIT_CAPACITY = 3
 EXIT_USAGE = 4
 
-METHODS = ("bruteforce", "genfun", "finitefield", "graphs", "all")
+# Each `table --report` name, in the order a text row prints its cells: its
+# JSON key and the polynomial it reads off the row's Tutte polynomial.
+REPORTS = {
+    "tutte": ("tutte", lambda t: t.poly),
+    "char": ("characteristic", characteristic_polynomial),
+    "ehrhart": ("ehrhart", ehrhart_polynomial),
+}
 
 
 def format_poly(poly: MultiPoly) -> str:
@@ -66,19 +72,6 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _compute_one(spec: RootSystemSpec, method: str, order: int) -> TuttePolynomial:
-    if method == "bruteforce":
-        return arithmetic_tutte_bruteforce(build_config(spec))
-    if method == "genfun":
-        req = GenFunRequest(spec.family, spec.lattice_kind, max(order, spec.n))
-        return extract_polynomial(req, spec.n)
-    if method == "finitefield":
-        return tutte_via_interpolation(build_config(spec))
-    if method == "graphs":
-        return graph_dictionary_tutte(spec.family, spec.n, spec.lattice_kind)
-    raise StructureError(f"unknown method {method!r}")
-
-
 def _tutte_payload(spec: RootSystemSpec, method: str, t: TuttePolynomial) -> dict:
     return {
         "system": str(spec),
@@ -92,38 +85,31 @@ def _tutte_payload(spec: RootSystemSpec, method: str, t: TuttePolynomial) -> dic
 
 def cmd_compute(args) -> int:
     spec = parse_system(args.system)
-    if args.method == "all":
-        methods = ["bruteforce", "genfun", "graphs", "finitefield"]
-        computed = {}
-        for m in methods:
-            try:
-                computed[m] = _compute_one(spec, m, args.order)
-            except CapacityError:
-                continue
-        if not computed:
-            raise CapacityError("no method could run within its capacity guard")
-        polys = {m: t.poly for m, t in computed.items()}
-        reference = next(iter(polys.values()))
-        agree = all(p == reference for p in polys.values())
-        first_method = next(iter(computed))
+    if args.method != "all":
+        t = ENGINES[args.method](spec, args.order)
         if args.output == "json":
-            payload = _tutte_payload(spec, "all", computed[first_method])
-            payload["methods_run"] = sorted(computed)
-            payload["agreement"] = agree
-            print(_json_dump(payload))
+            print(_json_dump(_tutte_payload(spec, args.method, t)))
         else:
-            print(f"{spec} [{', '.join(sorted(computed))}]")
-            print(f"M(x,y) = {format_poly(reference)}")
-            print(f"agreement: {'yes' if agree else 'NO'}")
-        return EXIT_OK if agree else EXIT_MISMATCH
+            print(f"{spec} [{args.method}]")
+            print(f"M(x,y) = {format_poly(t.poly)}")
+        return EXIT_OK
 
-    t = _compute_one(spec, args.method, args.order)
+    outcomes = {m: attempt(lambda: run(spec, args.order)) for m, run in ENGINES.items()}
+    computed = {m: t for m, t in outcomes.items() if not isinstance(t, CapacityError)}
+    if not computed:
+        raise CapacityError("no method could run within its capacity guard")
+    first = next(iter(computed.values()))
+    agree = all(t.poly == first.poly for t in computed.values())
     if args.output == "json":
-        print(_json_dump(_tutte_payload(spec, args.method, t)))
+        payload = _tutte_payload(spec, "all", first)
+        payload["methods_run"] = sorted(computed)
+        payload["agreement"] = agree
+        print(_json_dump(payload))
     else:
-        print(f"{spec} [{args.method}]")
-        print(f"M(x,y) = {format_poly(t.poly)}")
-    return EXIT_OK
+        print(f"{spec} [{', '.join(sorted(computed))}]")
+        print(f"M(x,y) = {format_poly(first.poly)}")
+        print(f"agreement: {'yes' if agree else 'NO'}")
+    return EXIT_OK if agree else EXIT_MISMATCH
 
 
 def cmd_verify(args) -> int:
@@ -153,46 +139,27 @@ def cmd_verify(args) -> int:
 def cmd_table(args) -> int:
     reports = [r.strip() for r in args.report.split(",")]
     for r in reports:
-        if r not in ("tutte", "char", "ehrhart"):
+        if r not in REPORTS:
             raise StructureError(f"unknown report {r!r}")
     if args.max_n < 2:
         raise StructureError(f"--max-n must be at least 2, got {args.max_n}")
+    cells = [cell for name, cell in REPORTS.items() if name in reports]
     rows = []
-    order = max(DEFAULT_ORDER, args.max_n)  # Z^n coefficients do not depend on it
     for family in "ABCD":
-        series = expand_genfun(GenFunRequest(family, args.lattice, order))
+        # The Z^n coefficients do not depend on the order once it is n or more.
+        series = expand_genfun(GenFunRequest(family, args.lattice, args.max_n))
         for n in range(2, args.max_n + 1):
             t = tutte_from_series(series, family, args.lattice, n)
-            entry = {"row": f"{family}{n}"}
-            if "tutte" in reports:
-                entry["tutte"] = t
-            if "char" in reports:
-                entry["char"] = characteristic_polynomial(t)
-            if "ehrhart" in reports:
-                entry["ehrhart"] = ehrhart_polynomial(t)
-            rows.append(entry)
+            rows.append((f"{family}{n}", [(key, read(t)) for key, read in cells]))
     if args.output == "json":
-        out = []
-        for entry in rows:
-            item = {"row": entry["row"]}
-            if "tutte" in entry:
-                item["tutte"] = entry["tutte"].poly.to_json_dict()
-            if "char" in entry:
-                item["characteristic"] = entry["char"].to_json_dict()
-            if "ehrhart" in entry:
-                item["ehrhart"] = entry["ehrhart"].to_json_dict()
-            out.append(item)
+        out = [
+            {"row": row, **{key: p.to_json_dict() for key, p in polys}}
+            for row, polys in rows
+        ]
         print(_json_dump({"lattice": args.lattice, "rows": out}))
     else:
-        for entry in rows:
-            cells = [entry["row"]]
-            if "tutte" in entry:
-                cells.append(format_poly(entry["tutte"].poly))
-            if "char" in entry:
-                cells.append(format_poly(entry["char"]))
-            if "ehrhart" in entry:
-                cells.append(format_poly(entry["ehrhart"]))
-            print("\t".join(cells))
+        for row, polys in rows:
+            print("\t".join([row, *(format_poly(p) for _, p in polys)]))
     return EXIT_OK
 
 
@@ -254,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="compute one Tutte polynomial")
     p.add_argument("--system", required=True, help="family:n:lattice, e.g. C:2:integer")
-    p.add_argument("--method", choices=METHODS, default="bruteforce")
+    p.add_argument("--method", choices=(*ENGINES, "all"), default="bruteforce")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     common(p)
     p.set_defaults(func=cmd_compute)

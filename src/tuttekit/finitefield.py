@@ -15,13 +15,13 @@ histograms.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 from typing import Dict
 
 import numpy as np
 
 from .errors import AdmissibilityError, CapacityError
-from .lattice import VectorConfig, multiplicity_lcm, subset_stats
+from .lattice import VectorConfig, multiplicity_lcm, sublattice_census
 from .poly import MultiPoly, narrow
 from .tutte import (
     COBOUNDARY_VARS,
@@ -153,11 +153,13 @@ def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
     psi(X, Y) has X-degree at most r, so histograms at the r + 1 admissible
     values q = L, 2L, ..., (r+1)L determine it by Lagrange interpolation in
     X.  The largest of them is checked against the point cap before any
-    counting starts.
+    counting starts.  One sublattice census gives both L and r, the largest
+    rank of a subset lattice.
     """
-    divisor = multiplicity_lcm(config)
+    census = sublattice_census(config)
+    divisor = lcm(*(stats.multiplicity for stats, _ in census))
+    r = max(stats.rank for stats, _ in census)
     d = config.lattice.rank
-    r = subset_stats(config, range(len(config))).rank
     qs = [k * divisor for k in range(1, r + 2)]
     _check_points(qs[-1], d)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import List, Sequence, Tuple
 
@@ -125,10 +125,11 @@ class LatticeBasis:
         """Index [self : sub] for a finite-index sublattice of the same rank."""
         if sub.rank != self.rank:
             raise StructureError("sublattice of different rank")
-        det = _int_det([list(self.coordinates(col)) for col in sub.basis])
-        if det == 0:
+        # |det| of the square coordinate matrix: its invariant factors' product.
+        factors = snf_invariant_factors([self.coordinates(col) for col in sub.basis])
+        if len(factors) < self.rank:
             raise StructureError("claimed sublattice basis is degenerate")
-        return abs(det)
+        return prod(factors)
 
 
 @dataclass(frozen=True)
@@ -198,29 +199,6 @@ def int_matrix_rank(rows: List[List[int]]) -> int:
         if rank == m:
             break
     return rank
-
-
-def _int_det(rows: List[List[int]]) -> int:
-    """Determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    mat = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
-            if swap is None:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]
 
 
 def snf_invariant_factors(rows: Sequence[Sequence[int]]) -> List[int]:
@@ -296,11 +274,8 @@ def subset_stats(config: VectorConfig, subset: Sequence[int]) -> SubsetStats:
         if not 0 <= i < len(config):
             raise StructureError(f"subset index {i} out of range")
     cols = config.subset_columns(indices)
-    rank = int_matrix_rank(cols)
-    mult = 1
-    for f in snf_invariant_factors(cols):
-        mult *= f
-    return SubsetStats(rank=rank, multiplicity=mult)
+    mult = prod(snf_invariant_factors(cols))
+    return SubsetStats(rank=int_matrix_rank(cols), multiplicity=mult)
 
 
 def _pivots(rows: Sequence[Sequence[int]]) -> List[int]:
@@ -407,9 +382,7 @@ def sublattice_census(config: VectorConfig) -> Census:
     digit = (1 << width) - 1
     census = []
     for rows, packed in states.items():
-        mult = 1
-        for f in snf_invariant_factors(rows):
-            mult *= f
+        mult = prod(snf_invariant_factors(rows))
         counts = [packed >> width * k & digit for k in range(n + 1)]
         census.append((SubsetStats(rank=len(rows), multiplicity=mult), counts))
     return census

@@ -1,6 +1,12 @@
-"""Cross-checks between the independent computation paths.
+"""The engine table, and cross-checks between the independent engines.
 
-`verify_system` runs each engine once on one root system and lattice:
+`ENGINES` maps each `compute --method` name to a function (spec, order) ->
+TuttePolynomial that runs that engine and lets its own `CapacityError`
+propagate; `compute` calls one entry, `compute --method all` and
+`verify_system` walk the table through `attempt`.
+
+`verify_system` runs each engine but the finite-field one once on one root
+system and lattice (the group-count checks below replace interpolation):
 
 - `bruteforce`: one sublattice census, folded into M(x, y);
 - `genfun`: the family series expanded to order n;
@@ -28,16 +34,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Callable, List, TypeVar, Union
+from typing import Callable, Dict, List, TypeVar, Union
 
 from .errors import CapacityError
-from .finitefield import group_identity_holds
+from .finitefield import group_identity_holds, tutte_via_interpolation
 from .genfun import GenFunRequest, extract_polynomial
 from .lattice import Census, VectorConfig, sublattice_census
 from .root_systems import RootSystemSpec, build_config
 from .signed_graphs import graph_dictionary_tutte
 from .tutte import (
     CoboundaryPolynomial,
+    TuttePolynomial,
+    arithmetic_tutte_bruteforce,
     coboundary_from_tutte,
     tutte_from_census,
 )
@@ -45,6 +53,19 @@ from .tutte import (
 PASS, FAIL, SKIP = "pass", "fail", "skip"
 
 T = TypeVar("T")
+
+# In the order `compute --method all` runs them.  genfun expands to order
+# max(order, n): the Z^n coefficient does not depend on the order past n.
+ENGINES: Dict[str, Callable[[RootSystemSpec, int], TuttePolynomial]] = {
+    "bruteforce": lambda spec, order: arithmetic_tutte_bruteforce(build_config(spec)),
+    "genfun": lambda spec, order: extract_polynomial(
+        GenFunRequest(spec.family, spec.lattice_kind, max(order, spec.n)), spec.n
+    ),
+    "graphs": lambda spec, order: graph_dictionary_tutte(
+        spec.family, spec.n, spec.lattice_kind
+    ),
+    "finitefield": lambda spec, order: tutte_via_interpolation(build_config(spec)),
+}
 
 
 @dataclass(frozen=True)
@@ -58,7 +79,7 @@ def _check(name: str, ok: bool, why: str) -> CheckResult:
     return CheckResult(name, PASS if ok else FAIL, "" if ok else why)
 
 
-def _attempt(compute: Callable[[], T]) -> Union[T, CapacityError]:
+def attempt(compute: Callable[[], T]) -> Union[T, CapacityError]:
     """The engine's result, or the CapacityError it raised."""
     try:
         return compute()
@@ -81,34 +102,35 @@ def _finite_field_checks(
     results: List[CheckResult] = []
     for q in (divisor, 2 * divisor):
         name = f"finite-field-q{q}"
-        try:
-            ok = group_identity_holds(config, q, psi)
-        except CapacityError as exc:
-            results.append(CheckResult(name, SKIP, str(exc)))
-            continue
-        results.append(_check(name, ok, "histogram does not match q^(d-r) psi(q, Y)"))
+        ok = attempt(lambda: group_identity_holds(config, q, psi))
+        if isinstance(ok, CapacityError):
+            results.append(CheckResult(name, SKIP, str(ok)))
+        else:
+            results.append(_check(name, ok, "histogram does not match q^(d-r) psi(q, Y)"))
     return results
+
+
+# A table engine's check name, where it differs from its method name.
+_CHECK_NAMES = {"graphs": "graph-dictionary"}
 
 
 def verify_system(spec: RootSystemSpec) -> List[CheckResult]:
     """Run every applicable cross-check for one system; deterministic order."""
     config = build_config(spec)
-    census = _attempt(lambda: sublattice_census(config))
+    census = attempt(lambda: sublattice_census(config))
+    folded = (
+        census
+        if isinstance(census, CapacityError)
+        else tutte_from_census(census, config.lattice.rank)
+    )
+    # Every table engine but finitefield, whose group counts the finite-field
+    # checks compare directly; bruteforce folds the census that also gives L.
     outcomes = {
-        "bruteforce": (
-            census
-            if isinstance(census, CapacityError)
-            else tutte_from_census(census, config.lattice.rank)
-        ),
-        # The Z^n coefficient does not depend on the order past n.
-        "genfun": _attempt(
-            lambda: extract_polynomial(
-                GenFunRequest(spec.family, spec.lattice_kind, spec.n), spec.n
-            )
-        ),
-        "graph-dictionary": _attempt(
-            lambda: graph_dictionary_tutte(spec.family, spec.n, spec.lattice_kind)
-        ),
+        _CHECK_NAMES.get(engine, engine): (
+            folded if engine == "bruteforce" else attempt(lambda: run(spec, spec.n))
+        )
+        for engine, run in ENGINES.items()
+        if engine != "finitefield"
     }
 
     results: List[CheckResult] = []

@@ -122,7 +122,7 @@ class TestExitCodes:
         def fail(*_):
             raise error("boom")
 
-        monkeypatch.setattr(cli, "_compute_one", fail)
+        monkeypatch.setitem(verify.ENGINES, "bruteforce", fail)
         got, out, err = run(capsys, "compute", "--system", "C:2:integer")
         assert got == code
         assert out == "" and err == f"{prefix} boom\n"

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import configs
-from tuttekit import finitefield
+from tuttekit import finitefield, lattice
 from tuttekit.errors import AdmissibilityError, CapacityError
 from tuttekit.finitefield import (
     DEFAULT_POINT_CAP,
@@ -219,6 +219,30 @@ class TestInterpolation:
         monkeypatch.setattr(finitefield, "_group_histogram", spy)
         tutte_via_interpolation(cfg("C", 2, "integer"))
         assert seen == [4, 8, 12]
+
+    def test_one_census_and_no_subset_stats(self, monkeypatch):
+        # The census gives both L and the rank r.
+        systems = [cfg("C", 3, "integer"), cfg("A", 4, "weight")]
+        expected = [arithmetic_tutte_bruteforce(c).poly for c in systems]
+        censuses = []
+        census = lattice.sublattice_census
+
+        def spy(config):
+            censuses.append(config)
+            return census(config)
+
+        def refuse(*_):
+            raise AssertionError("subset_stats called")
+
+        for module in (lattice, finitefield):
+            if hasattr(module, "sublattice_census"):
+                monkeypatch.setattr(module, "sublattice_census", spy)
+            if hasattr(module, "subset_stats"):
+                monkeypatch.setattr(module, "subset_stats", refuse)
+        for c, poly in zip(systems, expected):
+            del censuses[:]
+            assert tutte_via_interpolation(c).poly == poly
+            assert censuses == [c]
 
     def test_point_cap_checked_before_counting(self, monkeypatch):
         c = cfg("C", 2, "integer")  # largest group (Z/12)^2

@@ -1,10 +1,11 @@
+import argparse
 import inspect
 import json
 
 import pytest
 
 from tuttekit import finitefield, lattice, tutte, verify
-from tuttekit.cli import EXIT_MISMATCH, EXIT_OK, main
+from tuttekit.cli import EXIT_MISMATCH, EXIT_OK, build_parser, main
 from tuttekit.errors import CapacityError
 from tuttekit.invariants import derive_all
 from tuttekit.poly import MultiPoly
@@ -212,3 +213,37 @@ def test_a_failed_cross_check_is_a_verdict():
     assert verify.cross_checked([baseline, failed, skipped])
     assert not verify.cross_checked([baseline, skipped])
     assert verify.cross_checked([baseline, CheckResult("finite-field-q4", PASS)])
+
+
+def test_the_engine_table_is_the_method_list():
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in verbs.choices["compute"]._actions if a.dest == "method")
+    assert list(verify.ENGINES) == ["bruteforce", "genfun", "graphs", "finitefield"]
+    assert method.choices == (*verify.ENGINES, "all")
+
+
+def perturb(monkeypatch, engine):
+    """Make one table entry return its polynomial plus 1."""
+    real = verify.ENGINES[engine]
+
+    def perturbed(spec, order):
+        t = real(spec, order)
+        one = MultiPoly.const(TUTTE_VARS, 1)
+        return TuttePolynomial(t.poly + one, t.rank, t.ambient_rank, t.flavor)
+
+    monkeypatch.setitem(verify.ENGINES, engine, perturbed)
+
+
+@pytest.mark.parametrize("engine", ["bruteforce", "genfun", "graphs", "finitefield"])
+def test_compute_all_runs_every_table_entry(monkeypatch, capsys, engine):
+    perturb(monkeypatch, engine)
+    assert main(["compute", "--method", "all", "--system", "C:2:integer"]) == EXIT_MISMATCH
+    assert capsys.readouterr().out.splitlines()[-1] == "agreement: NO"
+
+
+@pytest.mark.parametrize("engine,check", [("genfun", "genfun"), ("graphs", "graph-dictionary")])
+def test_verify_runs_the_table_entries(monkeypatch, capsys, engine, check):
+    perturb(monkeypatch, engine)
+    assert main(["verify", "--system", "C:2:integer"]) == EXIT_MISMATCH
+    assert f"C:2:integer  {check}-vs-bruteforce: fail" in capsys.readouterr().out
