@@ -58,10 +58,8 @@ from .root_systems import (
     RootSystemSpec,
     build_config,
     cartan_index,
-    config_rank,
     lattice_index_check,
     parse_system,
-    root_count,
     weyl_group_order,
 )
 from .series import TruncSeries, deformed_exp_general, deformed_exponential

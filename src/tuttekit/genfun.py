@@ -12,10 +12,10 @@ against Euler's totient.
 
 The expansion runs on integer numerators end to end.  Each power is taken
 by Miller's recurrence (`TruncSeries.pow_poly`), and every product pairs a
-series that depends on X with one in Y alone: the factors free of X are
-multiplied together first, and the weight-lattice B/D product
-f2^(X/4-1) middle (f2^(X/4) + F(-2Z,Y)^(X/4)) is regrouped as
-f2^(X/2-1) middle + (f2 F(-2Z,Y))^(X/4) (middle f2^(-1)), with
+series that depends on X with one in Y alone.  Each of B, C, D has one
+pair u, v of factors free of X, multiplied together first, and the
+weight-lattice B/D product f2^(X/4-1) uv (f2^(X/4) + F(-2Z,Y)^(X/4)) is
+regrouped as f2^(X/2-1) uv + (f2 F(-2Z,Y))^(X/4) (uv f2^(-1)), with
 f2 = F(2Z,Y).  `tutte_from_series` reads psi = n! [Z^n] as integer terms
 and hands them to `tutte.tutte_from_psi_terms`, with no rational
 polynomial in between.
@@ -66,16 +66,6 @@ def _x_poly(x_coeff: Q, const: Q) -> MultiPoly:
     return MultiPoly(COBOUNDARY_VARS, {(1, 0): Q(x_coeff), (0, 0): Q(const)})
 
 
-def _factors(order: int) -> Dict[str, TruncSeries]:
-    return {
-        "F_Z_Y": deformed_exponential(1, order),
-        "F_2Z_Y": deformed_exponential(2, order),
-        "F_m2Z_Y": deformed_exponential(-2, order),
-        "F_Z_Y2": deformed_exponential(1, order, beta_power=2),
-        "F_YZ_Y2": deformed_exponential(1, order, beta_power=2, alpha_y_power=1),
-    }
-
-
 def typeA_weight_series(order: int) -> TruncSeries:
     """Weight-lattice series for type A via totient-weighted filtered logs."""
     if order < 1:
@@ -100,39 +90,29 @@ def expand_genfun(req: GenFunRequest) -> TruncSeries:
         x = MultiPoly.var(COBOUNDARY_VARS, "X")
         return f.pow_poly(x)
 
-    f = _factors(order)
-    f2 = f["F_2Z_Y"]
+    def y_factor(a: int) -> TruncSeries:  # F(Y^a Z, Y^2), free of X
+        return deformed_exponential(1, order, beta_power=2, alpha_y_power=a)
+
+    # One pair u, v per family: B (F(Z,Y^2), F(YZ,Y^2)), C both F(YZ,Y^2),
+    # D both F(Z,Y^2).
+    a_u, a_v = {"B": (0, 1), "C": (1, 1), "D": (0, 0)}[family]
+    v = y_factor(a_v)
+    f2 = deformed_exponential(2, order)
     if kind == "classical":
-        head = f2.pow_poly(_x_poly(Q(1, 2), Q(-1, 2)))  # (X-1)/2
-        if family in ("B", "C"):
-            return head * f["F_YZ_Y2"]
-        return head * f["F_Z_Y2"]
+        return f2.pow_poly(_x_poly(Q(1, 2), Q(-1, 2))) * v  # f2^((X-1)/2)
 
-    half_exp = _x_poly(Q(1, 2), -1)  # X/2 - 1
-
-    if kind == "integer" or (kind == "root" and family == "B") or (
-        kind == "weight" and family == "C"
-    ):
-        head = f2.pow_poly(half_exp)
-        if family == "B":
-            return head * (f["F_Z_Y2"] * f["F_YZ_Y2"])
-        if family == "C":
-            return head * (f["F_YZ_Y2"] * f["F_YZ_Y2"])
-        return head * (f["F_Z_Y2"] * f["F_Z_Y2"])
-
-    if kind == "root":  # C or D: bracket sum with an exact halving
-        head = f2.pow_poly(half_exp)
-        square = f["F_YZ_Y2"] if family == "C" else f["F_Z_Y2"]
-        bracket = f2 + square * square
-        return (head * bracket) * Q(1, 2)
-
-    # Weight lattice, B or D: f2^(X/4-1) middle (f2^(X/4) + F(-2Z,Y)^(X/4)),
-    # regrouped so that every product has a factor free of X.
-    middle = f["F_Z_Y2"] * (f["F_YZ_Y2"] if family == "B" else f["F_Z_Y2"])
-    even = f2 * f["F_m2Z_Y"]  # even in Z
-    inverse = f2.pow_poly(MultiPoly.const(COBOUNDARY_VARS, -1))
-    quarter = _x_poly(Q(1, 4), 0)  # X/4
-    return f2.pow_poly(half_exp) * middle + even.pow_poly(quarter) * (middle * inverse)
+    uv = (v if a_u == a_v else y_factor(a_u)) * v
+    head = f2.pow_poly(_x_poly(Q(1, 2), -1))  # f2^(X/2 - 1)
+    if kind == "root" and family in ("C", "D"):  # bracket sum, exact halving
+        return (head * (f2 + uv)) * Q(1, 2)
+    if kind == "weight" and family in ("B", "D"):
+        # f2^(X/4-1) uv (f2^(X/4) + F(-2Z,Y)^(X/4)), regrouped so that every
+        # product has a factor free of X.
+        even = f2 * deformed_exponential(-2, order)  # even in Z
+        inverse = f2.pow_poly(MultiPoly.const(COBOUNDARY_VARS, -1))
+        quarter = _x_poly(Q(1, 4), 0)  # X/4
+        return head * uv + even.pow_poly(quarter) * (uv * inverse)
+    return head * uv
 
 
 def _psi_terms(

@@ -154,10 +154,6 @@ class VectorConfig:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.lattice.ambient_dim
-
     def subset_columns(self, indices: Sequence[int]) -> List[List[int]]:
         """Lattice-coordinate matrix of a subset: d rows, one column per index."""
         d = self.lattice.rank

@@ -109,9 +109,6 @@ class MultiPoly:
             return 0
         return max(e[i] for e in self.terms)
 
-    def coefficient(self, exps: Exps) -> Q:
-        return self.terms.get(tuple(exps), Q(0))
-
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 

@@ -2,7 +2,8 @@
 
 Each family is built in explicit coordinates together with one of three
 reference lattices: the ambient integer lattice, the lattice generated by
-the roots, or the lattice generated by the fundamental weights.
+the roots, or the lattice generated by the fundamental weights.  Roots and
+lattice bases alike are written in one list of images of e_1..e_n.
 
 Type A with n coordinates is the rank n-1 configuration {e_i - e_j}; its
 weight lattice lives in the quotient of Z^n by the all-ones vector, which
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import List, Tuple
+from typing import Tuple
 
 from .errors import StructureError
 from .lattice import LatticeBasis, VectorConfig
@@ -59,146 +60,47 @@ def parse_system(text: str) -> RootSystemSpec:
     return RootSystemSpec(family=family.upper(), n=n, lattice_kind=kind.lower())
 
 
-def _e(n: int, i: int, scale: int = 1) -> List[Q]:
-    v = [Q(0)] * n
-    v[i] = Q(scale)
-    return v
-
-
-def _bcd_roots(family: str, n: int) -> List[Vector]:
-    """Deterministic root order: e_i - e_j, then e_i + e_j, then e_i or 2e_i."""
-    roots: List[Vector] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = _e(n, i)
-            v[j] = Q(-1)
-            roots.append(tuple(v))
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = _e(n, i)
-            v[j] = Q(1)
-            roots.append(tuple(v))
-    if family == "B":
-        roots.extend(tuple(_e(n, i)) for i in range(n))
-    elif family == "C":
-        roots.extend(tuple(_e(n, i, 2)) for i in range(n))
-    return roots
-
-
-def _even_sum_lattice(n: int) -> LatticeBasis:
-    """The index-2 sublattice of Z^n of vectors with even coordinate sum."""
-    cols = []
-    for i in range(n - 1):
-        v = _e(n, i)
-        v[i + 1] = Q(-1)
-        cols.append(tuple(v))
-    cols.append(tuple(_e(n, n - 1, 2)))
-    return LatticeBasis(tuple(cols))
-
-
-def _half_sum_lattice(n: int) -> LatticeBasis:
-    """Z^n extended by the half-sum (e_1 + ... + e_n)/2."""
-    cols = [tuple(_e(n, i)) for i in range(n - 1)]
-    cols.append(tuple(Q(1, 2) for _ in range(n)))
-    return LatticeBasis(tuple(cols))
-
-
-def _type_a_quotient_roots(n: int) -> List[Vector]:
-    """Images of e_i - e_j (i < j) in Z^n / (sum of coordinates = 0).
-
-    Coordinates are taken in the basis of the images of e_1 .. e_{n-1},
-    with e_n mapping to minus their sum.
-    """
-    if n < 2:
-        return []
-    roots: List[Vector] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [Q(0)] * (n - 1)
-            if i < n - 1:
-                v[i] += 1
-            else:
-                v = [x - 1 for x in v]
-            if j < n - 1:
-                v[j] -= 1
-            else:
-                v = [x + 1 for x in v]
-            roots.append(tuple(v))
-    return roots
-
-
-def _type_a_root_lattice(n: int) -> LatticeBasis:
-    """Lattice generated by the type-A roots inside the quotient Z^(n-1)."""
-    cols: List[Vector] = []
-    for i in range(n - 2):
-        v = [Q(0)] * (n - 1)
-        v[i], v[i + 1] = Q(1), Q(-1)
-        cols.append(tuple(v))
-    # Image of e_{n-1} - e_n: e_{n-1} + (e_1 + ... + e_{n-1}).
-    last = [Q(1)] * (n - 1)
-    last[n - 2] = Q(2)
-    cols.append(tuple(last))
-    return LatticeBasis(tuple(cols))
-
-
 def build_config(spec: RootSystemSpec) -> VectorConfig:
-    """Vector configuration and reference lattice for a root system spec."""
+    """Vector configuration and reference lattice for a root system spec.
+
+    Roots and lattice bases are combinations of the images e[0..n-1] of
+    e_1..e_n: the standard basis of Z^n, except that type A outside the
+    integer lattice works in the quotient by the all-ones vector, realized
+    as Z^(n-1) with e_n mapped to minus the sum of the others.
+    """
     family, n, kind = spec.family, spec.n, spec.lattice_kind
-    if family == "A":
-        if kind == "integer":
-            # Standard coordinates in Z^n; unimodular, so this matches the
-            # root-lattice polynomial.
-            roots = []
-            for i in range(n):
-                for j in range(i + 1, n):
-                    v = _e(n, i)
-                    v[j] = Q(-1)
-                    roots.append(tuple(v))
-            return VectorConfig(
-                vectors=tuple(roots), lattice=LatticeBasis.standard(n)
-            )
-        if n < 2:
-            raise StructureError("type A quotient coordinates need n >= 2")
-        roots = _type_a_quotient_roots(n)
-        if kind == "weight":
-            lattice = LatticeBasis.standard(n - 1)
-        else:
-            lattice = _type_a_root_lattice(n)
-        return VectorConfig(vectors=tuple(roots), lattice=lattice)
+    quotient = family == "A" and kind != "integer"
+    if quotient and n < 2:
+        raise StructureError("type A quotient coordinates need n >= 2")
+    d = n - 1 if quotient else n
+    e = [tuple(Q(int(i == k)) for i in range(d)) for k in range(d)]
+    if quotient:
+        e.append(tuple(Q(-1) for _ in range(d)))
 
-    roots = _bcd_roots(family, n)
+    def add(u: Vector, v: Vector, sign: int = 1) -> Vector:
+        return tuple(x + sign * y for x, y in zip(u, v))
+
+    # Root order: e_i - e_j, then e_i + e_j, then e_i (B) or 2e_i (C).
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    roots = [add(e[i], e[j], -1) for i, j in pairs]
+    if family != "A":
+        roots += [add(e[i], e[j]) for i, j in pairs]
     if family == "B":
-        lattices = {
-            "integer": LatticeBasis.standard(n),
-            "root": LatticeBasis.standard(n),
-            "weight": _half_sum_lattice(n),
-        }
+        roots += e
     elif family == "C":
-        lattices = {
-            "integer": LatticeBasis.standard(n),
-            "root": _even_sum_lattice(n),
-            "weight": LatticeBasis.standard(n),
-        }
-    else:  # D
-        lattices = {
-            "integer": LatticeBasis.standard(n),
-            "root": _even_sum_lattice(n),
-            "weight": _half_sum_lattice(n),
-        }
-    return VectorConfig(vectors=tuple(roots), lattice=lattices[kind])
+        roots += [add(v, v) for v in e]
 
-
-def root_count(family: str, n: int) -> int:
-    if family == "A":
-        return n * (n - 1) // 2
-    if family in ("B", "C"):
-        return n * n
-    return n * (n - 1)
-
-
-def config_rank(family: str, n: int) -> int:
-    """Rank of the full positive-root configuration."""
-    return n - 1 if family == "A" else n
+    if kind == "root" and family != "B":
+        # Consecutive differences; C and D add 2e_n for the even-sum lattice.
+        basis = [add(e[i], e[i + 1], -1) for i in range(n - 1)]
+        if family != "A":
+            basis.append(add(e[-1], e[-1]))
+    elif kind == "weight" and family in ("B", "D"):
+        basis = e[:-1] + [tuple(Q(1, 2) for _ in range(n))]
+    else:
+        # All of Z^d: the integer kind, B's root and A's and C's weight lattices.
+        basis = e[:d]
+    return VectorConfig(vectors=tuple(roots), lattice=LatticeBasis(tuple(basis)))
 
 
 def cartan_index(family: str, n: int) -> int:

@@ -49,9 +49,6 @@ class CoboundaryPolynomial:
         if self.poly.vars != COBOUNDARY_VARS:
             raise StructureError("coboundary polynomial must be over (X, Y)")
 
-    def evaluate(self, X, Y) -> Q:
-        return self.poly.evaluate({"X": X, "Y": Y})
-
 
 # ----------------------------------------------------------------------
 # subset census

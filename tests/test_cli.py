@@ -102,6 +102,18 @@ class TestCompute:
         assert (code, out) == (EXIT_CAPACITY, "")
         assert err.startswith("capacity:")
 
+    def test_all_refused_when_every_engine_is(self, capsys, monkeypatch):
+        def refuse(*_):
+            raise CapacityError("refused")
+
+        for method in list(verify.ENGINES):
+            monkeypatch.setitem(verify.ENGINES, method, refuse)
+        code, out, err = run(
+            capsys, "compute", "--system", "C:2:integer", "--method", "all"
+        )
+        assert (code, out) == (EXIT_CAPACITY, "")
+        assert err == "capacity: no method could run within its capacity guard\n"
+
 
 class TestExitCodes:
     def test_success(self, capsys):

@@ -132,6 +132,10 @@ class TestTorusProfile:
         with pytest.raises(AdmissibilityError):
             verify_finite_field_identity(c, 3, psi)  # q = 2 is not a multiple of 4
 
+    def test_composite_field_size_refused(self):
+        with pytest.raises(AdmissibilityError, match="^9 is not prime$"):
+            _enumerate_profile(cfg("C", 2, "integer"), 9)
+
     def test_point_cap(self, monkeypatch):
         c = cfg("B", 3, "integer")
         monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 10)
@@ -182,6 +186,12 @@ class TestClassicalMode:
         psi = coboundary_from_tutte(classical_tutte_bruteforce(c))
         with pytest.raises(AdmissibilityError):
             verify_classical_mode(c, 5, psi)  # gcd(4, 4) = 4
+
+    def test_composite_field_size_refused(self):
+        c = cfg("A", 3, "integer")
+        psi = coboundary_from_tutte(classical_tutte_bruteforce(c))
+        with pytest.raises(AdmissibilityError, match="^9 is not prime$"):
+            verify_classical_mode(c, 9, psi)
 
     def test_lcm_prime_to_s_minus_1(self):
         c = cfg("A", 5, "weight")

@@ -3,15 +3,14 @@ from fractions import Fraction as Q
 import pytest
 
 from tuttekit.errors import StructureError
-from tuttekit.lattice import subset_stats
+from tuttekit.lattice import int_matrix_rank, subset_stats
 from tuttekit.root_systems import (
+    LATTICE_KINDS,
     RootSystemSpec,
     build_config,
     cartan_index,
-    config_rank,
     lattice_index_check,
     parse_system,
-    root_count,
     weyl_group_order,
 )
 
@@ -36,17 +35,20 @@ class TestSpecParsing:
 
 
 class TestConfigurations:
+    @pytest.mark.parametrize("kind", LATTICE_KINDS)
     @pytest.mark.parametrize(
         "family,n,count",
         [("A", 4, 6), ("A", 5, 10), ("B", 3, 9), ("C", 3, 9), ("D", 3, 6)],
     )
-    def test_root_counts(self, family, n, count):
-        spec = RootSystemSpec(family, n, "integer")
-        assert len(build_config(spec).vectors) == count == root_count(family, n)
+    def test_root_counts(self, family, n, count, kind):
+        spec = RootSystemSpec(family, n, kind)
+        assert len(build_config(spec).vectors) == count
 
+    @pytest.mark.parametrize("kind", LATTICE_KINDS)
     @pytest.mark.parametrize("family,n,rank", [("A", 4, 3), ("B", 4, 4), ("D", 2, 2)])
-    def test_ranks(self, family, n, rank):
-        assert config_rank(family, n) == rank
+    def test_ranks(self, family, n, rank, kind):
+        cfg = build_config(RootSystemSpec(family, n, kind))
+        assert int_matrix_rank([list(c) for c in cfg.coord_matrix]) == rank
 
     def test_c2_matches_worked_example(self):
         cfg = build_config(RootSystemSpec("C", 2, "integer"))

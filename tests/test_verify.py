@@ -119,6 +119,20 @@ def test_counts_only_at_the_lcm_and_twice_it(monkeypatch, system, groups):
     assert all(r.status == PASS for r in results), results
 
 
+def test_finite_field_check_skips_past_the_point_cap(monkeypatch, capsys):
+    # C:3:integer has L = 8 and d = 3: 8^3 points fit the cap, 16^3 do not.
+    monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 8**3)
+    assert verify.all_passed(verify_system(parse_system("C:3:integer")))
+    code = main(["verify", "--system", "C:3:integer"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_OK
+    assert lines[-2:] == [
+        "C:3:integer  finite-field-q8: pass",
+        "C:3:integer  finite-field-q16: skip "
+        "(q^d = 16^3 = 4096 exceeds point cap 512)",
+    ]
+
+
 def test_perturbed_genfun_fails(monkeypatch, capsys):
     real = verify.extract_polynomial
 
