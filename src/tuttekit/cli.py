@@ -26,7 +26,7 @@ from typing import List, Optional
 from .errors import CapacityError, StructureError, TutteKitError
 from .genfun import DEFAULT_ORDER, GenFunRequest, expand_genfun, tutte_from_series
 from .invariants import characteristic_polynomial, derive_all, ehrhart_polynomial
-from .poly import MultiPoly, narrow
+from .poly import MultiPoly
 from .root_systems import RootSystemSpec, build_config, parse_system
 from .tables import (
     all_rows,
@@ -57,8 +57,7 @@ def format_poly(poly: MultiPoly) -> str:
     if poly.is_zero():
         return "0"
     parts: List[str] = []
-    for exps, c in reversed(poly.sorted_terms()):
-        coeff = narrow(c)
+    for exps, coeff in reversed(poly.sorted_terms()):
         mono = "".join(
             var if e == 1 else f"{var}^{e}" for var, e in zip(poly.vars, exps) if e
         )

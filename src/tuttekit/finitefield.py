@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, CapacityError
 from .lattice import VectorConfig, multiplicity_lcm, sublattice_census
-from .poly import MultiPoly, narrow
+from .poly import MultiPoly
 from .tutte import (
     COBOUNDARY_VARS,
     CoboundaryPolynomial,
@@ -104,7 +104,7 @@ def _scaled_coboundary(psi: CoboundaryPolynomial, q: int, d: int) -> Dict[int, i
     """q^(d-r) psi(q, Y) as {Y-degree: coefficient}: what the histogram must be."""
     at_q: Dict[int, int] = {}
     for (i, j), c in psi.poly.terms.items():
-        at_q[j] = at_q.get(j, 0) + narrow(c) * q ** (d - psi.rank + i)
+        at_q[j] = at_q.get(j, 0) + c * q ** (d - psi.rank + i)
     return {j: c for j, c in at_q.items() if c}
 
 

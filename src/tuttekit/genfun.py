@@ -16,9 +16,9 @@ series that depends on X with one in Y alone.  Each of B, C, D has one
 pair u, v of factors free of X, multiplied together first, and the
 weight-lattice B/D product f2^(X/4-1) uv (f2^(X/4) + F(-2Z,Y)^(X/4)) is
 regrouped as f2^(X/2-1) uv + (f2 F(-2Z,Y))^(X/4) (uv f2^(-1)), with
-f2 = F(2Z,Y).  `tutte_from_series` reads psi = n! [Z^n] as integer terms
-and hands them to `tutte.tutte_from_psi_terms`, with no rational
-polynomial in between.
+f2 = F(2Z,Y).  `extract_coboundary` reads psi = n! [Z^n] as an integer
+polynomial, and `tutte_from_series` hands it to
+`tutte.tutte_from_coboundary`, with no rational polynomial in between.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import factorial, gcd
-from typing import Dict, Tuple
 
 from .errors import ExactDivisionError, StructureError
 from .poly import MultiPoly
@@ -35,7 +34,7 @@ from .tutte import (
     COBOUNDARY_VARS,
     CoboundaryPolynomial,
     TuttePolynomial,
-    tutte_from_psi_terms,
+    tutte_from_coboundary,
 )
 
 DEFAULT_ORDER = 8
@@ -115,32 +114,25 @@ def expand_genfun(req: GenFunRequest) -> TruncSeries:
     return head * uv
 
 
-def _psi_terms(
+def extract_coboundary(
     series: TruncSeries, family: str, n: int
-) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """psi of the rank-n (or n-coordinate, type A) system as integer terms
-    {(i, j): coefficient of X^i Y^j}, and its rank.
+) -> CoboundaryPolynomial:
+    """Coboundary polynomial of the rank-n (or n-coordinate, type A) system
+    from a family series.
 
-    psi is n! times the Z^n coefficient.  For type A, n counts coordinates
-    (the configuration has rank n-1) and the series carries an extra factor
-    of X, which is divided out exactly.
+    psi is n! times the Z^n coefficient, read as integer terms.  For type A,
+    n counts coordinates (the configuration has rank n-1) and the series
+    carries an extra factor of X, which is divided out exactly.
     """
     if n > series.order:
         raise StructureError(f"n={n} exceeds series order {series.order}")
     psi = series.integer_coefficient(n, factorial(n))
-    if family != "A":
-        return psi, n
-    if any(i == 0 for i, _ in psi):
-        raise ExactDivisionError("non-exact polynomial division")
-    return {(i - 1, j): c for (i, j), c in psi.items()}, n - 1
-
-
-def extract_coboundary(
-    series: TruncSeries, family: str, n: int
-) -> CoboundaryPolynomial:
-    """Coboundary polynomial of the rank-n system from a family series."""
-    terms, rank = _psi_terms(series, family, n)
-    return CoboundaryPolynomial(MultiPoly(COBOUNDARY_VARS, terms), rank)
+    if family == "A":
+        if any(i == 0 for i, _ in psi):
+            raise ExactDivisionError("non-exact polynomial division")
+        psi = {(i - 1, j): c for (i, j), c in psi.items()}
+    rank = n - 1 if family == "A" else n
+    return CoboundaryPolynomial(MultiPoly(COBOUNDARY_VARS, psi), rank)
 
 
 def tutte_from_series(
@@ -148,11 +140,10 @@ def tutte_from_series(
 ) -> TuttePolynomial:
     """Tutte polynomial of the rank-n (or n-coordinate, type A) system, read
     from the family series of `expand_genfun`."""
-    terms, rank = _psi_terms(series, family, n)
     # Type A has rank n-1; only the integer lattice spans all n coordinates.
     ambient = n - 1 if family == "A" and lattice_kind != "integer" else n
     flavor = "classical" if lattice_kind == "classical" else "arithmetic"
-    return tutte_from_psi_terms(terms, rank, ambient, flavor)
+    return tutte_from_coboundary(extract_coboundary(series, family, n), ambient, flavor)
 
 
 def extract_polynomial(req: GenFunRequest, n: int) -> TuttePolynomial:

@@ -19,7 +19,7 @@ from math import comb, factorial, gcd
 from typing import Dict, Iterator, List, Tuple
 
 from .errors import CapacityError, StructureError
-from .poly import MultiPoly, Scalar, compose_affine, narrow
+from .poly import MultiPoly, Scalar, compose_affine
 from .tutte import TuttePolynomial
 
 CHAR_VARS = ("q",)
@@ -50,7 +50,6 @@ def _x_marginals(t: TuttePolynomial) -> Tuple[List[Scalar], List[Scalar]]:
     at_0 = [0] * (t.poly.degree_in("x") + 1)
     at_1 = list(at_0)
     for (i, j), c in t.poly.terms.items():
-        c = narrow(c)
         at_1[i] += c
         if j == 0:
             at_0[i] += c

@@ -1,8 +1,11 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is stored as a map from exponent tuples to nonzero Fractions,
-relative to a fixed ordered tuple of variable names.  All arithmetic is
-exact; there is no floating point anywhere in this package.
+A polynomial is stored as a map from exponent tuples to nonzero
+coefficients, relative to a fixed ordered tuple of variable names.  Each
+integral coefficient is an int and every other one a Fraction; the
+constructor and every ring operation keep that invariant, so integer
+polynomials stay on ints.  All arithmetic is exact; there is no floating
+point anywhere in this package.
 
 `compose_affine` is the one change of variables v -> a + b*v on a
 univariate coefficient list; it keeps int coefficients as ints.
@@ -24,9 +27,17 @@ def _grlex_key(exps: Exps) -> Tuple[int, Exps]:
     return (sum(exps), exps)
 
 
-def narrow(c: Q) -> Scalar:
-    """An integral Fraction as an int; any other Fraction as it is."""
+def _narrow(c) -> Scalar:
+    """c as an int when it is integral, as a Fraction otherwise."""
+    if type(c) is int:
+        return c
+    c = Q(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _canonical(terms: Dict[Exps, Scalar]) -> Dict[Exps, Scalar]:
+    """terms without zeros, with each non-int coefficient narrowed."""
+    return {e: c if type(c) is int else _narrow(c) for e, c in terms.items() if c}
 
 
 def compose_affine(coeffs: Sequence[Scalar], a: Scalar, b: Scalar = 1) -> List[Scalar]:
@@ -49,21 +60,21 @@ class MultiPoly:
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exps, Scalar]):
         vs = tuple(variables)
-        canon: Dict[Exps, Q] = {}
+        canon: Dict[Exps, Scalar] = {}
         for exps, c in terms.items():
             if len(exps) != len(vs):
                 raise StructureError(
                     f"exponent vector {exps} does not match variables {vs}"
                 )
-            q = Q(c)
-            if q != 0:
-                canon[tuple(exps)] = q
+            c = _narrow(c)
+            if c:
+                canon[tuple(exps)] = c
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", canon)
 
     @classmethod
-    def _trusted(cls, vs: Tuple[str, ...], terms: Dict[Exps, Q]) -> "MultiPoly":
-        """Wrap nonzero Fractions under len(vs)-tuples as they are, unchecked."""
+    def _trusted(cls, vs: Tuple[str, ...], terms: Dict[Exps, Scalar]) -> "MultiPoly":
+        """Wrap canonical nonzero coefficients under len(vs)-tuples, unchecked."""
         p = object.__new__(cls)
         object.__setattr__(p, "vars", vs)
         object.__setattr__(p, "terms", terms)
@@ -82,7 +93,7 @@ class MultiPoly:
     @staticmethod
     def const(variables: Iterable[str], c: Scalar) -> "MultiPoly":
         vs = tuple(variables)
-        return MultiPoly(vs, {(0,) * len(vs): Q(c)})
+        return MultiPoly(vs, {(0,) * len(vs): c})
 
     @staticmethod
     def var(variables: Iterable[str], name: str, power: int = 1) -> "MultiPoly":
@@ -90,7 +101,7 @@ class MultiPoly:
         if name not in vs:
             raise StructureError(f"unknown variable {name!r} among {vs}")
         exps = tuple(power if v == name else 0 for v in vs)
-        return MultiPoly(vs, {exps: Q(1)})
+        return MultiPoly(vs, {exps: 1})
 
     # ------------------------------------------------------------------
     # basic queries
@@ -110,7 +121,7 @@ class MultiPoly:
         return max(e[i] for e in self.terms)
 
     def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
+        return all(type(c) is int for c in self.terms.values())
 
     def __eq__(self, other) -> bool:
         return (
@@ -144,10 +155,9 @@ class MultiPoly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            s = terms.pop(exps, None)
-            s = c if s is None else s + c
+            s = terms.pop(exps, 0) + c
             if s:
-                terms[exps] = s
+                terms[exps] = s if type(s) is int else _narrow(s)
         return MultiPoly._trusted(self.vars, terms)
 
     __radd__ = __add__
@@ -163,18 +173,17 @@ class MultiPoly:
 
     def __mul__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            c = Q(other)
+            c = _narrow(other)
             return MultiPoly._trusted(
-                self.vars, {e: cc * c for e, cc in self.terms.items() if c}
+                self.vars, _canonical({e: cc * c for e, cc in self.terms.items()})
             )
         self._check_vars(other)
-        terms: Dict[Exps, Q] = {}
+        terms: Dict[Exps, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                s = terms.get(e)
-                terms[e] = c1 * c2 if s is None else s + c1 * c2
-        return MultiPoly._trusted(self.vars, {e: c for e, c in terms.items() if c})
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return MultiPoly._trusted(self.vars, _canonical(terms))
 
     __rmul__ = __mul__
 
@@ -226,7 +235,9 @@ class MultiPoly:
     def divide_exact(self, d: "MultiPoly") -> "MultiPoly":
         """Exact quotient self / d in the polynomial ring.
 
-        Raises ExactDivisionError if d does not divide self.
+        Raises ExactDivisionError if d does not divide self.  Each quotient
+        term is the exact Fraction of two leading coefficients, narrowed, so
+        int polynomials never pass through a float.
         """
         self._check_vars(d)
         if d.is_zero():
@@ -234,16 +245,15 @@ class MultiPoly:
         d_lead = max(d.terms, key=_grlex_key)
         d_lc = d.terms[d_lead]
         rem = self
-        quot: Dict[Exps, Q] = {}
+        quot: Dict[Exps, Scalar] = {}  # leading terms strictly decrease
         while not rem.is_zero():
             r_lead = max(rem.terms, key=_grlex_key)
             t = tuple(a - b for a, b in zip(r_lead, d_lead))
             if any(e < 0 for e in t):
                 raise ExactDivisionError("non-exact polynomial division")
-            c = rem.terms[r_lead] / d_lc
-            quot[t] = quot.get(t, Q(0)) + c
-            rem = rem - MultiPoly(self.vars, {t: c}) * d
-        return MultiPoly(self.vars, quot)
+            quot[t] = c = _narrow(Q(rem.terms[r_lead], d_lc))
+            rem = rem - MultiPoly._trusted(self.vars, {t: c}) * d
+        return MultiPoly._trusted(self.vars, quot)
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Q:
         """Evaluate at rational values given for every variable."""
@@ -294,21 +304,16 @@ class MultiPoly:
     def __repr__(self) -> str:
         return f"MultiPoly({self.vars}, {self})"
 
-    def to_json_dict(self, allow_rational: bool = False) -> dict:
-        """Canonical JSON encoding.
+    def to_json_dict(self) -> dict:
+        """Canonical JSON encoding, each coefficient a decimal string.
 
-        Integer coefficients are emitted as decimal strings; rationals as
-        "p/q" only when allow_rational is set (intermediate dumps).
+        Only integer polynomials have one; any other raises StructureError.
         """
         terms = []
         for exps, c in sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0])):
-            if c.denominator == 1:
-                coeff = str(c.numerator)
-            elif allow_rational:
-                coeff = f"{c.numerator}/{c.denominator}"
-            else:
+            if type(c) is not int:
                 raise StructureError(f"non-integer coefficient {c} in final output")
-            terms.append({"coeff": coeff, "exps": list(exps)})
+            terms.append({"coeff": str(c), "exps": list(exps)})
         return {"vars": list(self.vars), "terms": terms}
 
     @staticmethod

@@ -42,6 +42,8 @@ class RootSystemSpec:
         minimum = 2 if self.family == "D" else 1
         if self.n < minimum:
             raise StructureError(f"{self.family} requires n >= {minimum}")
+        if self.family == "A" and self.lattice_kind != "integer" and self.n < 2:
+            raise StructureError("type A quotient coordinates need n >= 2")
 
     def __str__(self) -> str:
         return f"{self.family}:{self.n}:{self.lattice_kind}"
@@ -70,8 +72,6 @@ def build_config(spec: RootSystemSpec) -> VectorConfig:
     """
     family, n, kind = spec.family, spec.n, spec.lattice_kind
     quotient = family == "A" and kind != "integer"
-    if quotient and n < 2:
-        raise StructureError("type A quotient coordinates need n >= 2")
     d = n - 1 if quotient else n
     e = [tuple(Q(int(i == k)) for i in range(d)) for k in range(d)]
     if quotient:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Dict, List, Tuple
 
 from .errors import StructureError
@@ -34,7 +33,7 @@ def parse_poly_terms(text: str, variables: Tuple[str, ...]) -> MultiPoly:
             pieces.append(chunk)
     if not pieces:
         raise StructureError(f"no terms in {text!r}")
-    terms: Dict[Tuple[int, ...], Q] = {}
+    terms: Dict[Tuple[int, ...], int] = {}
     for piece in pieces:
         sign = 1
         if piece.startswith("-"):
@@ -43,7 +42,7 @@ def parse_poly_terms(text: str, variables: Tuple[str, ...]) -> MultiPoly:
         m = _TERM_RE.match(piece)
         if not m:
             raise StructureError(f"unparseable term {piece!r}")
-        coeff = sign * (Q(int(m.group("coeff"))) if m.group("coeff") else Q(1))
+        coeff = sign * int(m.group("coeff") or 1)
         exps = [0] * len(variables)
         for f in _FACTOR_RE.finditer(m.group("vars") or ""):
             var = f.group("var")
@@ -51,7 +50,7 @@ def parse_poly_terms(text: str, variables: Tuple[str, ...]) -> MultiPoly:
                 raise StructureError(f"unknown variable {var!r} in {piece!r}")
             exps[variables.index(var)] += int(f.group("exp") or 1)
         key = tuple(exps)
-        terms[key] = terms.get(key, Q(0)) + coeff
+        terms[key] = terms.get(key, 0) + coeff
     return MultiPoly(variables, terms)
 
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 from .errors import ExactDivisionError, StructureError
 from .lattice import Census, VectorConfig, sublattice_census
-from .poly import MultiPoly, Scalar, compose_affine, narrow
+from .poly import MultiPoly, Scalar, compose_affine
 
 TUTTE_VARS = ("x", "y")
 COBOUNDARY_VARS = ("X", "Y")
@@ -145,7 +145,7 @@ def coboundary_from_tutte(t: TuttePolynomial) -> CoboundaryPolynomial:
         raise StructureError("x-degree exceeds the stated rank")
     columns: Dict[int, List[Scalar]] = {}  # y-degree -> coefficients in x
     for (i, j), coeff in t.poly.terms.items():
-        columns.setdefault(j, [0] * (r + 1))[i] = narrow(coeff)
+        columns.setdefault(j, [0] * (r + 1))[i] = coeff
     rows = [[0] * (t.poly.degree_in("y") + 1) for _ in range(r + 1)]  # Q_i
     for j, column in columns.items():
         for i, a in enumerate(compose_affine(column, 1)):
@@ -163,25 +163,13 @@ def tutte_from_coboundary(
     ambient_rank: int,
     flavor: str = "arithmetic",
 ) -> TuttePolynomial:
-    """Recover M(x, y) = psi((x-1)(y-1), y) / (y-1)^r; see `tutte_from_psi_terms`."""
-    terms = {e: narrow(coeff) for e, coeff in c.poly.terms.items()}
-    return tutte_from_psi_terms(terms, c.rank, ambient_rank, flavor)
+    """Recover M(x, y) = psi((x-1)(y-1), y) / (y-1)^r.
 
-
-def tutte_from_psi_terms(
-    terms: Dict[Tuple[int, int], Scalar],
-    rank: int,
-    ambient_rank: int,
-    flavor: str = "arithmetic",
-) -> TuttePolynomial:
-    """M(x, y) of the rank-r configuration whose psi = sum_i X^i P_i(Y),
-    given as terms {(i, j): coefficient of X^i Y^j}.
-
-    M = sum_i (x-1)^i P_i(y) (y-1)^(i-r), and (y-1)^r divides the whole
-    exactly when (y-1)^(r-i) divides each P_i.
+    With psi = sum_i X^i P_i(Y), M = sum_i (x-1)^i P_i(y) (y-1)^(i-r), and
+    (y-1)^r divides the whole exactly when (y-1)^(r-i) divides each P_i.
     """
-    r = rank
-    rows = _rows(terms)  # P_i, lowest degree first
+    r = c.rank
+    rows = _rows(c.poly.terms)  # P_i, lowest degree first
     for i, p in rows.items():
         for _ in range(r - i):  # synthetic division by y - 1
             for k in range(len(p) - 2, -1, -1):

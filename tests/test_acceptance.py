@@ -33,7 +33,6 @@ from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config
 from tuttekit.series import deformed_exponential
 from tuttekit.signed_graphs import (
-    graph_dictionary_tutte,
     marked_graph_identity_holds,
     master_census,
     master_genfun_theorem,
@@ -52,6 +51,7 @@ from tuttekit.tutte import (
     classical_tutte_bruteforce,
     coboundary_from_tutte,
 )
+from tuttekit.verify import ENGINES
 
 ALL_SYSTEMS_N4 = [
     (family, n, kind)
@@ -110,12 +110,11 @@ def test_criterion_3_char_ehrhart_table():
 def test_criterion_4_four_way_agreement():
     t0 = time.time()
     for family, n, kind in ALL_SYSTEMS_N4:
-        config = build_config(RootSystemSpec(family, n, kind))
-        bf = arithmetic_tutte_bruteforce(config)
-        gf = extract_polynomial(GenFunRequest(family, kind, 8), n)
+        spec = RootSystemSpec(family, n, kind)
+        bf, gf, gd = (ENGINES[m](spec, 8) for m in ("bruteforce", "genfun", "graphs"))
         assert gf.poly == bf.poly, (family, n, kind, "genfun")
-        gd = graph_dictionary_tutte(family, n, kind)
         assert gd.poly == bf.poly, (family, n, kind, "graphs")
+        config = build_config(spec)
         psi = coboundary_from_tutte(bf)
         divisor = multiplicity_lcm(config)
         prime_tori = 0

@@ -83,6 +83,13 @@ class TestCompute:
         assert code == EXIT_USAGE
         assert "usage" in err
 
+    @pytest.mark.parametrize("method", [*verify.ENGINES, "all"])
+    @pytest.mark.parametrize("system", ["A:1:root", "A:1:weight"])
+    def test_a1_quotient_refused_by_every_method(self, capsys, method, system):
+        code, out, err = run(capsys, "compute", "--system", system, "--method", method)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage: type A quotient coordinates need n >= 2\n"
+
     def test_capacity_exit_code(self, capsys):
         code, _, err = run(
             capsys, "compute", "--system", "B:8:integer", "--method", "graphs"

@@ -19,7 +19,7 @@ class TestConstruction:
 
     def test_const_and_var(self):
         x = MultiPoly.var(VARS_XY, "x")
-        assert x.terms == {(1, 0): Q(1)}
+        assert x.terms == {(1, 0): 1} and type(x.terms[(1, 0)]) is int
         assert MultiPoly.zero(VARS_XY).is_zero()
 
     def test_unknown_var_rejected(self):
@@ -55,16 +55,16 @@ class TestArithmetic:
 
 
 def assert_canonical(p):
-    """What the public constructor would store: nonzero Fractions under
-    int tuples of the right length."""
+    """What the public constructor would store: nonzero coefficients under
+    int tuples of the right length, each an int when integral and a
+    Fraction with denominator > 1 otherwise."""
     for exps, c in p.terms.items():
-        assert type(c) is Q and c != 0
+        assert c != 0
+        assert type(c) is int or (type(c) is Q and c.denominator > 1)
         assert type(exps) is tuple and len(exps) == len(p.vars)
         assert all(type(e) is int for e in exps)
     rebuilt = MultiPoly(p.vars, dict(p.terms))
-    assert rebuilt == p
-    as_json = MultiPoly.to_json_dict
-    assert as_json(p, allow_rational=True) == as_json(rebuilt, allow_rational=True)
+    assert rebuilt == p and rebuilt.terms == p.terms
     assert p.has_integer_coefficients() == rebuilt.has_integer_coefficients()
 
 
@@ -78,6 +78,17 @@ class TestRingOperationsStayCanonical:
         for p in (a + b, a - b, a - a, -a, a * b, a * s, s * a, a + s, s - a, a**k):
             assert_canonical(p)
 
+    def test_results_landing_on_integers_are_ints(self):
+        half = P({(1, 0): Q(1, 2), (0, 0): Q(-3, 2)})
+        x = MultiPoly.var(VARS_XY, "x")
+        thirds = half * Q(4, 3)
+        for p in (half * 2, 2 * half, half + half, half - (half - x), thirds * Q(3, 2)):
+            assert_canonical(p)
+            assert all(type(c) is int for c in p.terms.values()), p
+        assert (half * 2).terms == {(1, 0): 1, (0, 0): -3}
+        assert (half + half).terms == {(1, 0): 1, (0, 0): -3}
+        assert MultiPoly.const(VARS_XY, Q(6, 3)).terms == {(0, 0): 2}
+
     def test_cancelling_terms_are_dropped(self):
         x = MultiPoly.var(VARS_XY, "x")
         y = MultiPoly.var(VARS_XY, "y")
@@ -90,6 +101,19 @@ class TestDivision:
     @settings(max_examples=60, deadline=None)
     def test_divide_exact_inverts_multiplication(self, a, b):
         assert (a * b).divide_exact(b) == a
+
+    def test_int_division_stays_on_ints(self):
+        x = MultiPoly.var(VARS_XY, "x")
+        y = MultiPoly.var(VARS_XY, "y")
+        a, b = x * 3 - y + 2, x * 2 + y * y * 5 - 7
+        quotient = (a * b).divide_exact(b)
+        assert quotient == a
+        assert_canonical(quotient)
+        assert all(type(c) is int for c in quotient.terms.values())
+        halves = (a * b).divide_exact(b * 2)  # exact in Q[x, y], not over Z
+        assert_canonical(halves)
+        assert halves.terms == {(1, 0): Q(3, 2), (0, 1): Q(-1, 2), (0, 0): 1}
+        assert not any(isinstance(c, float) for c in halves.terms.values())
 
     def test_inexact_division_raises(self):
         x = MultiPoly.var(VARS_XY, "x")
@@ -154,11 +178,10 @@ class TestSerialization:
     def test_json_round_trip(self, p):
         assert MultiPoly.from_json_dict(p.to_json_dict()) == p
 
-    def test_rational_coefficients_need_flag(self):
+    def test_rational_coefficients_are_refused(self):
         p = P({(0, 0): Q(1, 2)})
         with pytest.raises(StructureError):
             p.to_json_dict()
-        assert p.to_json_dict(allow_rational=True)["terms"][0]["coeff"] == "1/2"
 
 
 class TestQueries:

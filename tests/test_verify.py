@@ -60,6 +60,14 @@ def test_small_systems_pass_every_check():
         assert len(names) == 6
 
 
+def test_every_engine_returns_int_coefficients():
+    # MultiPoly stores each integral coefficient as an int, never a Fraction.
+    for spec in [RootSystemSpec("A", 1, "integer"), *SMALL_SYSTEMS]:
+        for name, run in verify.ENGINES.items():
+            terms = run(spec, 8).poly.terms
+            assert terms and all(type(c) is int for c in terms.values()), (spec, name)
+
+
 def test_one_census_and_one_coboundary_per_system(monkeypatch):
     censuses = count_calls(
         monkeypatch, "sublattice_census", [lattice, tutte, finitefield, verify]
