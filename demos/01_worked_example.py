@@ -19,7 +19,6 @@ from tuttekit import (
     multiplicity_lcm,
     tutte_via_interpolation,
 )
-from tuttekit.cli import format_poly
 
 
 def main():
@@ -33,10 +32,10 @@ def main():
     gf = extract_polynomial(GenFunRequest("C", "integer", 8), 2)
     gd = graph_dictionary_tutte("C", 2, "integer")
     ip = tutte_via_interpolation(config)
-    print(f"brute force:        M(x,y) = {format_poly(bf.poly)}")
-    print(f"generating function M(x,y) = {format_poly(gf.poly)}")
-    print(f"graph dictionary:   M(x,y) = {format_poly(gd.poly)}")
-    print(f"interpolation:      M(x,y) = {format_poly(ip.poly)}")
+    print(f"brute force:        M(x,y) = {bf.poly}")
+    print(f"generating function M(x,y) = {gf.poly}")
+    print(f"graph dictionary:   M(x,y) = {gd.poly}")
+    print(f"interpolation:      M(x,y) = {ip.poly}")
     assert bf.poly == gf.poly == gd.poly == ip.poly
     print("all four methods agree.")
     print()
@@ -50,8 +49,8 @@ def main():
     print()
 
     rep = derive_all(bf)
-    print(f"characteristic polynomial: {format_poly(rep.characteristic)}")
-    print(f"Ehrhart polynomial:        {format_poly(rep.ehrhart)}")
+    print(f"characteristic polynomial: {rep.characteristic}")
+    print(f"Ehrhart polynomial:        {rep.ehrhart}")
     print(f"zonotope volume:           {rep.volume}")
     print(f"lattice points:            {rep.lattice_points}")
     print(f"interior lattice points:   {rep.interior_points}")

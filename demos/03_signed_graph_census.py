@@ -20,7 +20,6 @@ from tuttekit import (
     unsigned_census,
     unsigned_genfun_theorem,
 )
-from tuttekit.cli import format_poly
 
 
 def main():
@@ -43,8 +42,7 @@ def main():
         via_graphs = graph_dictionary_tutte(family, n, kind)
         direct = arithmetic_tutte_bruteforce(build_config(RootSystemSpec(family, n, kind)))
         assert via_graphs.poly == direct.poly
-        print(f"{family}{n} ({kind} lattice) via signed graphs: "
-              f"{format_poly(via_graphs.poly)}")
+        print(f"{family}{n} ({kind} lattice) via signed graphs: {via_graphs.poly}")
     print("graph dictionary agrees with direct enumeration.")
 
 

@@ -52,21 +52,6 @@ REPORTS = {
 }
 
 
-def format_poly(poly: MultiPoly) -> str:
-    """Ascending graded-lex rendering with explicit separators."""
-    if poly.is_zero():
-        return "0"
-    parts: List[str] = []
-    for exps, coeff in reversed(poly.sorted_terms()):
-        mono = "".join(
-            var if e == 1 else f"{var}^{e}" for var, e in zip(poly.vars, exps) if e
-        )
-        mag = abs(coeff)
-        body = mono if mono and mag == 1 else f"{mag}{mono}"
-        parts.append(("-" if coeff < 0 else "+" if parts else "") + body)
-    return "".join(parts)
-
-
 def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -90,7 +75,7 @@ def cmd_compute(args) -> int:
             print(_json_dump(_tutte_payload(spec, args.method, t)))
         else:
             print(f"{spec} [{args.method}]")
-            print(f"M(x,y) = {format_poly(t.poly)}")
+            print(f"M(x,y) = {t.poly}")
         return EXIT_OK
 
     outcomes = {m: attempt(lambda: run(spec, args.order)) for m, run in ENGINES.items()}
@@ -106,7 +91,7 @@ def cmd_compute(args) -> int:
         print(_json_dump(payload))
     else:
         print(f"{spec} [{', '.join(sorted(computed))}]")
-        print(f"M(x,y) = {format_poly(first.poly)}")
+        print(f"M(x,y) = {first.poly}")
         print(f"agreement: {'yes' if agree else 'NO'}")
     return EXIT_OK if agree else EXIT_MISMATCH
 
@@ -158,7 +143,7 @@ def cmd_table(args) -> int:
         print(_json_dump({"lattice": args.lattice, "rows": out}))
     else:
         for row, polys in rows:
-            print("\t".join([row, *(format_poly(p) for _, p in polys)]))
+            print("\t".join([row, *(str(p) for _, p in polys)]))
     return EXIT_OK
 
 
@@ -176,7 +161,7 @@ def cmd_invariants(args) -> int:
     else:
         print(f"{spec}")
         for name, v in fields:
-            print(f"{name}: {format_poly(v) if isinstance(v, MultiPoly) else v}")
+            print(f"{name}: {v}")
     return EXIT_OK
 
 

@@ -15,8 +15,9 @@ histograms.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from itertools import zip_longest
 from math import gcd, lcm
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
@@ -102,10 +103,11 @@ def _group_histogram(config: VectorConfig, q: int) -> Dict[int, int]:
 
 def _scaled_coboundary(psi: CoboundaryPolynomial, q: int, d: int) -> Dict[int, int]:
     """q^(d-r) psi(q, Y) as {Y-degree: coefficient}: what the histogram must be."""
-    at_q: Dict[int, int] = {}
-    for (i, j), c in psi.poly.terms.items():
-        at_q[j] = at_q.get(j, 0) + c * q ** (d - psi.rank + i)
-    return {j: c for j, c in at_q.items() if c}
+    at_q: List[int] = []
+    for row in reversed(psi.poly.rows()):  # Horner's rule in X
+        at_q = [q * a + c for a, c in zip_longest(at_q, row, fillvalue=0)]
+    scale = q ** (d - psi.rank)
+    return {j: scale * c for j, c in enumerate(at_q) if c}
 
 
 def _enumerate_profile(config: VectorConfig, p: int) -> Dict[int, int]:
@@ -135,8 +137,11 @@ def verify_finite_field_identity(
 ) -> bool:
     """Check sum over torus points of Y^h equals q^(d-r) psi(q, Y) exactly.
 
-    Refuses to count when the multiplicity lcm does not divide q = p - 1.
+    Refuses to count when p is not prime or the multiplicity lcm does not
+    divide q = p - 1; primality is checked before the census runs.
     """
+    if not is_prime(p):
+        raise AdmissibilityError(f"{p} is not prime")
     q, divisor = p - 1, multiplicity_lcm(config)
     if q % divisor != 0:
         raise AdmissibilityError(

@@ -19,6 +19,7 @@ from math import comb, factorial, gcd
 from typing import Dict, Iterator, List, Tuple
 
 from .errors import CapacityError, StructureError
+from .genfun import euler_phi
 from .poly import MultiPoly, Scalar, compose_affine
 from .tutte import TuttePolynomial
 
@@ -47,13 +48,8 @@ class InvariantReport:
 
 def _x_marginals(t: TuttePolynomial) -> Tuple[List[Scalar], List[Scalar]]:
     """Coefficient lists of M(x, 0) and M(x, 1), lowest x-degree first."""
-    at_0 = [0] * (t.poly.degree_in("x") + 1)
-    at_1 = list(at_0)
-    for (i, j), c in t.poly.terms.items():
-        at_1[i] += c
-        if j == 0:
-            at_0[i] += c
-    return at_0, at_1
+    rows = t.poly.rows() or [[]]
+    return [row[0] if row else 0 for row in rows], [sum(row) for row in rows]
 
 
 def _characteristic(at_0: List[Scalar], r: int, d: int) -> MultiPoly:
@@ -181,9 +177,8 @@ def weight_characteristic_type_A(n: int) -> MultiPoly:
     for m in range(1, n + 1):
         if n % m:
             continue
-        phi = sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
         sign = -1 if (n - n // m) % 2 else 1
-        total = total + _binomial_poly_in_q(m, n // m) * (sign * phi)
+        total = total + _binomial_poly_in_q(m, n // m) * (sign * euler_phi(m))
     total = total * factorial(n)
     chi = total.divide_exact(MultiPoly.var(CHAR_VARS, "q"))
     if not chi.has_integer_coefficients():
@@ -216,8 +211,7 @@ def necklace_count(n: int, q: int) -> int:
     for m in range(1, q + 1):
         if q % m or n % m:
             continue
-        phi = sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
-        total += phi * comb(q // m, n // m)
+        total += euler_phi(m) * comb(q // m, n // m)
     assert total % q == 0
     return total // q
 

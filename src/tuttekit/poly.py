@@ -7,8 +7,10 @@ constructor and every ring operation keep that invariant, so integer
 polynomials stay on ints.  All arithmetic is exact; there is no floating
 point anywhere in this package.
 
-`compose_affine` is the one change of variables v -> a + b*v on a
-univariate coefficient list; it keeps int coefficients as ints.
+`rows` and `from_rows` are the one dense layout of a polynomial in two
+variables, and `str` the one printer.  `compose_affine` is the one change
+of variables v -> a + b*v on a univariate coefficient list; it keeps int
+coefficients as ints.
 """
 
 from __future__ import annotations
@@ -274,32 +276,19 @@ class MultiPoly:
     # ------------------------------------------------------------------
     # ordering, printing, serialization
 
-    def sorted_terms(self):
-        """Terms in descending graded-lexicographic order."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
-
     def __str__(self) -> str:
+        """Ascending graded-lex rendering with explicit separators: 3+4y+x^2."""
         if not self.terms:
             return "0"
-        parts = []
-        for exps, c in self.sorted_terms():
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.vars, exps)
-                if e
+        parts: List[str] = []
+        for exps, c in sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0])):
+            mono = "".join(
+                v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, exps) if e
             )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+            mag = abs(c)
+            body = mono if mono and mag == 1 else f"{mag}{mono}"
+            parts.append(("-" if c < 0 else "+" if parts else "") + body)
+        return "".join(parts)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.vars}, {self})"
@@ -322,3 +311,28 @@ class MultiPoly:
             tuple(t["exps"]): Q(t["coeff"]) for t in data["terms"]
         }
         return MultiPoly(data["vars"], terms)
+
+    def rows(self) -> List[List[Scalar]]:
+        """Coefficient rows of a polynomial in two variables v0, v1.
+
+        rows()[i][j] is the coefficient of v0^i v1^j.  Each row ends at its
+        last nonzero coefficient, so a power of v0 with no terms has the row
+        [], and the zero polynomial has no rows.
+        """
+        if len(self.vars) != 2:
+            raise StructureError(f"rows need two variables, not {self.vars}")
+        height = self.degree_in(self.vars[0]) + 1 if self.terms else 0
+        rows: List[List[Scalar]] = [[] for _ in range(height)]
+        for (i, j), c in self.terms.items():
+            row = rows[i]
+            row.extend([0] * (j + 1 - len(row)))
+            row[j] = c
+        return rows
+
+    @staticmethod
+    def from_rows(
+        variables: Iterable[str], rows: Iterable[Sequence[Scalar]]
+    ) -> "MultiPoly":
+        """sum rows[i][j] v0^i v1^j over two variables; zeros are dropped."""
+        cells = {(i, j): c for i, r in enumerate(rows) for j, c in enumerate(r) if c}
+        return MultiPoly(variables, cells)

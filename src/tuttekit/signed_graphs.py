@@ -195,6 +195,10 @@ def _edge_fold(v: int, signed: bool) -> Dict[State, int]:
 @lru_cache(maxsize=None)
 def _graph_census(v: int, signed: bool) -> Dict[Signature, Dict[int, int]]:
     """Loopless (signed) graphs on [v]: component signature -> e -> count."""
+    if signed and v > SIGNED_MAX_V:
+        raise CapacityError(f"signed-graph census guarded at v <= {SIGNED_MAX_V}")
+    if not signed and v > UNSIGNED_MAX_V:
+        raise CapacityError(f"unsigned census guarded at v <= {UNSIGNED_MAX_V}")
     packed: Dict[Signature, int] = {}
     for state, c in _edge_fold(v, signed).items():
         comps: Dict[int, Tuple[int, bool]] = {}
@@ -221,8 +225,6 @@ def master_census(v: int) -> MultiPoly:
     Loops are attached analytically: a component of size s contributes
     tp-or-tm with no loops, or t0 * ((1+x)^s - 1) once it carries loops.
     """
-    if v > SIGNED_MAX_V:
-        raise CapacityError(f"signed-graph census guarded at v <= {SIGNED_MAX_V}")
     one_plus_x = MultiPoly(MASTER_VARS, {(0, 0, 0, 1, 0): 1, (0, 0, 0, 0, 0): 1})
     tp = MultiPoly.var(MASTER_VARS, "tp")
     tm = MultiPoly.var(MASTER_VARS, "tm")
@@ -263,8 +265,6 @@ def master_genfun_theorem(order: int) -> TruncSeries:
 
 def unsigned_census(v: int) -> MultiPoly:
     """Census of simple graphs on [v] over (t, y)."""
-    if v > UNSIGNED_MAX_V:
-        raise CapacityError(f"unsigned census guarded at v <= {UNSIGNED_MAX_V}")
     total: Dict[Tuple[int, int], int] = {}
     for sig, by_e in _graph_census(v, False).items():
         for e, count in by_e.items():

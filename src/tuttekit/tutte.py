@@ -7,12 +7,16 @@ distinct lattices ZB from `lattice.sublattice_census`, a dynamic program
 over canonical Hermite normal forms, weighted by how many subsets of each
 size generate them.  The tests compare it with a raw per-subset sweep
 built on `lattice.subset_stats`.
+
+The rank/size sum and both coboundary transforms are arithmetic on the
+rows of `MultiPoly.rows` around one kernel, `_shift_x`: P(x, y) -> P(x + a, y).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import zip_longest
 from typing import Dict, List, Tuple
 
 from .errors import ExactDivisionError, StructureError
@@ -61,26 +65,20 @@ def _times_y_minus_1(p: List[Scalar], times: int) -> List[Scalar]:
     return p
 
 
-def _rows(terms: Dict[Tuple[int, int], Scalar]) -> Dict[int, List[Scalar]]:
-    """Terms {(i, j): c} as rows {i: [c_i0, c_i1, ...]}, each row ending at
-    its highest j."""
-    rows: Dict[int, List[Scalar]] = {}
-    for (i, j), c in terms.items():
-        row = rows.setdefault(i, [])
-        row.extend([0] * (j + 1 - len(row)))
-        row[j] = c
-    return rows
+def _shift_x(rows: List[List[Scalar]], a: Scalar) -> List[List[Scalar]]:
+    """Rows of P(x + a, y) from the rows of P(x, y).
 
-
-def _expand_x_minus_1(rows: Dict[int, List[Scalar]]) -> MultiPoly:
-    """sum_i (x-1)^i P_i(y) over (x, y), for rows {i: P_i lowest degree first}."""
-    terms: Dict[Tuple[int, int], Scalar] = {}
-    for i, p in rows.items():
-        for k, binom in enumerate(compose_affine([0] * i + [1], -1)):
-            for j, a in enumerate(p):
-                if a:
-                    terms[(k, j)] = terms.get((k, j), 0) + binom * a
-    return MultiPoly(TUTTE_VARS, terms)
+    Horner's rule in x with whole rows as the coefficients, as
+    `compose_affine` does on numbers: each step multiplies the partial
+    result by x + a and adds the next row.
+    """
+    out: List[List[Scalar]] = []
+    for row in reversed(rows):
+        out = [
+            [a * lo + hi for lo, hi in zip_longest(low, high, fillvalue=0)]
+            for low, high in zip(out + [[]], [row] + out)
+        ]
+    return out
 
 
 def poly_from_rank_sizes(
@@ -88,11 +86,13 @@ def poly_from_rank_sizes(
 ) -> MultiPoly:
     """sum w (x-1)^(full_rank-r) (y-1)^(k-r) over {(r, k): w}, on ints.
 
-    The weights are first laid out by the two exponents; each row
-    sum_j w_j (y-1)^j is then the weight list composed with y - 1.
+    The weights are first laid out as rows by the two exponents; each row
+    sum_j w_j (y-1)^j is the weight list composed with y - 1, and the
+    x-shift by -1 turns the row powers into powers of x - 1.
     """
-    rows = _rows({(full_rank - r, k - r): w for (r, k), w in counts.items()})
-    return _expand_x_minus_1({i: compose_affine(row, -1) for i, row in rows.items()})
+    cells = {(full_rank - r, k - r): w for (r, k), w in counts.items()}
+    rows = [compose_affine(row, -1) for row in MultiPoly(TUTTE_VARS, cells).rows()]
+    return MultiPoly.from_rows(TUTTE_VARS, _shift_x(rows, -1))
 
 
 def tutte_from_census(
@@ -136,26 +136,16 @@ def classical_tutte_bruteforce(config: VectorConfig) -> TuttePolynomial:
 def coboundary_from_tutte(t: TuttePolynomial) -> CoboundaryPolynomial:
     """psi(X, Y) = (y-1)^r M(x, y) under x = (X+Y-1)/(Y-1), y = Y.
 
-    That is x = u + 1 with u = X/(Y-1).  Each y-degree column of M is
-    shifted to M(u + 1, y) = sum_i u^i Q_i(y), and since the x-degree of M
-    is at most r, psi = sum_i X^i (Y-1)^(r-i) Q_i(Y) needs no division.
+    That is x = u + 1 with u = X/(Y-1).  The x-shift by 1 gives the rows
+    of M(u + 1, y) = sum_i u^i Q_i(y), and since the x-degree of M is at
+    most r, psi = sum_i X^i (Y-1)^(r-i) Q_i(Y) needs no division.
     """
     r = t.rank
-    if t.poly.degree_in("x") > r:
+    rows = t.poly.rows()
+    if len(rows) > r + 1:
         raise StructureError("x-degree exceeds the stated rank")
-    columns: Dict[int, List[Scalar]] = {}  # y-degree -> coefficients in x
-    for (i, j), coeff in t.poly.terms.items():
-        columns.setdefault(j, [0] * (r + 1))[i] = coeff
-    rows = [[0] * (t.poly.degree_in("y") + 1) for _ in range(r + 1)]  # Q_i
-    for j, column in columns.items():
-        for i, a in enumerate(compose_affine(column, 1)):
-            rows[i][j] = a
-    terms: Dict[Tuple[int, int], Scalar] = {}
-    for i, q in enumerate(rows):
-        for j, a in enumerate(_times_y_minus_1(q, r - i)):
-            if a:
-                terms[(i, j)] = a
-    return CoboundaryPolynomial(MultiPoly(COBOUNDARY_VARS, terms), r)
+    psi = [_times_y_minus_1(q, r - i) for i, q in enumerate(_shift_x(rows, 1))]
+    return CoboundaryPolynomial(MultiPoly.from_rows(COBOUNDARY_VARS, psi), r)
 
 
 def tutte_from_coboundary(
@@ -167,17 +157,19 @@ def tutte_from_coboundary(
 
     With psi = sum_i X^i P_i(Y), M = sum_i (x-1)^i P_i(y) (y-1)^(i-r), and
     (y-1)^r divides the whole exactly when (y-1)^(r-i) divides each P_i.
+    The rows P_i(y) (y-1)^(i-r) are then shifted by -1 in x.
     """
     r = c.rank
-    rows = _rows(c.poly.terms)  # P_i, lowest degree first
-    for i, p in rows.items():
+    rows = c.poly.rows()  # P_i, lowest degree first
+    for i, p in enumerate(rows):
         for _ in range(r - i):  # synthetic division by y - 1
             for k in range(len(p) - 2, -1, -1):
                 p[k] += p[k + 1]
-            if p.pop(0):
+            if p and p.pop(0):
                 raise ExactDivisionError(
                     "coboundary polynomial is not divisible by (y-1)^rank; "
                     "rank mismatch upstream"
                 )
         rows[i] = _times_y_minus_1(p, i - r)
-    return TuttePolynomial(_expand_x_minus_1(rows), r, ambient_rank, flavor)
+    poly = MultiPoly.from_rows(TUTTE_VARS, _shift_x(rows, -1))
+    return TuttePolynomial(poly, r, ambient_rank, flavor)

@@ -88,11 +88,12 @@ def attempt(compute: Callable[[], T]) -> Union[T, CapacityError]:
 
 
 def _at_y1_is_power(psi: CoboundaryPolynomial) -> bool:
-    """psi(X, 1) = X^r, summing the coefficients of each power of X."""
-    at_one = {}
-    for (i, _), c in psi.poly.terms.items():
-        at_one[i] = at_one.get(i, 0) + c
-    return {i: c for i, c in at_one.items() if c} == {psi.rank: 1}
+    """psi(X, 1) = X^r, summing the row of each power of X.
+
+    `coboundary_from_tutte` keeps the X-degree of psi at most r, so psi(X, 1)
+    has exactly r + 1 rows when it is X^r.
+    """
+    return [sum(row) for row in psi.poly.rows()] == [0] * psi.rank + [1]
 
 
 def _finite_field_checks(

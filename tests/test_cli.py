@@ -13,7 +13,6 @@ from tuttekit.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
-    format_poly,
     main,
 )
 from tuttekit.errors import (
@@ -39,14 +38,14 @@ def run(capsys, *argv):
 class TestFormatting:
     def test_ascending_with_explicit_separators(self):
         p = parse_poly_terms("x^2+2y^2+4x+4y+3", ("x", "y"))
-        assert format_poly(p) == "3+4y+4x+2y^2+x^2"
+        assert str(p) == "3+4y+4x+2y^2+x^2"
 
     def test_negative_coefficients(self):
         p = parse_poly_terms("-48+32 q-9 q^2+q^3", ("q",))
-        assert format_poly(p) == "-48+32q-9q^2+q^3"
+        assert str(p) == "-48+32q-9q^2+q^3"
 
     def test_zero(self):
-        assert format_poly(MultiPoly.zero(("x", "y"))) == "0"
+        assert str(MultiPoly.zero(("x", "y"))) == "0"
 
 
 class TestCompute:

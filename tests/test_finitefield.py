@@ -136,6 +136,22 @@ class TestTorusProfile:
         with pytest.raises(AdmissibilityError, match="^9 is not prime$"):
             _enumerate_profile(cfg("C", 2, "integer"), 9)
 
+    def test_identity_checks_primality_before_the_census(self, monkeypatch):
+        # (3) in Z has L = 3, which divides 9 - 1 = 8 only if 9 were prime.
+        c = VectorConfig(vectors=((3,),), lattice=LatticeBasis.standard(1))
+        psi = coboundary_from_tutte(arithmetic_tutte_bruteforce(c))
+        censuses = []
+        census = lattice.sublattice_census
+
+        def spy(config):
+            censuses.append(config)
+            return census(config)
+
+        monkeypatch.setattr(lattice, "sublattice_census", spy)
+        with pytest.raises(AdmissibilityError, match="^9 is not prime$"):
+            verify_finite_field_identity(c, 9, psi)
+        assert censuses == []
+
     def test_point_cap(self, monkeypatch):
         c = cfg("B", 3, "integer")
         monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 10)

@@ -70,6 +70,11 @@ _ALL = BENCH_JOBS + [
     for max_n in range(2, 9)
     for output in ((), ("--output", "json"))
 ] + [
+    # Rows past n = 12 through the psi -> M transform and the x-marginals.
+    ["table", "--lattice", lattice, "--max-n", "16", "--report", "tutte,char,ehrhart",
+     "--output", "json"]
+    for lattice in ("integer", "root", "weight")
+] + [
     ["table", "--report", "tutte,bogus"],
     ["table", "--max-n", "1"],
     ["compute", "--method", "graphs", "--system", "B:8:integer"],

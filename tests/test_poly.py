@@ -184,6 +184,39 @@ class TestSerialization:
             p.to_json_dict()
 
 
+class TestRows:
+    def test_ragged_rows(self):
+        p = P({(0, 1): 4, (0, 0): 3, (2, 2): -1})
+        assert p.rows() == [[3, 4], [], [0, 0, -1]]
+        assert MultiPoly.zero(VARS_XY).rows() == []
+
+    @given(polys())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, p):
+        rows = p.rows()
+        assert all(row[-1] for row in rows if row)
+        assert MultiPoly.from_rows(VARS_XY, rows) == p
+        assert_canonical(MultiPoly.from_rows(VARS_XY, rows))
+
+    def test_from_rows_drops_zeros_and_narrows(self):
+        q = MultiPoly.from_rows(VARS_XY, [[0, Q(4, 2)], [], [0, 0]])
+        assert q.terms == {(0, 1): 2} and type(q.terms[(0, 1)]) is int
+
+    def test_two_variables_only(self):
+        with pytest.raises(StructureError):
+            MultiPoly.const(("q",), 1).rows()
+        with pytest.raises(StructureError):
+            MultiPoly.from_rows(("q",), [[1]])
+
+
+class TestPrinting:
+    def test_signs_and_unit_coefficients(self):
+        # The ascending order itself is pinned in tests/test_cli.py.
+        p = P({(1, 1): -1, (0, 0): -1})
+        assert str(p) == "-1-xy"
+        assert repr(p) == "MultiPoly(('x', 'y'), -1-xy)"
+
+
 class TestQueries:
     def test_degrees(self):
         p = P({(2, 3): Q(1), (4, 0): Q(1)})

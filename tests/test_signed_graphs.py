@@ -2,6 +2,7 @@ from math import factorial
 
 import pytest
 
+from tuttekit import signed_graphs
 from tuttekit.errors import CapacityError
 from tuttekit.lattice import sublattice_census
 from tuttekit.root_systems import RootSystemSpec, build_config
@@ -119,7 +120,7 @@ class TestMasterCensus:
         assert total == 4 ** (v * (v - 1) // 2) * 2**v
 
     def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="^signed-graph census guarded at v <= 7$"):
             master_census(8)
 
 
@@ -130,7 +131,7 @@ class TestUnsignedCensus:
         assert unsigned_census(v) == thm.coefficient(v) * factorial(v)
 
     def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="^unsigned census guarded at v <= 10$"):
             unsigned_census(11)
 
 
@@ -145,6 +146,17 @@ class TestMarkedGraphIdentity:
         counts = balanced_census(2)
         assert counts[(1, 1)] == 2
         assert counts[(2, 0)] == 1
+
+    def test_capacity_guard(self, monkeypatch):
+        def signed_refused(v, signed):  # the unsigned census at v = 8 may run
+            if signed:
+                raise AssertionError("signed edge fold ran past the guard")
+            return _edge_fold(v, signed)
+
+        monkeypatch.setattr(signed_graphs, "_edge_fold", signed_refused)
+        for census in (balanced_census, marked_graph_identity_holds):
+            with pytest.raises(CapacityError, match="^signed-graph census guarded at v <= 7$"):
+                census(8)
 
 
 class TestGraphDictionary:
