@@ -9,22 +9,17 @@ printed terms only.
 """
 
 from tuttekit import GenFunRequest, derive_all, extract_polynomial
-from tuttekit.tables import (
-    all_rows,
-    characteristic_fixture,
-    ehrhart_fixture,
-    weight_tutte_fixture,
-)
+from tuttekit.tables import all_rows, fixture
 
 
 def main():
     for row in all_rows():
-        fx = weight_tutte_fixture(row)
+        fx = fixture("weight-tutte", row)
         computed = extract_polynomial(GenFunRequest(fx.family, "weight", 8), fx.n)
         rep = derive_all(computed)
         tutte_ok = fx.matches(computed.poly)
-        char_ok = rep.characteristic == characteristic_fixture(row).poly
-        ehr_ok = rep.ehrhart == ehrhart_fixture(row).poly
+        char_ok = rep.characteristic == fixture("characteristic", row).poly
+        ehr_ok = rep.ehrhart == fixture("ehrhart", row).poly
         status = "ok" if (tutte_ok and char_ok and ehr_ok) else "MISMATCH"
         tag = " (partial fixture)" if fx.partial else ""
         print(f"{row}: {status}{tag}")

@@ -34,13 +34,10 @@ from .genfun import (
 from .invariants import (
     InvariantReport,
     char_coeffs_via_permutations,
-    characteristic_polynomial,
     closed_form_characteristic,
     derive_all,
-    ehrhart_polynomial,
     necklace_count,
     necklace_count_direct,
-    poincare_polynomial,
     prime_case_characteristic_type_A,
     weight_characteristic_type_A,
     weyl_group_check,
@@ -77,10 +74,8 @@ from .signed_graphs import (
 from .tables import (
     TableFixture,
     all_rows,
-    characteristic_fixture,
-    ehrhart_fixture,
+    fixture,
     parse_poly_terms,
-    weight_tutte_fixture,
 )
 from .tutte import (
     CoboundaryPolynomial,

@@ -25,15 +25,10 @@ from typing import List, Optional
 
 from .errors import CapacityError, StructureError, TutteKitError
 from .genfun import DEFAULT_ORDER, GenFunRequest, expand_genfun, tutte_from_series
-from .invariants import characteristic_polynomial, derive_all, ehrhart_polynomial
+from .invariants import derive_all
 from .poly import MultiPoly
 from .root_systems import RootSystemSpec, build_config, parse_system
-from .tables import (
-    all_rows,
-    characteristic_fixture,
-    ehrhart_fixture,
-    weight_tutte_fixture,
-)
+from .tables import FIXTURES, all_rows, fixture
 from .tutte import TuttePolynomial, arithmetic_tutte_bruteforce
 from .verify import ENGINES, all_passed, attempt, verify_system
 
@@ -43,13 +38,10 @@ EXIT_MISMATCH = 2
 EXIT_CAPACITY = 3
 EXIT_USAGE = 4
 
-# Each `table --report` name, in the order a text row prints its cells: its
-# JSON key and the polynomial it reads off the row's Tutte polynomial.
-REPORTS = {
-    "tutte": ("tutte", lambda t: t.poly),
-    "char": ("characteristic", characteristic_polynomial),
-    "ehrhart": ("ehrhart", ehrhart_polynomial),
-}
+# Each `table --report` name, in the order a text row prints its cells, and
+# its JSON key: "tutte" is the row's Tutte polynomial, the others are fields
+# of its `derive_all` report.
+REPORTS = {"tutte": "tutte", "char": "characteristic", "ehrhart": "ehrhart"}
 
 
 def _json_dump(obj) -> str:
@@ -127,14 +119,16 @@ def cmd_table(args) -> int:
             raise StructureError(f"unknown report {r!r}")
     if args.max_n < 2:
         raise StructureError(f"--max-n must be at least 2, got {args.max_n}")
-    cells = [cell for name, cell in REPORTS.items() if name in reports]
+    keys = [key for name, key in REPORTS.items() if name in reports]
     rows = []
     for family in "ABCD":
         # The Z^n coefficients do not depend on the order once it is n or more.
         series = expand_genfun(GenFunRequest(family, args.lattice, args.max_n))
         for n in range(2, args.max_n + 1):
             t = tutte_from_series(series, family, args.lattice, n)
-            rows.append((f"{family}{n}", [(key, read(t)) for key, read in cells]))
+            rep = derive_all(t)
+            cells = [(k, t.poly if k == "tutte" else getattr(rep, k)) for k in keys]
+            rows.append((f"{family}{n}", cells))
     if args.output == "json":
         out = [
             {"row": row, **{key: p.to_json_dict() for key, p in polys}}
@@ -168,16 +162,13 @@ def cmd_invariants(args) -> int:
 def cmd_fixtures(args) -> int:
     entries = []
     for row in all_rows():
-        for kind, fx in (
-            ("weight-tutte", weight_tutte_fixture(row)),
-            ("characteristic", characteristic_fixture(row)),
-            ("ehrhart", ehrhart_fixture(row)),
-        ):
+        for kind in FIXTURES:
+            fx = fixture(kind, row)
             entries.append(
                 {
                     "row": row,
                     "kind": kind,
-                    "source": fx.source,
+                    "source": "reference-table",
                     "printed": fx.printed,
                     "partial": fx.partial,
                     "note": fx.note,

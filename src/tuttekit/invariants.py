@@ -1,12 +1,12 @@
 """Invariants derived from (arithmetic) Tutte polynomials.
 
-Every quantity here is an exact specialization: the characteristic
-polynomial, the Ehrhart polynomial of the zonotope and its point counts,
-region and dimension counts, and the Poincare polynomial of the toric
-arrangement complement.  Each reads one of the x-marginals M(x, 0) and
-M(x, 1) on ints: a polynomial is the marginal composed with 1 - q, 1 + s
-or 2 + s by `poly.compose_affine` (s = 1/t or 1/q, cleared by a power of
-t or q), and each count is a value of a marginal.  Closed-form
+`derive_all` is the one reader of specializations off a Tutte polynomial:
+the characteristic polynomial, the Ehrhart polynomial of the zonotope and
+its point counts, region and dimension counts, and the Poincare polynomial
+of the toric arrangement complement.  It reads both x-marginals M(x, 0) and
+M(x, 1) once, on ints: a polynomial is a marginal composed with 1 - q,
+1 + s or 2 + s by `poly.compose_affine` (s = 1/t or 1/q, cleared by a power
+of t or q), and each count is a value of a marginal.  Closed-form
 characteristic polynomials and two independent necklace counters are
 provided as cross-checks.
 """
@@ -25,6 +25,10 @@ from .tutte import TuttePolynomial
 
 CHAR_VARS = ("q",)
 EHRHART_VARS = ("t",)
+
+# The two enumeration oracles walk 2^q strings and the partitions of n.
+NECKLACE_DIRECT_MAX_Q = 22
+CYCLE_TYPE_MAX_N = 9
 
 
 def _as_int(value: Scalar, what: str) -> int:
@@ -52,36 +56,16 @@ def _x_marginals(t: TuttePolynomial) -> Tuple[List[Scalar], List[Scalar]]:
     return [row[0] if row else 0 for row in rows], [sum(row) for row in rows]
 
 
-def _characteristic(at_0: List[Scalar], r: int, d: int) -> MultiPoly:
-    """(-1)^r q^(d-r) M(1-q, 0) from the coefficients of M(x, 0)."""
-    sign = -1 if r % 2 else 1
-    chi = compose_affine(at_0, 1, -1)
-    return MultiPoly(CHAR_VARS, {(d - r + k,): sign * c for k, c in enumerate(chi)})
-
-
 def _reversed(variables, coeffs: List[Scalar], top: int) -> MultiPoly:
     """sum_k coeffs[k] v^(top-k): a polynomial in 1/v brought up by v^top."""
     return MultiPoly(variables, {(top - k,): c for k, c in enumerate(coeffs)})
 
 
-def characteristic_polynomial(t: TuttePolynomial) -> MultiPoly:
-    """chi(q) = (-1)^r q^(d-r) M(1-q, 0) as a polynomial over ("q",)."""
-    return _characteristic(_x_marginals(t)[0], t.rank, t.ambient_rank)
-
-
-def ehrhart_polynomial(t: TuttePolynomial) -> MultiPoly:
-    """E(t) = t^r M(1 + 1/t, 1), expanded as a polynomial over ("t",)."""
-    return _reversed(EHRHART_VARS, compose_affine(_x_marginals(t)[1], 1), t.rank)
-
-
-def poincare_polynomial(t: TuttePolynomial) -> MultiPoly:
-    """q^d M(2 + 1/q, 0) = q^d M((2q+1)/q, 0) as a polynomial over ("q",)."""
-    return _reversed(CHAR_VARS, compose_affine(_x_marginals(t)[0], 2), t.ambient_rank)
-
-
 def derive_all(t: TuttePolynomial) -> InvariantReport:
     """Every invariant from the two x-marginals M(x, 0) and M(x, 1).
 
+    chi(q) = (-1)^r q^(d-r) M(1-q, 0) over ("q",); E(t) = t^r M(1 + 1/t, 1)
+    over ("t",); the Poincare polynomial is q^d M(2 + 1/q, 0) over ("q",).
     With e = M(1 + s, 1) in s, E(t) = sum e_k t^(r-k), so the volume
     M(1, 1) is e_0, the point count E(1) = M(2, 1) is the sum of e, and
     the interior count (-1)^r E(-1) is M(0, 1).  The regions number
@@ -89,11 +73,15 @@ def derive_all(t: TuttePolynomial) -> InvariantReport:
     """
     r, d = t.rank, t.ambient_rank
     at_0, at_1 = _x_marginals(t)
+    sign = -1 if r % 2 else 1
+    chi = compose_affine(at_0, 1, -1)
     ehr = compose_affine(at_1, 1)
     volume = _as_int(ehr[0], "volume")
     points = _as_int(sum(ehr), "lattice point count")  # also the DPV dimension
     return InvariantReport(
-        characteristic=_characteristic(at_0, r, d),
+        characteristic=MultiPoly(
+            CHAR_VARS, {(d - r + k,): sign * c for k, c in enumerate(chi)}
+        ),
         ehrhart=_reversed(EHRHART_VARS, ehr, r),
         poincare=_reversed(CHAR_VARS, compose_affine(at_0, 2), d),
         volume=volume,
@@ -216,10 +204,12 @@ def necklace_count(n: int, q: int) -> int:
     return total // q
 
 
-def necklace_count_direct(n: int, q: int, guard: int = 22) -> int:
+def necklace_count_direct(n: int, q: int) -> int:
     """Oracle: enumerate binary strings and count rotation orbits."""
-    if q > guard:
-        raise CapacityError(f"direct necklace enumeration guarded at q <= {guard}")
+    if q > NECKLACE_DIRECT_MAX_Q:
+        raise CapacityError(
+            f"direct necklace enumeration guarded at q <= {NECKLACE_DIRECT_MAX_Q}"
+        )
     seen = set()
     orbits = 0
     for code in range(1 << q):
@@ -248,14 +238,14 @@ def _partitions(n: int, max_part: int = None) -> Iterator[Tuple[int, ...]]:
             yield (p,) + rest
 
 
-def char_coeffs_via_permutations(n: int, guard: int = 9) -> MultiPoly:
+def char_coeffs_via_permutations(n: int) -> MultiPoly:
     """chi of type A (n coordinates, weight lattice) via gcds over cycle types.
 
     chi(q) = sum over k of (-1)^(n-k) c_k q^(k-1), where c_k totals
     gcd(cycle lengths) over all permutations of [n] with k cycles.
     """
-    if n > guard:
-        raise CapacityError(f"cycle-type enumeration guarded at n <= {guard}")
+    if n > CYCLE_TYPE_MAX_N:
+        raise CapacityError(f"cycle-type enumeration guarded at n <= {CYCLE_TYPE_MAX_N}")
     c: Dict[int, int] = {}
     for part in _partitions(n):
         mult: Dict[int, int] = {}

@@ -111,11 +111,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)
         if not self.terms:

@@ -4,11 +4,14 @@ The fixture data is stored verbatim as printed in the reference tables,
 and parsed into exact polynomials on demand.  Keeping the raw strings lets
 the test suite distinguish "matches the published values" from "matches
 itself"; known defects in the printed source (a truncated row, a typo) are
-recorded on the fixture rather than silently patched.
+recorded on the fixture rather than silently patched.  `fixture(kind, row)`
+is the one lookup: a kind is a column of the weight-lattice tables
+(`weight-tutte`, `characteristic` or `ehrhart`), a row is e.g. "B3".
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -57,13 +60,23 @@ def parse_poly_terms(text: str, variables: Tuple[str, ...]) -> MultiPoly:
 @dataclass(frozen=True)
 class TableFixture:
     row: str  # e.g. "B3"
-    family: str
-    n: int  # coordinate count for A, rank for B/C/D
     printed: str  # verbatim printed string
     variables: Tuple[str, ...]
-    partial: bool = False  # printed row is truncated in the source
-    note: str = ""
-    source: str = "reference-table"
+    note: str = ""  # why the printed row is only partly checked, if it is
+
+    @property
+    def partial(self) -> bool:
+        """The printed row is truncated in the source."""
+        return bool(self.note)
+
+    @property
+    def family(self) -> str:
+        return self.row[0]
+
+    @property
+    def n(self) -> int:
+        """Coordinate count for A, rank for B/C/D."""
+        return int(self.row[1:])
 
     @property
     def poly(self) -> MultiPoly:
@@ -171,48 +184,33 @@ C2_INTEGER_EHRHART_CORRECTED = "14t^2+6t+1"
 C2_INTEGER_TUTTE = "x^2+2y^2+4x+4y+3"
 C2_ROOT_EHRHART = "7t^2+4t+1"
 
-_PARTIAL_ROWS = {
-    "B5": "printed row breaks off at a dangling '+30'; only the printed "
-    "terms are checked"
+# Each fixture kind, in the order `fixtures` prints it: its printed rows and
+# their variables.
+FIXTURES: Dict[str, Tuple[Dict[str, str], Tuple[str, ...]]] = {
+    "weight-tutte": (_WEIGHT_TUTTE, ("x", "y")),
+    "characteristic": (_CHARACTERISTIC, ("q",)),
+    "ehrhart": (_EHRHART, ("t",)),
+}
+
+_PARTIAL = {
+    ("weight-tutte", "B5"): "printed row breaks off at a dangling '+30'; only "
+    "the printed terms are checked"
 }
 
 
-def _row_parts(row: str) -> Tuple[str, int]:
-    family, n = row[0], int(row[1:])
-    return family, n
+def fixture(kind: str, row: str) -> TableFixture:
+    """The printed `kind` polynomial of `row`, e.g. fixture("ehrhart", "B3")."""
+    printed, variables = FIXTURES.get(kind, ({}, ()))
+    if row not in printed:
+        raise StructureError(f"no {kind!r} fixture for row {row!r}")
+    return TableFixture(row, printed[row], variables, _PARTIAL.get((kind, row), ""))
 
 
-def weight_tutte_fixture(row: str) -> TableFixture:
-    if row not in _WEIGHT_TUTTE:
-        raise StructureError(f"no weight-lattice Tutte fixture for row {row!r}")
-    family, n = _row_parts(row)
-    return TableFixture(
-        row=row,
-        family=family,
-        n=n,
-        printed=_WEIGHT_TUTTE[row],
-        variables=("x", "y"),
-        partial=row in _PARTIAL_ROWS,
-        note=_PARTIAL_ROWS.get(row, ""),
-    )
-
-
-def characteristic_fixture(row: str) -> TableFixture:
-    if row not in _CHARACTERISTIC:
-        raise StructureError(f"no characteristic fixture for row {row!r}")
-    family, n = _row_parts(row)
-    return TableFixture(
-        row=row, family=family, n=n, printed=_CHARACTERISTIC[row], variables=("q",)
-    )
-
-
-def ehrhart_fixture(row: str) -> TableFixture:
-    if row not in _EHRHART:
-        raise StructureError(f"no Ehrhart fixture for row {row!r}")
-    family, n = _row_parts(row)
-    return TableFixture(
-        row=row, family=family, n=n, printed=_EHRHART[row], variables=("t",)
-    )
+# The benchmark's result gate and reference script look fixtures up by kind
+# under these names.
+weight_tutte_fixture = functools.partial(fixture, "weight-tutte")
+characteristic_fixture = functools.partial(fixture, "characteristic")
+ehrhart_fixture = functools.partial(fixture, "ehrhart")
 
 
 def all_rows() -> List[str]:

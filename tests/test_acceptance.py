@@ -19,7 +19,6 @@ from tuttekit.finitefield import (
 from tuttekit.genfun import GenFunRequest, extract_polynomial
 from tuttekit.invariants import (
     char_coeffs_via_permutations,
-    characteristic_polynomial,
     closed_form_characteristic,
     derive_all,
     necklace_count,
@@ -39,13 +38,7 @@ from tuttekit.signed_graphs import (
     unsigned_census,
     unsigned_genfun_theorem,
 )
-from tuttekit.tables import (
-    all_rows,
-    characteristic_fixture,
-    ehrhart_fixture,
-    parse_poly_terms,
-    weight_tutte_fixture,
-)
+from tuttekit.tables import all_rows, fixture, parse_poly_terms
 from tuttekit.tutte import (
     arithmetic_tutte_bruteforce,
     classical_tutte_bruteforce,
@@ -87,7 +80,7 @@ def test_criterion_1_worked_example():
 def test_criterion_2_weight_table():
     t0 = time.time()
     for row in all_rows():
-        fx = weight_tutte_fixture(row)
+        fx = fixture("weight-tutte", row)
         computed = extract_polynomial(GenFunRequest(fx.family, "weight", 8), fx.n)
         assert fx.matches(computed.poly), row
     report(2, "weight-lattice Tutte table rows", t0, 30)
@@ -96,11 +89,11 @@ def test_criterion_2_weight_table():
 def test_criterion_3_char_ehrhart_table():
     t0 = time.time()
     for row in all_rows():
-        fx = weight_tutte_fixture(row)
+        fx = fixture("weight-tutte", row)
         computed = extract_polynomial(GenFunRequest(fx.family, "weight", 8), fx.n)
         rep = derive_all(computed)
-        assert rep.characteristic == characteristic_fixture(row).poly, row
-        assert rep.ehrhart == ehrhart_fixture(row).poly, row
+        assert rep.characteristic == fixture("characteristic", row).poly, row
+        assert rep.ehrhart == fixture("ehrhart", row).poly, row
         assert weyl_group_check(fx.family, fx.n, rep.characteristic), row
     a4 = extract_polynomial(GenFunRequest("A", "weight", 8), 4)
     assert derive_all(a4).volume == 64
@@ -145,15 +138,12 @@ def test_criterion_6_characteristic_closed_forms():
     t0 = time.time()
     for family in "ABCD":
         for n in range(2 if family in ("A", "D") else 1, 5):
-            chi = characteristic_polynomial(
-                arithmetic_tutte_bruteforce(
-                    build_config(RootSystemSpec(family, n, "integer"))
-                )
-            )
+            t = arithmetic_tutte_bruteforce(build_config(RootSystemSpec(family, n, "integer")))
+            chi = derive_all(t).characteristic
             assert chi == closed_form_characteristic(family, n), (family, n)
     for n in range(2, 7):
         gf = extract_polynomial(GenFunRequest("A", "weight", 8), n)
-        assert characteristic_polynomial(gf) == weight_characteristic_type_A(n), n
+        assert derive_all(gf).characteristic == weight_characteristic_type_A(n), n
     for n in (3, 5):
         assert weight_characteristic_type_A(n) == prime_case_characteristic_type_A(n)
     report(6, "characteristic closed forms", t0, 60)

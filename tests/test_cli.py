@@ -25,7 +25,7 @@ from tuttekit.errors import (
 from tuttekit.genfun import extract_polynomial
 from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec
-from tuttekit.tables import parse_poly_terms
+from tuttekit.tables import fixture, parse_poly_terms
 from tuttekit.verify import FAIL, CheckResult
 
 
@@ -207,8 +207,6 @@ class TestVerify:
 
 class TestTable:
     def test_weight_rows_match_fixtures(self, capsys):
-        from tuttekit.tables import weight_tutte_fixture
-
         code, out, _ = run(
             capsys, "table", "--lattice", "weight", "--max-n", "4", "--output", "json"
         )
@@ -216,7 +214,7 @@ class TestTable:
         payload = json.loads(out)
         rows = {r["row"]: r for r in payload["rows"]}
         for row in ["A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D2", "D3", "D4"]:
-            fx = weight_tutte_fixture(row)
+            fx = fixture("weight-tutte", row)
             assert MultiPoly.from_json_dict(rows[row]["tutte"]) == fx.poly
 
     @pytest.mark.parametrize("lattice", ["integer", "root", "weight"])
@@ -235,6 +233,24 @@ class TestTable:
         )
         assert code == EXIT_OK
         assert "-2+q" in out and "1+2t" in out
+
+    def test_each_row_lays_out_its_polynomials_twice(self, capsys, monkeypatch):
+        # Once in the psi -> M transform, once for both x-marginals.
+        calls = []
+        rows = MultiPoly.rows
+
+        def spy(self):
+            calls.append(self)
+            return rows(self)
+
+        monkeypatch.setattr(MultiPoly, "rows", spy)
+        code, out, _ = run(
+            capsys, "table", "--lattice", "weight", "--max-n", "4", "--report",
+            "tutte,char,ehrhart",
+        )
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 12
+        assert len(calls) == 2 * 12
 
     @pytest.mark.parametrize("max_n", ["1", "-3"])
     def test_max_n_below_two_is_a_usage_error(self, capsys, max_n):

@@ -15,8 +15,8 @@ from tuttekit.genfun import (
     typeA_weight_series,
 )
 from tuttekit.invariants import (
-    characteristic_polynomial,
     closed_form_characteristic,
+    derive_all,
     weight_characteristic_type_A,
 )
 from tuttekit.poly import MultiPoly
@@ -103,14 +103,14 @@ class TestClosedFormsToRankTwelve:
     def test_integer_lattice(self, family):
         series = expand_genfun(GenFunRequest(family, "integer", 20))
         for n in range(2 if family in "AD" else 1, 21):
-            chi = characteristic_polynomial(tutte_from_series(series, family, "integer", n))
+            chi = derive_all(tutte_from_series(series, family, "integer", n)).characteristic
             assert chi == closed_form_characteristic(family, n), n
 
     def test_type_a_weight_lattice(self):
         series = expand_genfun(GenFunRequest("A", "weight", 20))
         for n in range(2, 21):
             t = tutte_from_series(series, "A", "weight", n)
-            assert characteristic_polynomial(t) == weight_characteristic_type_A(n), n
+            assert derive_all(t).characteristic == weight_characteristic_type_A(n), n
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 `golden_cli.json` maps each command line (its argv joined by spaces) to the
 sha256 of its stdout and its exit code.  The hashes were generated once from
-the code that preceded the engine table; a refactor that changes any output
-byte fails here.  To regenerate after a deliberate output change, run every
+the code that preceded the engine table (the `fixtures` lines and the `table`
+lines with one report or reports out of print order, from the code that
+preceded the one fixture lookup); a refactor that changes any output byte
+fails here.  To regenerate after a deliberate output change, run every
 argv of `ARGVS` through `tuttekit.cli.main` and hash what it prints.
 """
 
@@ -75,6 +77,14 @@ _ALL = BENCH_JOBS + [
      "--output", "json"]
     for lattice in ("integer", "root", "weight")
 ] + [
+    # Each single column, and two columns asked for out of print order.
+    ["table", "--lattice", lattice, "--max-n", "8", "--report", report, *output]
+    for lattice in ("integer", "root", "weight")
+    for report in ("tutte", "char", "ehrhart", "ehrhart,char")
+    for output in ((), ("--output", "json"))
+] + [
+    ["fixtures"],
+    ["fixtures", "--output", "json"],
     ["table", "--report", "tutte,bogus"],
     ["table", "--max-n", "1"],
     ["compute", "--method", "graphs", "--system", "B:8:integer"],

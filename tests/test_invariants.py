@@ -7,13 +7,10 @@ import pytest
 from tuttekit.errors import CapacityError, StructureError
 from tuttekit.invariants import (
     char_coeffs_via_permutations,
-    characteristic_polynomial,
     closed_form_characteristic,
     derive_all,
-    ehrhart_polynomial,
     necklace_count,
     necklace_count_direct,
-    poincare_polynomial,
     prime_case_characteristic_type_A,
     weight_characteristic_type_A,
     weyl_group_check,
@@ -53,7 +50,7 @@ class TestWorkedExample:
 
     def test_ehrhart_at_zero_is_one(self):
         for family, n, kind in [("A", 3, "root"), ("B", 2, "weight"), ("D", 3, "integer")]:
-            e = ehrhart_polynomial(tutte(family, n, kind))
+            e = derive_all(tutte(family, n, kind)).ehrhart
             assert e.evaluate({"t": 0}) == 1
 
 
@@ -107,20 +104,18 @@ class TestCharacteristicAgainstSubstitution:
     @pytest.mark.parametrize("lattice", ["integer", "root", "weight"])
     def test_every_row_of_the_table_to_rank_ten(self, lattice):
         for row, t in table_rows(lattice):
-            assert characteristic_polynomial(t) == substitute_characteristic(t), row
+            assert derive_all(t).characteristic == substitute_characteristic(t), row
 
     def test_bruteforce_rows(self):
         for family, n, kind in [("A", 1, "integer"), ("C", 3, "root"), ("D", 4, "weight")]:
             t = tutte(family, n, kind)
-            assert characteristic_polynomial(t) == substitute_characteristic(t)
+            assert derive_all(t).characteristic == substitute_characteristic(t)
 
 
 class TestSpecializationsAgainstPowers:
     @pytest.mark.parametrize("lattice", ["integer", "root", "weight"])
     def test_every_row_of_the_table_to_rank_ten(self, lattice):
         for row, t in table_rows(lattice):
-            assert ehrhart_polynomial(t) == power_ehrhart(t), row
-            assert poincare_polynomial(t) == power_poincare(t), row
             rep = derive_all(t)
             assert rep.characteristic == substitute_characteristic(t), row
             assert rep.ehrhart == power_ehrhart(t), row
@@ -147,15 +142,16 @@ class TestSpecializationsAgainstPowers:
     def test_bruteforce_rows(self):
         for family, n, kind in [("A", 1, "integer"), ("C", 3, "root"), ("D", 4, "weight")]:
             t = tutte(family, n, kind)
-            assert ehrhart_polynomial(t) == power_ehrhart(t)
-            assert poincare_polynomial(t) == power_poincare(t)
+            rep = derive_all(t)
+            assert rep.ehrhart == power_ehrhart(t)
+            assert rep.poincare == power_poincare(t)
 
 
 class TestClosedForms:
     @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_integer_lattice_products(self, family, n):
-        chi = characteristic_polynomial(tutte(family, n, "integer"))
+        chi = derive_all(tutte(family, n, "integer")).characteristic
         assert chi == closed_form_characteristic(family, n)
 
     def test_type_a_is_falling_factorial(self):
@@ -182,7 +178,7 @@ class TestClosedForms:
 class TestWeightTypeA:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_divisor_sum_matches_bruteforce(self, n):
-        chi = characteristic_polynomial(tutte("A", n, "weight"))
+        chi = derive_all(tutte("A", n, "weight")).characteristic
         assert chi == weight_characteristic_type_A(n)
 
     def test_closed_form_dispatch(self):
@@ -246,5 +242,5 @@ class TestWeylGroup:
         "family,n", [("A", 4), ("B", 4), ("C", 4), ("D", 4), ("B", 2), ("D", 3)]
     )
     def test_weight_lattice_chi_at_zero(self, family, n):
-        chi = characteristic_polynomial(tutte(family, n, "weight"))
+        chi = derive_all(tutte(family, n, "weight")).characteristic
         assert weyl_group_check(family, n, chi)

@@ -220,7 +220,6 @@ class TestPrinting:
 class TestQueries:
     def test_degrees(self):
         p = P({(2, 3): Q(1), (4, 0): Q(1)})
-        assert p.total_degree() == 5
         assert p.degree_in("x") == 4
         assert p.degree_in("y") == 3
 

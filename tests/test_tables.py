@@ -1,5 +1,6 @@
 import pytest
 
+from tuttekit import tables
 from tuttekit.errors import StructureError
 from tuttekit.genfun import GenFunRequest, extract_polynomial
 from tuttekit.invariants import derive_all
@@ -8,10 +9,8 @@ from tuttekit.tables import (
     C2_INTEGER_EHRHART_CORRECTED,
     C2_INTEGER_EHRHART_PRINTED,
     all_rows,
-    characteristic_fixture,
-    ehrhart_fixture,
+    fixture,
     parse_poly_terms,
-    weight_tutte_fixture,
 )
 
 
@@ -53,35 +52,47 @@ class TestFixtureData:
         assert rows[0] == "A2" and rows[-1] == "D5"
 
     def test_b5_is_flagged_partial(self):
-        fx = weight_tutte_fixture("B5")
+        fx = fixture("weight-tutte", "B5")
         assert fx.partial
         # The dangling "+30" must not become a constant term.
         assert fx.poly.terms[(0, 0)] == 1680
 
     def test_unknown_row_rejected(self):
         with pytest.raises(StructureError):
-            weight_tutte_fixture("E8")
+            fixture("weight-tutte", "E8")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(StructureError, match="^no 'poincare' fixture for row 'B3'$"):
+            fixture("poincare", "B3")
+
+    def test_per_kind_names_look_up_the_same_fixture(self):
+        for name, kind in (
+            ("weight_tutte_fixture", "weight-tutte"),
+            ("characteristic_fixture", "characteristic"),
+            ("ehrhart_fixture", "ehrhart"),
+        ):
+            assert getattr(tables, name)("C4") == fixture(kind, "C4")
 
     def test_duplicate_rows_agree(self):
         # B2 and C2 print the same polynomial, as do D3 and A4.
-        assert weight_tutte_fixture("B2").poly == weight_tutte_fixture("C2").poly
-        assert weight_tutte_fixture("D3").poly == weight_tutte_fixture("A4").poly
+        assert fixture("weight-tutte", "B2").poly == fixture("weight-tutte", "C2").poly
+        assert fixture("weight-tutte", "D3").poly == fixture("weight-tutte", "A4").poly
 
 
 class TestAgainstGenfun:
     @pytest.mark.parametrize("row", all_rows())
     def test_weight_tutte_rows(self, row):
-        fx = weight_tutte_fixture(row)
+        fx = fixture("weight-tutte", row)
         computed = extract_polynomial(GenFunRequest(fx.family, "weight", 8), fx.n)
         assert fx.matches(computed.poly)
 
     @pytest.mark.parametrize("row", all_rows())
     def test_characteristic_and_ehrhart_rows(self, row):
-        fx = weight_tutte_fixture(row)
+        fx = fixture("weight-tutte", row)
         computed = extract_polynomial(GenFunRequest(fx.family, "weight", 8), fx.n)
         rep = derive_all(computed)
-        assert rep.characteristic == characteristic_fixture(row).poly
-        assert rep.ehrhart == ehrhart_fixture(row).poly
+        assert rep.characteristic == fixture("characteristic", row).poly
+        assert rep.ehrhart == fixture("ehrhart", row).poly
 
 
 class TestRecordedTypo:
