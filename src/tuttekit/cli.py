@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import cache
 from typing import List, Optional
 
 from .errors import CapacityError, StructureError, TutteKitError
@@ -184,7 +185,14 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.
+
+    `parse_args` leaves the parser unchanged, and argparse looks up
+    sys.stdout and sys.stderr only when it prints, so every `main` call
+    can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="tuttekit",
         description="Exact arithmetic Tutte polynomials of classical root systems",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -152,14 +152,32 @@ def verify_finite_field_identity(
     return histogram == _scaled_coboundary(psi, q, config.lattice.rank)
 
 
+def _interpolate(xs: Sequence[int], ys: Sequence[Q]) -> List[Q]:
+    """Coefficients, lowest first, of the polynomial through (xs[k], ys[k]).
+
+    Its degree is below len(xs).  Newton's divided differences, expanded by
+    Horner's rule.
+    """
+    c = list(ys)
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - k])
+    out: List[Q] = []
+    for ck, xk in zip(reversed(c), reversed(xs)):
+        out = [hi - xk * lo for lo, hi in zip(out + [0], [0] + out)]
+        out[0] += ck
+    return out
+
+
 def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
     """Recover the arithmetic Tutte polynomial from group histograms alone.
 
     psi(X, Y) has X-degree at most r, so histograms at the r + 1 admissible
-    values q = L, 2L, ..., (r+1)L determine it by Lagrange interpolation in
-    X.  The largest of them is checked against the point cap before any
-    counting starts.  One sublattice census gives both L and r, the largest
-    rank of a subset lattice.
+    values q = L, 2L, ..., (r+1)L determine it: the coefficient of each
+    power of Y is interpolated in X on its own, as a scalar polynomial.
+    The largest q is checked against the point cap before any counting
+    starts.  One sublattice census gives both L and r, the largest rank of
+    a subset lattice.
     """
     census = sublattice_census(config)
     divisor = lcm(*(stats.multiplicity for stats, _ in census))
@@ -168,23 +186,16 @@ def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
     qs = [k * divisor for k in range(1, r + 2)]
     _check_points(qs[-1], d)
 
-    samples = []  # (q, psi(q, Y) as MultiPoly over (X, Y))
+    # samples[k][h]: the Y^h coefficient of psi(qs[k], Y).
+    samples = []
     for q in qs:
         histogram = _group_histogram(config, q)
-        scaled = {(0, h): Q(c, q ** (d - r)) for h, c in histogram.items()}
-        samples.append((q, MultiPoly(COBOUNDARY_VARS, scaled)))
-
-    x_var = MultiPoly.var(COBOUNDARY_VARS, "X")
-    psi = MultiPoly.zero(COBOUNDARY_VARS)
-    for i, (qi, val) in enumerate(samples):
-        basis = MultiPoly.const(COBOUNDARY_VARS, 1)
-        denom = Q(1)
-        for j, (qj, _) in enumerate(samples):
-            if i == j:
-                continue
-            basis = basis * (x_var - qj)
-            denom *= qi - qj
-        psi = psi + val * basis * Q(1, denom)
+        scale = q ** (d - r)
+        heights = range(len(config) + 1)
+        samples.append([Q(histogram.get(h, 0), scale) for h in heights])
+    # columns[h][i]: the X^i Y^h coefficient of psi.
+    columns = [_interpolate(qs, values) for values in zip(*samples)]
+    psi = MultiPoly.from_rows(COBOUNDARY_VARS, zip(*columns))
     if not psi.has_integer_coefficients():
         raise AdmissibilityError("interpolated coboundary is not integral")
     cob = CoboundaryPolynomial(poly=psi, rank=r)

@@ -1,12 +1,13 @@
 """Lattices as rational basis matrices; ranks and multiplicities of subsets.
 
 A lattice of rank d inside Q^m is stored as an m x d matrix of exact
-rationals whose columns are the basis vectors.  One exact elimination at
-construction gives an integer left inverse over one denominator, so the
-lattice coordinates of a vector are an int matrix-vector product and a
-divisibility test.  The multiplicity of a vector subset B is the index of
-ZB inside span(B) intersected with the lattice, computed as the product of
-the Smith normal form invariant factors of B's integer coordinate matrix.
+rationals whose columns are the basis vectors.  One fraction-free
+elimination on ints at construction gives an integer left inverse over one
+denominator, so the lattice coordinates of a vector are an int
+matrix-vector product and a divisibility test.  The multiplicity of a
+vector subset B is the index of ZB inside span(B) intersected with the
+lattice, computed as the product of the Smith normal form invariant
+factors of B's integer coordinate matrix.
 
 `sublattice_census` folds the vectors in one at a time over a map from each
 distinct lattice ZB, keyed by its canonical Hermite normal form, to its
@@ -35,7 +36,10 @@ def _dot(row: Sequence[int], v: Sequence[int]) -> int:
 
 
 def _over_one_denominator(rows: Sequence[Sequence[Q]]) -> Tuple[List[List[int]], int]:
-    """Integer numerators of rational rows over their least common denominator."""
+    """Integer numerators of rational rows over their least common denominator.
+
+    Entries may be ints or Fractions: both have a numerator and denominator.
+    """
     den = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
@@ -44,12 +48,15 @@ def _over_one_denominator(rows: Sequence[Sequence[Q]]) -> Tuple[List[List[int]],
 class LatticeBasis:
     """Full-column-rank rational basis; columns generate the lattice.
 
-    One Gauss-Jordan pass over [basis | I] at construction gives the row
-    operations T with T basis = [I; 0].  The top rows of T, as ints over one
-    denominator, are a left inverse of the basis, so the coordinates of v
-    are an int matrix-vector product; the rows below (scaled to ints) span
-    the left null space, so v is in the rational span exactly when
-    they all annihilate it.  A square basis has no such rows.
+    The basis is written as an int matrix over one denominator, and one
+    fraction-free Gauss-Jordan pass over [basis | I] gives int row
+    operations T with T basis = [D; 0], D diagonal: each row update
+    cross-multiplies by the pivot and divides the row by its gcd, so no
+    Fraction is built.  The top rows of T, divided by their pivots and put
+    over one denominator, are a left inverse of the basis, so the
+    coordinates of v are an int matrix-vector product; the rows below span
+    the left null space, so v is in the rational span exactly when they all
+    annihilate it.  A square basis has no such rows.
     """
 
     basis: Tuple[Vector, ...]  # columns
@@ -66,8 +73,11 @@ class LatticeBasis:
         if any(len(c) != m for c in cols):
             raise StructureError("basis columns of unequal length")
         d = len(cols)
+        # basis = scaled / scale, so scale times a left inverse of the int
+        # matrix `scaled` is one of the basis.
+        scaled, scale = _over_one_denominator(cols)
         rows = [
-            [col[i] for col in cols] + [Q(int(i == k)) for k in range(m)]
+            [col[i] for col in scaled] + [int(i == k) for k in range(m)]
             for i in range(m)
         ]
         for c in range(d):
@@ -76,17 +86,26 @@ class LatticeBasis:
             if pivot is None:
                 raise StructureError("basis columns are linearly dependent")
             rows[c], rows[pivot] = rows[pivot], rows[c]
-            inv = 1 / rows[c][c]
-            rows[c] = pr = [x * inv for x in rows[c]]
+            pr = rows[c]
+            p = pr[c]
             for i in range(m):
                 f = rows[i][c]
                 if i != c and f:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        inverse, den = _over_one_denominator([row[d:] for row in rows[:d]])
-        cokernel, _ = _over_one_denominator([row[d:] for row in rows[d:]])
-        object.__setattr__(self, "_inverse", tuple(map(tuple, inverse)))
-        object.__setattr__(self, "_denominator", den)
-        object.__setattr__(self, "_cokernel", tuple(map(tuple, cokernel)))
+                    row = [p * a - f * b for a, b in zip(rows[i], pr)]
+                    g = gcd(*row)
+                    rows[i] = [x // g for x in row]
+        # Row c of the right half over the pivot rows[c][c] is row c of a left
+        # inverse of `scaled`: put the d rows over the pivots' lcm, in lowest
+        # terms.
+        den = lcm(*(rows[c][c] for c in range(d)))
+        inverse = [
+            [x * (scale * den // rows[c][c]) for x in rows[c][d:]] for c in range(d)
+        ]
+        g = gcd(den, *(x for row in inverse for x in row))
+        inverse = tuple(tuple(x // g for x in row) for row in inverse)
+        object.__setattr__(self, "_inverse", inverse)
+        object.__setattr__(self, "_denominator", den // g)
+        object.__setattr__(self, "_cokernel", tuple(tuple(row[d:]) for row in rows[d:]))
 
     @property
     def ambient_dim(self) -> int:
@@ -109,7 +128,7 @@ class LatticeBasis:
         Raises SpanError if v is outside the rational span, and
         LatticeMembershipError if the coordinates are not integral.
         """
-        (w,), den = _over_one_denominator([[Q(x) for x in v]])
+        (w,), den = _over_one_denominator([v])
         if any(_dot(row, w) for row in self._cokernel):
             raise SpanError("vector outside the rational span of the basis")
         scale = self._denominator * den

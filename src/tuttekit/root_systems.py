@@ -25,7 +25,7 @@ from .lattice import LatticeBasis, VectorConfig
 FAMILIES = ("A", "B", "C", "D")
 LATTICE_KINDS = ("integer", "root", "weight")
 
-Vector = Tuple[Q, ...]
+Vector = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,15 @@ def build_config(spec: RootSystemSpec) -> VectorConfig:
     Roots and lattice bases are combinations of the images e[0..n-1] of
     e_1..e_n: the standard basis of Z^n, except that type A outside the
     integer lattice works in the quotient by the all-ones vector, realized
-    as Z^(n-1) with e_n mapped to minus the sum of the others.
+    as Z^(n-1) with e_n mapped to minus the sum of the others.  The images
+    are int tuples; the only Fraction is the 1/2 of the B/D weight half-sum.
     """
     family, n, kind = spec.family, spec.n, spec.lattice_kind
     quotient = family == "A" and kind != "integer"
     d = n - 1 if quotient else n
-    e = [tuple(Q(int(i == k)) for i in range(d)) for k in range(d)]
+    e = [tuple(int(i == k) for i in range(d)) for k in range(d)]
     if quotient:
-        e.append(tuple(Q(-1) for _ in range(d)))
+        e.append((-1,) * d)
 
     def add(u: Vector, v: Vector, sign: int = 1) -> Vector:
         return tuple(x + sign * y for x, y in zip(u, v))
@@ -96,7 +97,7 @@ def build_config(spec: RootSystemSpec) -> VectorConfig:
         if family != "A":
             basis.append(add(e[-1], e[-1]))
     elif kind == "weight" and family in ("B", "D"):
-        basis = e[:-1] + [tuple(Q(1, 2) for _ in range(n))]
+        basis = e[:-1] + [(Q(1, 2),) * n]
     else:
         # All of Z^d: the integer kind, B's root and A's and C's weight lattices.
         basis = e[:d]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import re
@@ -144,6 +145,25 @@ class TestExitCodes:
         got, out, err = run(capsys, "compute", "--system", "C:2:integer")
         assert got == code
         assert out == "" and err == f"{prefix} boom\n"
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cli.build_parser.cache_clear()
+        argv = ["compute", "--system", "C:2:integer", "--output", "json"]
+        first = run(capsys, *argv)
+        bad = run(capsys, "compute", "--system", "E:6:integer")
+        again = run(capsys, *argv)
+        verbs = ["compute", "verify", "table", "invariants", "fixtures"]
+        assert built == ["tuttekit", *(f"tuttekit {v}" for v in verbs)]
+        assert bad[0] == EXIT_USAGE and bad[2].startswith("usage:")
+        assert first[0] == EXIT_OK and again == first
 
     def test_mismatch(self, capsys, monkeypatch):
         failed = [CheckResult("genfun-vs-bruteforce", FAIL)]

@@ -241,3 +241,32 @@ class TestCoordinatesAgainstOracle:
         for off_line in (V(2, Q(1, 2), 0), V(0, 0, 1), V(1, 1, 1)):
             with pytest.raises(SpanError):
                 line.coordinates(off_line)
+
+
+def combination(columns, coeffs):
+    """sum coeffs[j] * columns[j], one entry per ambient coordinate."""
+    m = len(columns[0])
+    return tuple(sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(m))
+
+
+class TestIntegerElimination:
+    @given(configs(), st.lists(st.integers(-50, 50), min_size=3, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_coordinates_of_integer_combinations(self, config, coeffs):
+        basis = config.lattice.basis
+        c = tuple(coeffs[: len(basis)])
+        assert config.lattice.coordinates(combination(basis, c)) == c
+        with pytest.raises(LatticeMembershipError):
+            config.lattice.coordinates(tuple(x / 2 for x in basis[0]))
+
+    @given(configs(), st.lists(st.integers(-50, 50), min_size=2, max_size=2))
+    @settings(max_examples=80, deadline=None)
+    def test_outside_a_rank_deficient_span(self, config, coeffs):
+        # The last basis column is outside the span of the others.
+        basis = config.lattice.basis
+        smaller = LatticeBasis(basis[:-1])
+        c = tuple(coeffs[: len(basis) - 1])
+        inside = combination(basis[:-1], c)
+        assert smaller.coordinates(inside) == c
+        with pytest.raises(SpanError):
+            smaller.coordinates(tuple(a + b for a, b in zip(inside, basis[-1])))

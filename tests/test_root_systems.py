@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as Q
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from tuttekit.errors import StructureError
 from tuttekit.lattice import int_matrix_rank, subset_stats
 from tuttekit.root_systems import (
+    FAMILIES,
     LATTICE_KINDS,
     RootSystemSpec,
     build_config,
@@ -71,6 +73,27 @@ class TestConfigurations:
         cfg = build_config(RootSystemSpec("B", 3, "weight"))
         half = tuple(Q(1, 2) for _ in range(3))
         assert cfg.lattice.coordinates(half) is not None
+
+
+class TestPinnedConfigurations:
+    def test_every_config_up_to_rank_12(self):
+        # For each lattice kind, family and n = 1..12 in that order: the repr
+        # of (vectors, lattice basis, coordinate matrix), or the StructureError
+        # a refused spec raises (D:1 in every lattice, A:1:root, A:1:weight).
+        entries = []
+        for kind in LATTICE_KINDS:
+            for family in FAMILIES:
+                for n in range(1, 13):
+                    try:
+                        c = build_config(parse_system(f"{family}:{n}:{kind}"))
+                    except StructureError as exc:
+                        entries.append(f"StructureError: {exc}")
+                        continue
+                    entries.append(repr((c.vectors, c.lattice.basis, c.coord_matrix)))
+        assert len(entries) == 144
+        assert sum(e.startswith("StructureError") for e in entries) == 5
+        digest = hashlib.sha256("\n".join(entries).encode()).hexdigest()
+        assert digest == "497f3a83110aeeb3ffda5bb6943771999f6a7d72c91ae7baaabdc0f1b224cea6"
 
 
 class TestLatticeIndices:
