@@ -14,9 +14,8 @@ histograms.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from itertools import zip_longest
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -152,21 +151,37 @@ def verify_finite_field_identity(
     return histogram == _scaled_coboundary(psi, q, config.lattice.rank)
 
 
-def _interpolate(xs: Sequence[int], ys: Sequence[Q]) -> List[Q]:
-    """Coefficients, lowest first, of the polynomial through (xs[k], ys[k]).
+def _interpolate(step: int, ys: Sequence[int]) -> List[int]:
+    """Int coefficients, lowest first, of p with p(k step) = ys[k-1], k >= 1.
 
-    Its degree is below len(xs).  Newton's divided differences, expanded by
-    Horner's rule.
+    The degree of p is below len(ys) = r + 1.  In t = X / step the nodes are
+    t = 1, ..., r + 1, where Newton's forward differences D^j of the ys are
+    ints and p = sum_j D^j (t-1)...(t-j) / j!.  Scaled by r!, every term is
+    an int polynomial in t, expanded by Horner's rule; the coefficient of
+    X^j is that of t^j over r! step^j.  Raises AdmissibilityError when a
+    division leaves a remainder, that is, when p is not integral.
     """
-    c = list(ys)
-    for k in range(1, len(xs)):
-        for i in range(len(xs) - 1, k - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - k])
-    out: List[Q] = []
-    for ck, xk in zip(reversed(c), reversed(xs)):
-        out = [hi - xk * lo for lo, hi in zip(out + [0], [0] + out)]
-        out[0] += ck
-    return out
+    r = len(ys) - 1
+    diffs = list(ys)
+    for k in range(1, r + 1):
+        for i in range(r, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    # r! p = c_0 + (t-1)(c_1 + (t-2)(c_2 + ...)), with c_j = D^j r!/j!.
+    out: List[int] = []
+    scale = 1  # r!/j!
+    for j in range(r, -1, -1):
+        out = [hi - (j + 1) * lo for lo, hi in zip(out + [0], [0] + out)]
+        out[0] += diffs[j] * scale
+        scale *= j
+    coefficients = []
+    den = factorial(r)
+    for a in out:
+        c, rem = divmod(a, den)
+        if rem:
+            raise AdmissibilityError("interpolated coboundary is not integral")
+        coefficients.append(c)
+        den *= step
+    return coefficients
 
 
 def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
@@ -186,18 +201,22 @@ def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
     qs = [k * divisor for k in range(1, r + 2)]
     _check_points(qs[-1], d)
 
-    # samples[k][h]: the Y^h coefficient of psi(qs[k], Y).
+    # samples[k][h]: the Y^h coefficient of psi(qs[k], Y), an int when psi is
+    # integral.
     samples = []
     for q in qs:
         histogram = _group_histogram(config, q)
         scale = q ** (d - r)
-        heights = range(len(config) + 1)
-        samples.append([Q(histogram.get(h, 0), scale) for h in heights])
+        sample = []
+        for h in range(len(config) + 1):
+            c, rem = divmod(histogram.get(h, 0), scale)
+            if rem:
+                raise AdmissibilityError("interpolated coboundary is not integral")
+            sample.append(c)
+        samples.append(sample)
     # columns[h][i]: the X^i Y^h coefficient of psi.
-    columns = [_interpolate(qs, values) for values in zip(*samples)]
+    columns = [_interpolate(divisor, values) for values in zip(*samples)]
     psi = MultiPoly.from_rows(COBOUNDARY_VARS, zip(*columns))
-    if not psi.has_integer_coefficients():
-        raise AdmissibilityError("interpolated coboundary is not integral")
     cob = CoboundaryPolynomial(poly=psi, rank=r)
     return tutte_from_coboundary(cob, ambient_rank=d, flavor="arithmetic")
 

@@ -6,13 +6,15 @@ elimination on ints at construction gives an integer left inverse over one
 denominator, so the lattice coordinates of a vector are an int
 matrix-vector product and a divisibility test.  The multiplicity of a
 vector subset B is the index of ZB inside span(B) intersected with the
-lattice, computed as the product of the Smith normal form invariant
-factors of B's integer coordinate matrix.
+lattice: for a single subset, the product of the Smith normal form
+invariant factors of B's integer coordinate matrix.
 
 `sublattice_census` folds the vectors in one at a time over a map from each
 distinct lattice ZB, keyed by its canonical Hermite normal form, to its
 subset counts by size, packed into one int as base-2^(n+1) digits.  A vector
 that is already a member of a state's lattice leaves that key unchanged.
+The multiplicity of each final lattice is read off its key, as the index
+in Z^k of the lattice spanned by the columns of its k echelon rows.
 """
 
 from __future__ import annotations
@@ -293,18 +295,6 @@ def subset_stats(config: VectorConfig, subset: Sequence[int]) -> SubsetStats:
     return SubsetStats(rank=int_matrix_rank(cols), multiplicity=mult)
 
 
-def _pivots(rows: Sequence[Sequence[int]]) -> List[int]:
-    """Pivot column (first nonzero entry) of each row of an echelon matrix."""
-    pivots = []
-    c = 0
-    for row in rows:
-        while not row[c]:
-            c += 1
-        pivots.append(c)
-        c += 1
-    return pivots
-
-
 def _hnf_add(
     rows: Tuple[Tuple[int, ...], ...], v: Sequence[int]
 ) -> Tuple[Tuple[int, ...], ...]:
@@ -315,29 +305,42 @@ def _hnf_add(
     The pivot columns and pivot values of an echelon basis depend only on
     the lattice, so the reduced form is unique and serves as its key.
 
-    v is first reduced down the rows while each pivot divides it, which
-    changes no row; if it reaches 0, v is a member and `rows` itself is
-    returned.  Otherwise the first row it cannot pass is the first one to
-    change: v is merged into it by Euclid or inserted before it, and only
+    One walk over the columns reduces v down the rows while each pivot
+    divides it, which changes no row; if v reaches 0 it is a member and
+    `rows` itself is returned.  Otherwise the walk stops at the first column
+    where v leads or a pivot does not divide it, and that row is the first
+    to change: v is merged into it by Euclid or inserted before it, and only
     the rows from there on are normalized again, each reducing the entries
     above it.
     """
-    pivots = _pivots(rows)
-    start = 0  # v is 0 in every column before start
-    for i, (row, c) in enumerate(zip(rows, pivots)):
-        x = v[c]
-        if any(v[start:c]) or x % row[c]:
+    i, k = 0, len(rows)  # rows[i] is the first row whose pivot is not passed
+    for lead in range(len(v)):
+        x = v[lead]
+        # Every row from i on is 0 before `lead`, so a nonzero entry here
+        # is row i's pivot.
+        if i < k and rows[i][lead]:
+            row = rows[i]
+            if x % row[lead]:
+                break
+            if x:
+                q = x // row[lead]
+                v = [a - q * b for a, b in zip(v, row)]
+            i += 1
+        elif x:
             break
-        if x:
-            q = x // row[c]
-            v = [a - q * b for a, b in zip(v, row)]
-        start = c + 1
     else:
-        if not any(v[start:]):
-            return rows
-        i = len(rows)
+        return rows
+    # Pivot columns of rows[i:]; the rows above keep theirs and are only
+    # reduced, so their entries of `pivots` are never read.
+    pivots = [0] * i
+    c = lead
+    for row in rows[i:]:
+        while not row[c]:
+            c += 1
+        pivots.append(c)
+        c += 1
     out: List[Sequence[int]] = list(rows)
-    first, lead = i, start
+    first = i
     while True:
         while not v[lead]:
             lead += 1
@@ -358,13 +361,57 @@ def _hnf_add(
             break
     for i in range(first, len(out)):
         row, c = out[i], pivots[i]
-        if row[c] < 0:
+        p = row[c]
+        if p < 0:
             out[i] = row = [-x for x in row]
+            p = -p
         for above in range(i):
-            q = out[above][c] // row[c]
+            a = out[above]
+            q = a[c] // p
             if q:
-                out[above] = [x - q * y for x, y in zip(out[above], row)]
+                out[above] = [x - q * y for x, y in zip(a, row)]
     return tuple(map(tuple, out))
+
+
+def _key_multiplicity(rows: Sequence[Sequence[int]]) -> int:
+    """m(B) read off the canonical HNF key of ZB.
+
+    For a key of k rows, m(B) is the gcd of its k x k minors, which is the
+    index in Z^k of the lattice its columns span.  The pivot columns alone
+    span a sublattice of index the pivot product, so m(B) divides that
+    product: a product of 1 settles it, and so does a square key, whose
+    only minor it is.  Otherwise the columns are triangularized by Euclid
+    from the last row up, and m(B) is the product of the diagonal.
+    """
+    pivot_product = 1
+    c = 0
+    for row in rows:
+        while not row[c]:
+            c += 1
+        pivot_product *= row[c]
+        c += 1
+    if pivot_product == 1 or len(rows) == len(rows[0]):
+        return pivot_product
+    cols = list(zip(*rows))
+    index = 1
+    for _ in rows:
+        # The columns are 0 below the current last row; Euclid on that entry
+        # leaves one column h holding the gcd, and the others, now ending in
+        # 0, lose it.
+        h = None
+        rest = []
+        for col in cols:
+            if col[-1]:
+                if h is None:
+                    h = col
+                    continue
+                while col[-1]:
+                    q = h[-1] // col[-1]
+                    h, col = col, [a - q * b for a, b in zip(h, col)]
+            rest.append(col[:-1])
+        index *= abs(h[-1])
+        cols = rest
+    return index
 
 
 def sublattice_census(config: VectorConfig) -> Census:
@@ -374,7 +421,7 @@ def sublattice_census(config: VectorConfig) -> Census:
     and counts[k], the number of k-element subsets B that generate it.
     The vectors are folded in one at a time over a map from canonical HNF
     to counts, so the work grows with the number of distinct lattices, not
-    with 2^|A|; one Smith normal form per final lattice gives m(B).
+    with 2^|A|; m(B) of each final lattice is read off its key.
     The counts of a state are packed into one int, counts[k] in digit k of
     base 2^(n+1), so folding in a vector adds the counts shifted one digit
     up; no digit carries, as counts[k] <= C(n, k) < 2^(n+1).  The digits are
@@ -397,9 +444,8 @@ def sublattice_census(config: VectorConfig) -> Census:
     digit = (1 << width) - 1
     census = []
     for rows, packed in states.items():
-        mult = prod(snf_invariant_factors(rows))
-        counts = [packed >> width * k & digit for k in range(n + 1)]
-        census.append((SubsetStats(rank=len(rows), multiplicity=mult), counts))
+        stats = SubsetStats(rank=len(rows), multiplicity=_key_multiplicity(rows))
+        census.append((stats, [packed >> width * k & digit for k in range(n + 1)]))
     return census
 
 

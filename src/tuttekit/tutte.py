@@ -1,9 +1,9 @@
 """Definition-based computation of (arithmetic) Tutte polynomials.
 
 M(x, y) = sum_B m(B) (x-1)^(r(A)-r(B)) (y-1)^(|B|-r(B)) depends on a subset
-B only through |B| and the lattice ZB, whose rank is r(B) and whose Smith
-invariant factors multiply to m(B).  The engine therefore sums over the
-distinct lattices ZB from `lattice.sublattice_census`, a dynamic program
+B only through |B| and the lattice ZB: r(B) is its rank and m(B) its index
+in the lattice points of its rational span.  The engine therefore sums over
+the distinct lattices ZB from `lattice.sublattice_census`, a dynamic program
 over canonical Hermite normal forms, weighted by how many subsets of each
 size generate them.  The tests compare it with a raw per-subset sweep
 built on `lattice.subset_stats`.
@@ -100,18 +100,22 @@ def tutte_from_census(
 ) -> TuttePolynomial:
     """Fold a `sublattice_census` into M(x, y).
 
-    The census is first summed into {(rank, size): total weight}, with
-    weight m(B) for the arithmetic polynomial and 1 for the classical one.
+    Each lattice's row of counts by size, times its weight (m(B) for the
+    arithmetic polynomial, 1 for the classical one), is added into one row
+    per rank; the rows are then read out as {(rank, size): total weight}.
     """
-    counts: Dict[Tuple[int, int], int] = {}
-    full_rank = 0
+    by_rank: Dict[int, List[int]] = {}
     for stats, by_size in census:
         weight = stats.multiplicity if flavor == "arithmetic" else 1
-        full_rank = max(full_rank, stats.rank)
-        for size, c in enumerate(by_size):
-            if c:
-                key = (stats.rank, size)
-                counts[key] = counts.get(key, 0) + weight * c
+        acc = by_rank.get(stats.rank) or [0] * len(by_size)
+        by_rank[stats.rank] = [a + weight * c for a, c in zip(acc, by_size)]
+    full_rank = max(by_rank, default=0)
+    counts = {
+        (rank, size): c
+        for rank, row in by_rank.items()
+        for size, c in enumerate(row)
+        if c
+    }
     return TuttePolynomial(
         poly_from_rank_sizes(counts, full_rank), full_rank, ambient_rank, flavor
     )

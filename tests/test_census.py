@@ -8,26 +8,29 @@ leave member vectors and the rows above the first change alone.
 """
 
 from fractions import Fraction as Q
-from math import comb, lcm
+from hashlib import sha256
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import configs
+from tuttekit.errors import StructureError
 from tuttekit.lattice import (
     DEFAULT_CAPACITY,
     LatticeBasis,
     SubsetStats,
     VectorConfig,
     _hnf_add,
+    _key_multiplicity,
     multiplicity_lcm,
     snf_invariant_factors,
     sublattice_census,
     subset_stats,
 )
 from tuttekit.poly import MultiPoly
-from tuttekit.root_systems import RootSystemSpec, build_config
+from tuttekit.root_systems import RootSystemSpec, build_config, parse_system
 from tuttekit.tutte import (
     TUTTE_VARS,
     arithmetic_tutte_bruteforce,
@@ -234,3 +237,122 @@ class TestKernel:
         for k in range(DEFAULT_CAPACITY + 1):
             assert sum(counts[k] for _, counts in census) == comb(DEFAULT_CAPACITY, k)
         assert table(census) == table(oracle_census(config))
+
+
+class TestKeyMultiplicity:
+    """m(B) off the echelon key against the product of its Smith factors."""
+
+    @given(keys_and_vectors())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_smith_form(self, case):
+        key, _ = case
+        assert _key_multiplicity(key) == prod(snf_invariant_factors(key))
+
+    @pytest.mark.parametrize(
+        "key,m",
+        [
+            ((), 1),  # rank 0
+            (((2, 0), (0, 3)), 6),  # full rank: the pivot product
+            (((1, 5, 0), (0, 0, 1)), 1),  # pivot product 1
+            (((2, 1),), 1),  # pivot product 2, minors 2 and 1
+            (((2, 0, 4), (0, 2, 6)), 4),  # minors 4, 12 and -8
+            (((2, 1, 0), (0, 3, 3)), 3),  # minors 6, 6 and 3
+        ],
+    )
+    def test_edge_keys(self, key, m):
+        assert _key_multiplicity(key) == m == prod(snf_invariant_factors(key))
+
+
+# ----------------------------------------------------------------------
+# every census the capacity guard admits for n <= 8, pinned by hash
+
+# sha256 of repr(table(census)) for each A/B/C/D system with n <= 8 that
+# build_config accepts and that has at most DEFAULT_CAPACITY vectors,
+# recorded before the census kernel was rewritten.
+CENSUS_SHA256 = {
+    "A:1:integer": "3a8b33f385ae2e6d36c1bb06ec827f327b3298a654639926406d2d90d7e8475f",
+    "A:2:integer": "7dea05ac13a327066b0918ecc28759f6ac94b414d4834c4ade53d741e14a5ac4",
+    "A:2:root": "7dea05ac13a327066b0918ecc28759f6ac94b414d4834c4ade53d741e14a5ac4",
+    "A:2:weight": "e7be630f77759758372b7882ecd3e48b942613cb6395565bce4578dfa776b56c",
+    "A:3:integer": "d0e4768fe8bfb52e5c487264bc9d7f084670a5b4cb9934f1e87cfba193bc664f",
+    "A:3:root": "d0e4768fe8bfb52e5c487264bc9d7f084670a5b4cb9934f1e87cfba193bc664f",
+    "A:3:weight": "33dd327136e0d5f4b192586d581428a012afb8bff5e50cb7ab914a06f113f21b",
+    "A:4:integer": "1d71cb9649d2835a5f65fc11db92f4ad51f4468d15f7b2f98b40cbfc8a2897ce",
+    "A:4:root": "1d71cb9649d2835a5f65fc11db92f4ad51f4468d15f7b2f98b40cbfc8a2897ce",
+    "A:4:weight": "881875a5ddf737c2e5987dc12a0d37e7228150d8a336c38c1b497c6eec64840d",
+    "A:5:integer": "dce42ff79f3ff2de4b8d623a764add4e6fc81237e56e07a582684c6d17aec2d5",
+    "A:5:root": "dce42ff79f3ff2de4b8d623a764add4e6fc81237e56e07a582684c6d17aec2d5",
+    "A:5:weight": "52f5dba5f2837a1bf8758fd52cdd6b0d003f2ddc122f546ac3be73e3291e4163",
+    "A:6:integer": "a7292e21ecfade5346fc90b85a4e7cfef69a45f4e52398e0c665dee35ea9cc72",
+    "A:6:root": "a7292e21ecfade5346fc90b85a4e7cfef69a45f4e52398e0c665dee35ea9cc72",
+    "A:6:weight": "03aa8c7dee60843a0cd29e78c401f67960aa6e66139b57ee2510b9264c4f9d42",
+    "A:7:integer": "0607d71d6b52b36a15e1d95b35ef88a336f9f5a990ed5a36f311bd0383f68dcc",
+    "A:7:root": "0607d71d6b52b36a15e1d95b35ef88a336f9f5a990ed5a36f311bd0383f68dcc",
+    "A:7:weight": "6b6168f805e5fd3c4e8cd9f2eed4ee0838820005df9813f584c6a9e217005419",
+    "B:1:integer": "7dea05ac13a327066b0918ecc28759f6ac94b414d4834c4ade53d741e14a5ac4",
+    "B:1:root": "7dea05ac13a327066b0918ecc28759f6ac94b414d4834c4ade53d741e14a5ac4",
+    "B:1:weight": "e7be630f77759758372b7882ecd3e48b942613cb6395565bce4578dfa776b56c",
+    "B:2:integer": "1ca7ba92625207bcaf5dd40d7c6f051c91bc852f7d1b978926dc7fbf3e6ac829",
+    "B:2:root": "1ca7ba92625207bcaf5dd40d7c6f051c91bc852f7d1b978926dc7fbf3e6ac829",
+    "B:2:weight": "13d8fd197c328c563ecae3bb164533b7131acefa42590db040f0391b25fd340c",
+    "B:3:integer": "d55a9272c2cd807218a003ffc4bee0be83f249cfd6630f3025dc5585b3927e0a",
+    "B:3:root": "d55a9272c2cd807218a003ffc4bee0be83f249cfd6630f3025dc5585b3927e0a",
+    "B:3:weight": "492a53b23abc02e367d295558213db24668e3c116ebc0bffd93b0e7a1fa50a6a",
+    "B:4:integer": "a7c5fd3c807fb404b725c2ca6263817b5af2a298b68316baa5e9162b0d3ae20d",
+    "B:4:root": "a7c5fd3c807fb404b725c2ca6263817b5af2a298b68316baa5e9162b0d3ae20d",
+    "B:4:weight": "858d430578c8ea397a7a623873352f933adb074e158b1766caebeadc674396dd",
+    "B:5:integer": "9b658b1291ae5838927bc06e38fb31642491b9e6007e1bf437f2388420ec565a",
+    "B:5:root": "9b658b1291ae5838927bc06e38fb31642491b9e6007e1bf437f2388420ec565a",
+    "B:5:weight": "bf086b080befd95fe12be2f5dd4098e71bb50087de49fb12f2da4f73aac6ed63",
+    "C:1:integer": "e7be630f77759758372b7882ecd3e48b942613cb6395565bce4578dfa776b56c",
+    "C:1:root": "7dea05ac13a327066b0918ecc28759f6ac94b414d4834c4ade53d741e14a5ac4",
+    "C:1:weight": "e7be630f77759758372b7882ecd3e48b942613cb6395565bce4578dfa776b56c",
+    "C:2:integer": "13d8fd197c328c563ecae3bb164533b7131acefa42590db040f0391b25fd340c",
+    "C:2:root": "1ca7ba92625207bcaf5dd40d7c6f051c91bc852f7d1b978926dc7fbf3e6ac829",
+    "C:2:weight": "13d8fd197c328c563ecae3bb164533b7131acefa42590db040f0391b25fd340c",
+    "C:3:integer": "63a2ab03259f066defd864afe50cf76b0f564cd6c119fd917561f0fb0d5d9f82",
+    "C:3:root": "338de3ab4c95b10d52cfbbdd2e06c373babd2b9ef47376745aa6eeb4e3f91f1b",
+    "C:3:weight": "63a2ab03259f066defd864afe50cf76b0f564cd6c119fd917561f0fb0d5d9f82",
+    "C:4:integer": "31a54ccee0ab7860e6c4603650b2ea1745b276424180ac05b4151daa74f5f378",
+    "C:4:root": "a1146f1702d5367bb8d969ca5c44df64b4f49d6a1e9252c256e9855591d92c70",
+    "C:4:weight": "31a54ccee0ab7860e6c4603650b2ea1745b276424180ac05b4151daa74f5f378",
+    "C:5:integer": "78a878dfa13cb8f9e4e15b8f22993c6f7c68b08e309520f240e0f90699b5e629",
+    "C:5:root": "88101649a13e737d5f8ef214f652e51b2fd9a83726c925815286d0057730b31e",
+    "C:5:weight": "78a878dfa13cb8f9e4e15b8f22993c6f7c68b08e309520f240e0f90699b5e629",
+    "D:2:integer": "5086cdcf0fefe8663fd3a53118286ed47c2edbf6a99130769f47744319ceeb93",
+    "D:2:root": "cd7177796ac8da3f59e1de8a012105b94fda1147446a8408aca32ea71f0e2112",
+    "D:2:weight": "ca00d85534377252dc4c5e68f218b966b79e6767a51990ec7b7bf0a79dc76059",
+    "D:3:integer": "cd9049d1074e866b10f48f0ed4832e2812a0b56fa79dcbfa9f966c3650239e45",
+    "D:3:root": "1d71cb9649d2835a5f65fc11db92f4ad51f4468d15f7b2f98b40cbfc8a2897ce",
+    "D:3:weight": "881875a5ddf737c2e5987dc12a0d37e7228150d8a336c38c1b497c6eec64840d",
+    "D:4:integer": "81a379ff72818b6a0dee0bda324a3f93ebd86d6f2d93f8679d196cf7b2cb852b",
+    "D:4:root": "6a91feeed6eb586ba38484efc29ab74825f9d8cf09588e51cd0f43717d4ab9c5",
+    "D:4:weight": "0b59a992aaf43d1196547933930085acdfb13fefad608cfdcacd62ade3f783a7",
+    "D:5:integer": "01af87723bce9a9fd77038d9a5eacfd3740eec0ec220854fd5ce4386cfce8180",
+    "D:5:root": "21e77dea200c7c36f6d315c03a83563b7ea575105e2cd283d6d85aef77475fe4",
+    "D:5:weight": "08e74d096dfbe281a6bd2e3f790970a32e7f7ca2d5875213a4efa302ff5e000c",
+}
+
+
+def census_pin_specs():
+    for family in "ABCD":
+        for n in range(1, 9):
+            for kind in ("integer", "root", "weight"):
+                try:
+                    config = build_config(RootSystemSpec(family, n, kind))
+                except StructureError:
+                    continue
+                if len(config) <= DEFAULT_CAPACITY:
+                    yield f"{family}:{n}:{kind}"
+
+
+def test_census_pins_cover_every_admitted_system():
+    assert list(census_pin_specs()) == list(CENSUS_SHA256)
+    assert len(CENSUS_SHA256) == 61
+
+
+@pytest.mark.parametrize("name", list(CENSUS_SHA256))
+def test_census_matches_its_pin(name):
+    config = build_config(parse_system(name))
+    digest = sha256(repr(table(sublattice_census(config))).encode()).hexdigest()
+    assert digest == CENSUS_SHA256[name]

@@ -19,6 +19,7 @@ from tuttekit.errors import AdmissibilityError, CapacityError
 from tuttekit.finitefield import (
     DEFAULT_POINT_CAP,
     _enumerate_profile,
+    _interpolate,
     _group_histogram,
     is_prime,
     tutte_via_interpolation,
@@ -282,6 +283,41 @@ class TestInterpolation:
         monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 143)
         with pytest.raises(CapacityError):
             tutte_via_interpolation(c)
+
+    def test_histogram_not_a_multiple_of_the_scale_is_refused(self, monkeypatch):
+        # e1 in Z^2: d - r = 1, so each count at q must be a multiple of q.
+        c = VectorConfig(vectors=((1, 0),), lattice=LatticeBasis.standard(2))
+        assert tutte_via_interpolation(c).poly == arithmetic_tutte_bruteforce(c).poly
+        count = finitefield._group_histogram
+
+        def perturbed(config, q):
+            histogram = count(config, q)
+            histogram[0] = histogram.get(0, 0) + 1
+            return histogram
+
+        monkeypatch.setattr(finitefield, "_group_histogram", perturbed)
+        with pytest.raises(AdmissibilityError, match="not integral"):
+            tutte_via_interpolation(c)
+
+    @given(
+        st.lists(st.integers(-50, 50), min_size=1, max_size=7),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_interpolate_round_trips_integer_polynomials(self, coefficients, step):
+        ys = [
+            sum(c * (k * step) ** i for i, c in enumerate(coefficients))
+            for k in range(1, len(coefficients) + 1)
+        ]
+        assert _interpolate(step, ys) == coefficients
+
+    def test_interpolate_refuses_a_non_integral_polynomial(self):
+        # (X - 2) / 2 through (2, 0) and (4, 1); its values are ints.
+        with pytest.raises(AdmissibilityError, match="not integral"):
+            _interpolate(2, [0, 1])
+        # X (X - 1) / 2 is integer-valued on every node, not integral.
+        with pytest.raises(AdmissibilityError, match="not integral"):
+            _interpolate(1, [0, 1, 3])
 
 
 class TestRandomConfigurations:
