@@ -14,11 +14,11 @@ histograms.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import zip_longest
 from math import factorial, gcd, lcm
-from typing import Dict, List, Sequence
-
-import numpy as np
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 from .errors import AdmissibilityError, CapacityError
 from .lattice import VectorConfig, multiplicity_lcm, sublattice_census
@@ -33,6 +33,10 @@ from .tutte import (
 # Points counted per histogram; q^d beyond this refuses to run.  Read at
 # call time, so a test can lower it.
 DEFAULT_POINT_CAP = 200_000_000
+
+# Bytes of the point mask per counter chunk: big enough that joins and
+# carries are few, small enough to stay in cache.
+_CHUNK_BYTES = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -57,47 +61,155 @@ def _check_points(q: int, d: int) -> None:
         )
 
 
+def _spaced_bits(period: int, q: int) -> int:
+    """Bit mask of the multiples of period below q, by doubling."""
+    bits, span = 1, period
+    while span < q:
+        bits |= bits << span
+        span *= 2
+    return bits & ((1 << q) - 1)
+
+
+def _last_axis_rows(c: int, q: int, width: int) -> List[bytes]:
+    """rows[s]: the t in Z/q with c t = s (mod q), as a width-byte bit row.
+
+    With g = gcd(c, q), the solutions of c t = c t0 are t0 + (q/g) Z, and
+    t0 in [0, q/g) reaches every solvable s once; other rows are empty.
+    """
+    period = q // gcd(c, q)
+    base = _spaced_bits(period, q)
+    rows = [bytes(width)] * q
+    for t in range(period):
+        rows[c * t % q] = (base << t).to_bytes(width, "little")
+    return rows
+
+
+def _lift(c: int, q: int, below: List[bytes]) -> List[bytes]:
+    """Rows over one more leading axis, with coefficient c, per residue s.
+
+    The points (t, rest) with c t + (rest) = s are those where the rest
+    solves s - c t, so the row at s joins below[(s - c t) mod q] over t.
+    """
+    if c == 0:
+        return [row * q for row in below]
+    # doubled[s:s + q][u] is below[(s + u) mod q]; pick takes u = -c t.
+    pick = itemgetter(*[-c * t % q for t in range(q)])
+    doubled = below * 2
+    return [b"".join(pick(doubled[s : s + q])) for s in range(q)]
+
+
+def _first_axis_masks(
+    c: int, q: int, below: List[bytes], chunks: List[range]
+) -> Iterator[int]:
+    """Per chunk of first coordinates t, the mask of c t + (rest) = 0."""
+    for ts in chunks:
+        yield int.from_bytes(b"".join([below[-c * t % q] for t in ts]), "little")
+
+
+def _count_into(planes: List[int], mask: int, weight: int) -> None:
+    """Add weight at each set bit of mask to the bit-sliced counter planes.
+
+    planes[i] holds bit i of every point's count.  Each set bit of weight
+    adds mask from its own plane up, with ripple carries.
+    """
+    planes.extend([0] * (weight.bit_length() - len(planes)))
+    for low in range(weight.bit_length()):
+        if not weight >> low & 1:
+            continue
+        carry, i = mask, low
+        while carry:
+            if i == len(planes):
+                planes.append(carry)
+                break
+            planes[i], carry = planes[i] ^ carry, planes[i] & carry
+            i += 1
+
+
+def _split_counts(planes: List[int], points: int, histogram: Counter) -> None:
+    """Add to histogram[h] the points whose count in planes is h.
+
+    Splits the point mask on each plane from the top, depth first, so at
+    most one pending mask per plane is alive.
+    """
+    stack = [(points, 0, len(planes))]
+    while stack:
+        points, h, i = stack.pop()
+        if i == 0:
+            histogram[h] += points.bit_count()
+            continue
+        i -= 1
+        high = points & planes[i]
+        low = points ^ high
+        if low:
+            stack.append((low, h, i))
+        if high:
+            stack.append((high, h + (1 << i), i))
+
+
 def _group_histogram(config: VectorConfig, q: int) -> Dict[int, int]:
     """Number of points t of (Z/q)^d at which exactly h vectors vanish, per h.
 
-    The dot products over the trailing d-1 axes are formed once.  Stepping
-    the first coordinate of t then adds c_0 to each of them and subtracts q
-    where that wraps, so memory stays at |A| * q^(d-1) small integers.
+    Each vector's zero set {t : c . t = 0 (mod q)} is a bit mask over
+    (Z/q)^d, last axis fastest, with each last-axis row padded to
+    ceil(q/8) bytes.  Suffix tables give the mask: the table of axes
+    k..d-1 holds, per residue s, the rows where c_k t_k + ... = s, and
+    each axis joins the table below it.  The first axis needs only s = 0,
+    so rank 1 builds one row.  Equal rows mod q are counted once, with
+    their multiplicity as weight.
+
+    The masks go into bit-sliced counters, one plane per bit of h with
+    ripple carries, and splitting the points on the planes gives each h
+    its count by `int.bit_count`.  The counters are cut into chunks of
+    about _CHUNK_BYTES along the first axis, so each operation works on a
+    small int.  Padding bits are in no mask, so they are taken off h = 0.
+
+    Rows are sorted by reversed coefficients, so rows sharing a suffix are
+    adjacent and only the current row's d - 1 tables stay alive.  With
+    M = q^(d-1) ceil(q/8) bytes the size of a mask, live memory is about
+    (2 + log2 n) M: at most 1 + log2 n counter planes, and the tables,
+    of which the one of axes 1..d-1 is as large as a mask and each
+    further one q times smaller.
     """
     n, d = len(config), config.lattice.rank
     if n == 0 or d == 0:
         return {0: q**d}
-    # Values stay below 2q, so the smallest unsigned type holding 2q - 2
-    # suffices, and min(s, s - q) reduces s < 2q mod q: s - q wraps around
-    # to a large value exactly when s < q.
-    dtype = next(
-        t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
-        if 2 * q - 2 <= np.iinfo(t).max
-    )
-    wrap = dtype(q)
-    coords = np.array([[c % q for c in row] for row in config.coord_matrix])
-    steps = np.arange(q, dtype=np.int64)
+    width = (q + 7) // 8
+    weights = Counter(tuple(c % q for c in row) for row in config.coord_matrix)
+    # A chunk is a run of first coordinates, `block` bytes each; rank 1
+    # has one row of one block.
+    if d == 1:
+        block, chunks = width, [range(1)]
+    else:
+        block = q ** (d - 2) * width
+        step = max(1, _CHUNK_BYTES // block)
+        chunks = [range(a, min(a + step, q)) for a in range(0, q, step)]
+    counters: List[List[int]] = [[] for _ in chunks]
+    tables: List[List[bytes]] = [[] for _ in range(d)]  # tables[k], k >= 1
+    previous: Sequence[int] = ()
+    for row in sorted(weights, key=lambda r: r[::-1]):
+        if d == 1:
+            masks: Iterable[int] = [_spaced_bits(q // gcd(row[0], q), q)]
+        else:
+            # Axes from `shared` on keep the previous row's tables.
+            shared = d
+            while previous and shared > 1 and row[shared - 1] == previous[shared - 1]:
+                shared -= 1
+            for k in range(1, shared):
+                tables[k] = []
+            if shared == d:
+                tables[d - 1] = _last_axis_rows(row[d - 1], q, width)
+            for k in range(min(shared, d - 1) - 1, 0, -1):
+                tables[k] = _lift(row[k], q, tables[k + 1])
+            masks = _first_axis_masks(row[0], q, tables[1], chunks)
+        for planes, mask in zip(counters, masks):
+            _count_into(planes, mask, weights[row])
+        previous = row
 
-    def multiples(axis: int) -> np.ndarray:  # [a, t] = c_{a,axis} * t mod q
-        return (coords[:, axis, None] * steps % q).astype(dtype)
-
-    # In rank 1 there are no trailing axes, and stepping q times through
-    # one-column arrays would cost a numpy call per point: count it at once.
-    stepped = d > 1
-    tail = np.zeros((n, 1), dtype=dtype)
-    for axis in range(1 if stepped else 0, d):
-        tail = tail[:, :, None] + multiples(axis)[:, None, :]
-        tail = np.minimum(tail, tail - wrap).reshape(n, -1)
-
-    head = coords[:, :1].astype(dtype)
-    spare = np.empty_like(tail)
-    hist = np.zeros(n + 1, dtype=np.int64)
-    for _ in range(q if stepped else 1):
-        hist += np.bincount(np.count_nonzero(tail == 0, axis=0), minlength=n + 1)
-        tail += head
-        np.subtract(tail, wrap, out=spare)
-        np.minimum(tail, spare, out=tail)
-    return {h: int(c) for h, c in enumerate(hist) if c}
+    histogram: Counter = Counter()
+    for ts, planes in zip(chunks, counters):
+        _split_counts(planes, (1 << (len(ts) * block * 8)) - 1, histogram)
+    histogram[0] -= q ** (d - 1) * width * 8 - q**d  # the padding bits
+    return {h: histogram[h] for h in sorted(histogram) if histogram[h]}
 
 
 def _scaled_coboundary(psi: CoboundaryPolynomial, q: int, d: int) -> Dict[int, int]:

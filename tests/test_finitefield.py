@@ -6,6 +6,11 @@ prod t_i^(c_i) = 1 directly, so it shares no counting code with
 `_group_histogram`.  It returns {incidence count: number of points}.
 """
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 from typing import Dict
 
 import numpy as np
@@ -42,6 +47,7 @@ from tuttekit.tutte import (
 )
 
 _CHUNK_THRESHOLD = 1 << 22
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def power_table_profile(
@@ -89,6 +95,16 @@ def power_table_profile(
 
     hist_counts = np.bincount(counts)
     return {h: int(c) for h, c in enumerate(hist_counts) if c}
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports tuttekit from src/."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
 
 
 def interpolation_points(config):
@@ -329,7 +345,8 @@ class TestRandomConfigurations:
 
     @pytest.mark.parametrize("p", [127, 131, 257])
     def test_moduli_past_the_uint8_range(self, p):
-        # q = 126 fits uint8 sums (< 2q); q = 130 and 256 need uint16.
+        # Moduli around 2^7 and 2^8: last-axis rows of 16, 17 and 32 bytes,
+        # with 2, 6 and 0 padding bits.
         c = cfg("B", 2, "integer")
         assert _group_histogram(c, p - 1) == power_table_profile(c, p)
 
@@ -373,3 +390,71 @@ class TestRandomConfigurations:
             == classical_tutte_bruteforce(config).poly
         )
         assert same == (multiplicity_lcm(config) == 1)
+
+
+class TestCountEdgeCases:
+    def test_more_rows_than_a_byte_counts(self):
+        vectors = ((1, 2),) * 300 + ((3, 5),) * 10
+        c = VectorConfig(vectors=vectors, lattice=LatticeBasis.standard(2))
+        assert _group_histogram(c, 6) == power_table_profile(c, 7)
+
+    @pytest.mark.parametrize("p", [2, 5, 11, 13])
+    def test_zero_rows_and_negative_coefficients(self, p):
+        vectors = (
+            (0, 0, 0), (-1, 2, 0), (3, -4, -5), (0, 0, 0), (-2, -2, 7), (0, -3, 0),
+        )
+        c = VectorConfig(vectors=vectors, lattice=LatticeBasis.standard(3))
+        assert _group_histogram(c, p - 1) == power_table_profile(c, p)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_trivial_group(self, d):
+        # q = 1: every vector vanishes at the one point.
+        vectors = ((1,) * d, (0,) * d, (-2,) + (3,) * (d - 1))
+        c = VectorConfig(vectors=vectors, lattice=LatticeBasis.standard(d))
+        assert _group_histogram(c, 1) == power_table_profile(c, 2) == {3: 1}
+
+
+class TestPurePython:
+    def test_importing_tuttekit_loads_no_numpy(self):
+        done = run_python(
+            "import sys, tuttekit, tuttekit.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'"
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_rank_1_builds_only_residue_0(self):
+        # Rows for every residue of one axis would take q^2/8 bytes, 125 GB
+        # at q = 10^6.  The child's address space is capped at 1 GiB, so such
+        # a count fails with MemoryError instead of exhausting the host.
+        done = run_python(
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from tuttekit.finitefield import _group_histogram\n"
+            "from tuttekit.lattice import LatticeBasis, VectorConfig\n"
+            "c = VectorConfig(vectors=((2,), (3,), (0,)), "
+            "lattice=LatticeBasis.standard(1))\n"
+            "print(_group_histogram(c, 10**6))"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == repr({1: 10**6 - 2, 2: 1, 3: 1}) + "\n"
+
+    def test_live_memory_does_not_grow_with_distinct_rows(self):
+        # 25 rows with 25 distinct last coefficients: each needs its own
+        # table of axis 1, q^2/8 bytes.  Keeping them all would take 25 times
+        # that; only the current row's table may stay alive.
+        q = 2000
+        vectors = tuple((1, k) for k in range(25))
+        c = VectorConfig(vectors=vectors, lattice=LatticeBasis.standard(2))
+        tracemalloc.start()
+        try:
+            histogram = _group_histogram(c, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # As counted by the numpy counter this one replaced.
+        assert histogram == {
+            0: 3950409, 1: 49376, 2: 132, 3: 48, 4: 4, 5: 20, 6: 6, 7: 2,
+            12: 1, 13: 1, 25: 1,
+        }
+        # Eight masks of q^2/8 bytes; the count itself peaks near 4.5.
+        assert peak < 8 * q**2 // 8
