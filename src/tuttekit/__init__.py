@@ -29,7 +29,6 @@ from .genfun import (
     expand_genfun,
     extract_coboundary,
     extract_polynomial,
-    typeA_weight_series,
 )
 from .invariants import (
     InvariantReport,

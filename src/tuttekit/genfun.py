@@ -6,19 +6,21 @@ over the rationals.  Expanding the series and reading off the coefficient
 of Z^n recovers the (arithmetic) coboundary polynomial, from which the
 Tutte polynomial follows by the standard change of variables.
 
-Type A in the weight lattice is handled separately: the connected-graph
-logarithm is filtered down to every n-th term and re-exponentiated, summed
-against Euler's totient.
+Each family series is a sum of (weight, series, series) products over one
+divisor, listed by `_final_products` and read by `series.sum_of_products`:
+`expand_genfun` reads every Z^k, `extract_polynomial` only Z^n.  With
+f2 = F(2Z,Y), head = f2^(X/2-1) and u, v the family's two X-free factors,
+they are head uv; head (f2 + uv) / 2 for C, D root; head uv +
+(f2 F(-2Z,Y))^(X/4) (uv f2^(-1)) for B, D weight, regrouped from
+f2^(X/4-1) uv (f2^(X/4) + F(-2Z,Y)^(X/4)); and f2^((X-1)/2) v for the
+classical kind.  Type A weight is the totient sum sum_m phi(m)
+(exp(X cg_m) - 1), cg_m every m-th term of log F(Z,Y).
 
-The expansion runs on integer numerators end to end.  Each power is taken
-by Miller's recurrence (`TruncSeries.pow_poly`), and every product pairs a
-series that depends on X with one in Y alone.  Each of B, C, D has one
-pair u, v of factors free of X, multiplied together first, and the
-weight-lattice B/D product f2^(X/4-1) uv (f2^(X/4) + F(-2Z,Y)^(X/4)) is
-regrouped as f2^(X/2-1) uv + (f2 F(-2Z,Y))^(X/4) (uv f2^(-1)), with
-f2 = F(2Z,Y).  `extract_coboundary` reads psi = n! [Z^n] as an integer
-polynomial, and `tutte_from_series` hands it to
-`tutte.tutte_from_coboundary`, with no rational polynomial in between.
+The expansion runs on integer numerators end to end, with one monomial per
+coefficient of each X-free factor and each power taken by Miller's
+recurrence (`TruncSeries.pow_poly`).  `extract_coboundary` reads
+psi = n! [Z^n] as an integer polynomial, and `tutte_from_series` hands it
+to `tutte.tutte_from_coboundary`, with no rational polynomial in between.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import factorial, gcd
+from typing import Tuple
 
 from .errors import ExactDivisionError, StructureError
 from .poly import MultiPoly
-from .series import TruncSeries, deformed_exponential
+from .series import Products, TruncSeries, deformed_exponential, sum_of_products
 from .tutte import (
     COBOUNDARY_VARS,
     CoboundaryPolynomial,
@@ -65,29 +68,22 @@ def _x_poly(x_coeff: Q, const: Q) -> MultiPoly:
     return MultiPoly(COBOUNDARY_VARS, {(1, 0): Q(x_coeff), (0, 0): Q(const)})
 
 
-def typeA_weight_series(order: int) -> TruncSeries:
-    """Weight-lattice series for type A via totient-weighted filtered logs."""
-    if order < 1:
-        raise StructureError("order must be at least 1")
-    cg = deformed_exponential(1, order).log()
-    x = MultiPoly.var(COBOUNDARY_VARS, "X")
-    total = TruncSeries.constant(COBOUNDARY_VARS, 0, order)
-    for n in range(1, order + 1):
-        cg_n = cg.filter_every_nth(n)
-        total = total + ((cg_n * x).exp() - 1) * euler_phi(n)
-    return total
-
-
-def expand_genfun(req: GenFunRequest) -> TruncSeries:
-    """Truncated generating function for (family, lattice kind)."""
-    family, kind, order = req.family, req.lattice_kind, req.order
+def _final_products(family: str, kind: str, order: int) -> Tuple[Products, int]:
+    """The family series as (weight, series, series) products over one divisor,
+    every factor truncated at Z^order; see `series.sum_of_products`."""
     if family == "A":
-        if kind == "weight":
-            return typeA_weight_series(order)
-        # Integer and root lattices agree for type A (unimodular configuration).
-        f = deformed_exponential(1, order)
+        one = TruncSeries.constant(COBOUNDARY_VARS, 1, order)
         x = MultiPoly.var(COBOUNDARY_VARS, "X")
-        return f.pow_poly(x)
+        f = deformed_exponential(1, order)
+        if kind != "weight":
+            # Integer and root lattices agree for type A (unimodular configuration).
+            return [(1, f.pow_poly(x), one)], 1
+        # sum_m phi(m) (exp(X cg_m) - 1), cg_m every m-th term of log F(Z,Y).
+        cg = f.log()
+        return [
+            (euler_phi(m), (cg.filter_every_nth(m) * x).exp() - 1, one)
+            for m in range(1, order + 1)
+        ], 1
 
     def y_factor(a: int) -> TruncSeries:  # F(Y^a Z, Y^2), free of X
         return deformed_exponential(1, order, beta_power=2, alpha_y_power=a)
@@ -98,20 +94,25 @@ def expand_genfun(req: GenFunRequest) -> TruncSeries:
     v = y_factor(a_v)
     f2 = deformed_exponential(2, order)
     if kind == "classical":
-        return f2.pow_poly(_x_poly(Q(1, 2), Q(-1, 2))) * v  # f2^((X-1)/2)
+        return [(1, f2.pow_poly(_x_poly(Q(1, 2), Q(-1, 2))), v)], 1  # f2^((X-1)/2)
 
     uv = (v if a_u == a_v else y_factor(a_u)) * v
     head = f2.pow_poly(_x_poly(Q(1, 2), -1))  # f2^(X/2 - 1)
     if kind == "root" and family in ("C", "D"):  # bracket sum, exact halving
-        return (head * (f2 + uv)) * Q(1, 2)
+        return [(1, head, f2), (1, head, uv)], 2
     if kind == "weight" and family in ("B", "D"):
         # f2^(X/4-1) uv (f2^(X/4) + F(-2Z,Y)^(X/4)), regrouped so that every
         # product has a factor free of X.
         even = f2 * deformed_exponential(-2, order)  # even in Z
         inverse = f2.pow_poly(MultiPoly.const(COBOUNDARY_VARS, -1))
         quarter = _x_poly(Q(1, 4), 0)  # X/4
-        return head * uv + even.pow_poly(quarter) * (uv * inverse)
-    return head * uv
+        return [(1, head, uv), (1, even.pow_poly(quarter), uv * inverse)], 1
+    return [(1, head, uv)], 1
+
+
+def expand_genfun(req: GenFunRequest) -> TruncSeries:
+    """Truncated generating function for (family, lattice kind)."""
+    return sum_of_products(*_final_products(req.family, req.lattice_kind, req.order))
 
 
 def extract_coboundary(
@@ -147,5 +148,8 @@ def tutte_from_series(
 
 
 def extract_polynomial(req: GenFunRequest, n: int) -> TuttePolynomial:
-    """Tutte polynomial of the rank-n (or n-coordinate, type A) system."""
-    return tutte_from_series(expand_genfun(req), req.family, req.lattice_kind, n)
+    """Tutte polynomial of the rank-n (or n-coordinate, type A) system, from
+    the Z^n term of the family series alone."""
+    final = _final_products(req.family, req.lattice_kind, req.order)
+    z_n = sum_of_products(*final, low=n)
+    return tutte_from_series(z_n, req.family, req.lattice_kind, n)

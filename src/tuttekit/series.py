@@ -20,6 +20,8 @@ skips MultiPoly altogether: it returns factor times the Z^k coefficient as
 J. C. P. Miller's recurrence, n g_n = sum_k ((a+1)k - n) f_k g_{n-k}: one
 quadratic pass, against three for exp(a log f).  `exp` and `log` remain for
 series that need them as such (the type-A weight series).
+`sum_of_products` forms w_1 a_1 b_1 + w_2 a_2 b_2 + ... over a divisor, one
+kernel call per coefficient from Z^low up; a series product is one term.
 
 A key packs an exponent vector (e_1, ..., e_n) into one int, with the total
 degree in the top field: T * B^n + e_1 * B^(n-1) + ... + e_n, B = 2^32.
@@ -31,7 +33,7 @@ detects the overflow and raises CapacityError instead of a wrong answer.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import CapacityError, ExactDivisionError, PrecisionError, StructureError
@@ -179,11 +181,6 @@ class TruncSeries:
     # ------------------------------------------------------------------
     # ring operations
 
-    def _common_order(self, other: "TruncSeries") -> int:
-        if self.vars != other.vars:
-            raise StructureError("series over differing variable lists")
-        return min(self.order, other.order)
-
     def _operand(self, other: Union[Scalar, MultiPoly]) -> Coeff:
         """A scalar or MultiPoly operand as a coefficient pair."""
         if not isinstance(other, MultiPoly):
@@ -201,12 +198,13 @@ class TruncSeries:
             return TruncSeries._make(
                 self.vars, [_sum_of_products(nv, head)] + list(self._coeffs[1:])
             )
-        n = self._common_order(other)
+        if self.vars != other.vars:
+            raise StructureError("series over differing variable lists")
         return TruncSeries._make(
             self.vars,
             [
                 _sum_of_products(nv, ((1, a, ONE), (1, b, ONE)))
-                for a, b in zip(self._coeffs[: n + 1], other._coeffs)
+                for a, b in zip(self._coeffs, other._coeffs)  # to the lesser order
             ],
         )
 
@@ -227,15 +225,7 @@ class TruncSeries:
             return TruncSeries._make(
                 self.vars, [_sum_of_products(nv, ((1, ak, c),)) for ak in a]
             )
-        b = other._coeffs
-        n = self._common_order(other)
-        return TruncSeries._make(
-            self.vars,
-            [
-                _sum_of_products(nv, ((1, a[i], b[k - i]) for i in range(k + 1)))
-                for k in range(n + 1)
-            ],
-        )
+        return sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -315,6 +305,30 @@ class TruncSeries:
 
 
 # ----------------------------------------------------------------------
+# sums of products of series
+
+Products = Sequence[Tuple[int, TruncSeries, TruncSeries]]
+
+
+def sum_of_products(products: Products, divisor: int = 1, low: int = 0) -> TruncSeries:
+    """(w_1 a_1 b_1 + w_2 a_2 b_2 + ...) / divisor for integer weights w_i and
+    a positive integer divisor, to the least order of the factors.
+
+    Only the coefficients of Z^low and up are computed, each by one kernel
+    call; the ones below are left zero.
+    """
+    vs = products[0][1].vars
+    if any(s.vars != vs for _, a, b in products for s in (a, b)):
+        raise StructureError("series over differing variable lists")
+    order = min(min(a.order, b.order) for _, a, b in products)
+    coeffs = [ZERO] * min(low, order + 1)
+    for k in range(low, order + 1):
+        terms = ((w, a._coeffs[i], b._coeffs[k - i]) for w, a, b in products for i in range(k + 1))
+        coeffs.append(_sum_of_products(len(vs), terms, divisor))
+    return TruncSeries._make(vs, coeffs)
+
+
+# ----------------------------------------------------------------------
 # deformed exponential series
 
 
@@ -354,9 +368,16 @@ def deformed_exponential(
 
     The first argument is scale * Y^alpha_y_power * Z and the second is
     Y^beta_power, which covers every shape needed by the generating
-    functions here: F(Z,Y), F(2Z,Y), F(-2Z,Y), F(Z,Y^2), F(YZ,Y^2).
+    functions here: F(Z,Y), F(2Z,Y), F(-2Z,Y), F(Z,Y^2), F(YZ,Y^2).  Each
+    coefficient is written as its one monomial, not by `deformed_exp_general`.
     """
     vs = tuple(variables)
-    alpha = MultiPoly.var(vs, "Y", alpha_y_power) * scale
-    beta = MultiPoly.var(vs, "Y", beta_power)
-    return deformed_exp_general(alpha, beta, order)
+    (y,) = MultiPoly.var(vs, "Y").terms  # the exponents of Y itself
+    if order < 0:
+        raise StructureError("order must be non-negative")
+    coeffs = []
+    for k in range(order + 1):  # one monomial, reduced once
+        c = Q(scale) ** k / factorial(k)
+        key = _pack(tuple((alpha_y_power * k + beta_power * comb(k, 2)) * i for i in y))
+        coeffs.append(({key: c.numerator}, c.denominator) if c else ZERO)
+    return TruncSeries._make(vs, coeffs)

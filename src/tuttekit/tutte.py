@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Dict, List, Tuple
 
 from .errors import ExactDivisionError, StructureError
@@ -166,14 +166,14 @@ def tutte_from_coboundary(
     r = c.rank
     rows = c.poly.rows()  # P_i, lowest degree first
     for i, p in enumerate(rows):
-        for _ in range(r - i):  # synthetic division by y - 1
-            for k in range(len(p) - 2, -1, -1):
-                p[k] += p[k + 1]
-            if p and p.pop(0):
+        q = p[::-1]  # highest degree first: division by y - 1 is a running sum
+        for _ in range(r - i):
+            *q, rem = accumulate(q) if q else (0,)
+            if rem:  # the remainder: the row's value at y = 1
                 raise ExactDivisionError(
                     "coboundary polynomial is not divisible by (y-1)^rank; "
                     "rank mismatch upstream"
                 )
-        rows[i] = _times_y_minus_1(p, i - r)
+        rows[i] = _times_y_minus_1(q[::-1], i - r)
     poly = MultiPoly.from_rows(TUTTE_VARS, _shift_x(rows, -1))
     return TuttePolynomial(poly, r, ambient_rank, flavor)

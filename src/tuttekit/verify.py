@@ -9,7 +9,7 @@ propagate; `compute` calls one entry, `compute --method all` and
 system and lattice (the group-count checks below replace interpolation):
 
 - `bruteforce`: one sublattice census, folded into M(x, y);
-- `genfun`: the family series expanded to order n;
+- `genfun`: the Z^n coefficient of the family series, read alone;
 - `graph-dictionary`: the (signed) graph census.
 
 The first engine that runs is the baseline and reports
@@ -54,12 +54,12 @@ PASS, FAIL, SKIP = "pass", "fail", "skip"
 
 T = TypeVar("T")
 
-# In the order `compute --method all` runs them.  genfun expands to order
-# max(order, n): the Z^n coefficient does not depend on the order past n.
+# In the order `compute --method all` runs them.  genfun expands to order n
+# whatever the order asked for: the Z^n coefficient does not depend on it.
 ENGINES: Dict[str, Callable[[RootSystemSpec, int], TuttePolynomial]] = {
     "bruteforce": lambda spec, order: arithmetic_tutte_bruteforce(build_config(spec)),
     "genfun": lambda spec, order: extract_polynomial(
-        GenFunRequest(spec.family, spec.lattice_kind, max(order, spec.n)), spec.n
+        GenFunRequest(spec.family, spec.lattice_kind, spec.n), spec.n
     ),
     "graphs": lambda spec, order: graph_dictionary_tutte(
         spec.family, spec.n, spec.lattice_kind

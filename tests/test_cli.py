@@ -219,6 +219,20 @@ class TestVerify:
         assert orders == [3]
         assert CheckResult("genfun-vs-bruteforce", "pass") in results
 
+    @pytest.mark.parametrize("order", ["1", "3", "12"])
+    def test_compute_genfun_ignores_the_order(self, capsys, monkeypatch, order):
+        orders = []
+
+        def spy(req, n):
+            orders.append(req.order)
+            return extract_polynomial(req, n)
+
+        monkeypatch.setattr(verify, "extract_polynomial", spy)
+        argv = ["compute", "--method", "genfun", "--system", "B:3:weight"]
+        code, out, _ = run(capsys, *argv, "--order", order)
+        assert (code, orders) == (EXIT_OK, [3])
+        assert out == run(capsys, *argv)[1]
+
     def test_verify_deterministic(self, capsys):
         _, first, _ = run(capsys, "verify", "--system", "C:2:root", "--output", "json")
         _, second, _ = run(capsys, "verify", "--system", "C:2:root", "--output", "json")

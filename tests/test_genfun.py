@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from functools import lru_cache
 
 import pytest
 
@@ -6,13 +7,13 @@ from tuttekit.errors import ExactDivisionError, StructureError
 from tuttekit.genfun import (
     GENFUN_KINDS,
     GenFunRequest,
+    _final_products,
     _x_poly,
     euler_phi,
     expand_genfun,
     extract_coboundary,
     extract_polynomial,
     tutte_from_series,
-    typeA_weight_series,
 )
 from tuttekit.invariants import (
     closed_form_characteristic,
@@ -21,7 +22,7 @@ from tuttekit.invariants import (
 )
 from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config
-from tuttekit.series import TruncSeries, deformed_exp_general
+from tuttekit.series import TruncSeries, deformed_exp_general, sum_of_products
 from tuttekit.tables import parse_poly_terms
 from tuttekit.tutte import (
     COBOUNDARY_VARS,
@@ -58,7 +59,7 @@ class TestTypeAWeight:
 
     def test_series_order_guard(self):
         with pytest.raises(StructureError):
-            typeA_weight_series(0)
+            GenFunRequest("A", "weight", 0)
 
 
 class TestFixedRows:
@@ -116,7 +117,8 @@ class TestClosedFormsToRankTwelve:
 # ----------------------------------------------------------------------
 # Oracle: expand_genfun as it was before the series powers moved to Miller's
 # recurrence and the products were regrouped, kept verbatim apart from the
-# power exp(e log f) and the deformed exponentials of deformed_exp_general.
+# power exp(e log f) and the deformed exponentials of deformed_exp_general,
+# with the type-A weight series as the whole-series totient sum it was.
 
 
 def oracle_pow(f: TruncSeries, e: MultiPoly) -> TruncSeries:
@@ -139,11 +141,21 @@ def oracle_factors(order):
     }
 
 
+def oracle_typeA_weight_series(order: int) -> TruncSeries:
+    cg = oracle_factors(order)["F_Z_Y"].log()
+    x = MultiPoly.var(COBOUNDARY_VARS, "X")
+    total = TruncSeries.constant(COBOUNDARY_VARS, 0, order)
+    for n in range(1, order + 1):
+        cg_n = cg.filter_every_nth(n)
+        total = total + ((cg_n * x).exp() - 1) * euler_phi(n)
+    return total
+
+
 def oracle_expand_genfun(req: GenFunRequest) -> TruncSeries:
     family, kind, order = req.family, req.lattice_kind, req.order
     if family == "A":
         if kind == "weight":
-            return typeA_weight_series(order)
+            return oracle_typeA_weight_series(order)
         # Integer and root lattices agree for type A (unimodular configuration).
         f = oracle_factors(order)["F_Z_Y"]
         x = MultiPoly.var(COBOUNDARY_VARS, "X")
@@ -191,6 +203,25 @@ def test_series_match_the_unregrouped_oracle(family, kind):
     assert expand_genfun(req) == oracle_expand_genfun(req)
 
 
+@lru_cache(maxsize=None)
+def expanded(family, kind, order):
+    return expand_genfun(GenFunRequest(family, kind, order))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+@pytest.mark.parametrize("kind", GENFUN_KINDS)
+def test_zn_read_alone_matches_the_expansion(family, kind, n):
+    zero = MultiPoly.zero(COBOUNDARY_VARS)
+    for order in (n, n + 3):
+        series = expanded(family, kind, order)
+        tail = [zero] * n + [series.coefficient(k) for k in range(n, order + 1)]
+        alone = sum_of_products(*_final_products(family, kind, order), low=n)
+        assert alone == TruncSeries(tail)
+        req = GenFunRequest(family, kind, order)
+        assert extract_polynomial(req, n) == tutte_from_series(series, family, kind, n)
+
+
 class TestClassicalSeries:
     def test_b_and_c_series_coincide(self):
         b = expand_genfun(GenFunRequest("B", "classical", ORDER))
@@ -226,6 +257,8 @@ class TestExtraction:
         series = expand_genfun(GenFunRequest("B", "integer", 3))
         with pytest.raises(StructureError):
             extract_coboundary(series, "B", 4)
+        with pytest.raises(StructureError, match="exceeds series order"):
+            extract_polynomial(GenFunRequest("B", "integer", 3), 4)
 
     def test_bad_requests_rejected(self):
         with pytest.raises(StructureError):

@@ -4,9 +4,11 @@
 sha256 of its stdout and its exit code.  The hashes were generated once from
 the code that preceded the engine table (the `fixtures` lines and the `table`
 lines with one report or reports out of print order, from the code that
-preceded the one fixture lookup); a refactor that changes any output byte
-fails here.  To regenerate after a deliberate output change, run every
-argv of `ARGVS` through `tuttekit.cli.main` and hash what it prints.
+preceded the one fixture lookup, and the single-method `genfun` lines from
+the code that preceded the generating-function product lists); a refactor
+that changes any output byte fails here.  To regenerate after a deliberate
+output change, run every argv of `ARGVS` through `tuttekit.cli.main` and
+hash what it prints.
 """
 
 import hashlib
@@ -83,6 +85,14 @@ _ALL = BENCH_JOBS + [
     for report in ("tutte", "char", "ehrhart", "ehrhart,char")
     for output in ((), ("--output", "json"))
 ] + [
+    # The genfun engine alone, one Z^n coefficient per line, and once with an
+    # --order below n.
+    _compute("genfun", f"{family}:{n}:{lattice}")
+    for family in "ABCD"
+    for n in range(5, 11)
+    for lattice in ("integer", "root", "weight")
+] + [
+    _compute("genfun", "B:7:weight", "--order", "3"),
     ["fixtures"],
     ["fixtures", "--output", "json"],
     ["table", "--report", "tutte,bogus"],

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from conftest import fractions, polys
 from tuttekit.errors import CapacityError, PrecisionError, StructureError
 from tuttekit.poly import MultiPoly, Scalar
-from tuttekit.series import TruncSeries, deformed_exp_general, deformed_exponential
+from tuttekit.series import (
+    TruncSeries,
+    deformed_exp_general,
+    deformed_exponential,
+    sum_of_products,
+)
 
 XY = ("X", "Y")
 
@@ -107,6 +112,26 @@ class TestDeformedExponential:
             y = alpha_y_power * n + beta_power * comb(n, 2)
             expected = MultiPoly(XY, {(0, y): Q(scale) ** n / factorial(n)})
             assert f.coefficient(n) == expected
+
+    @pytest.mark.parametrize("scale", [1, 2, -2])
+    @pytest.mark.parametrize("beta_power", [1, 2])
+    @pytest.mark.parametrize("alpha_y_power", [0, 1])
+    def test_closed_form_matches_the_general_series(
+        self, scale, beta_power, alpha_y_power
+    ):
+        alpha = MultiPoly.var(XY, "Y", alpha_y_power) * scale
+        beta = MultiPoly.var(XY, "Y", beta_power)
+        for order in range(16):
+            closed = deformed_exponential(
+                scale, order, beta_power=beta_power, alpha_y_power=alpha_y_power
+            )
+            assert closed == deformed_exp_general(alpha, beta, order), order
+
+    def test_negative_order_refused(self):
+        with pytest.raises(StructureError, match="order must be non-negative"):
+            deformed_exponential(1, -1)
+        with pytest.raises(StructureError, match="order must be non-negative"):
+            deformed_exp_general(MultiPoly.const(XY, 1), MultiPoly.var(XY, "Y"), -1)
 
     def test_general_form(self):
         alpha = MultiPoly(XY, {(1, 0): Q(1)})  # X
@@ -428,6 +453,33 @@ class TestAgainstOracle:
             deformed_exp_general(alpha, beta, order),
             oracle_deformed_exp_general(alpha, beta, order),
         )
+
+    @given(
+        poly_lists(),
+        poly_lists(),
+        poly_lists(),
+        st.integers(-3, 3),
+        st.integers(1, 4),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sum_of_products(self, p, q, r, w, divisor, low):
+        (a, oa), (b, ob), (c, oc) = both(p), both(q), both(r)
+        full = (oa * ob + ob * oc * w) * Q(1, divisor)
+        zero = MultiPoly.zero(XY)
+        tail = [full.coefficient(k) if k >= low else zero for k in range(full.order + 1)]
+        got = sum_of_products([(1, a, b), (w, b, c)], divisor, low)
+        assert_same(got, OracleSeries(tail))
+        if low == 0:
+            assert got == (a * b + b * c * w) * Q(1, divisor)
+
+    def test_sum_of_products_refuses_differing_variables(self):
+        a = TruncSeries((MultiPoly.const(XY, 1),))
+        other = TruncSeries((MultiPoly.const(("X",), 1),))
+        with pytest.raises(StructureError, match="differing variable lists"):
+            sum_of_products([(1, a, a), (1, other, other)])
+        with pytest.raises(StructureError, match="differing variable lists"):
+            a * other
 
     @given(
         poly_lists(V5, max_exp=1, max_terms=2, min_size=3, max_size=3),
