@@ -63,7 +63,7 @@ def _tutte_payload(spec: RootSystemSpec, method: str, t: TuttePolynomial) -> dic
 def cmd_compute(args) -> int:
     spec = parse_system(args.system)
     if args.method != "all":
-        t = ENGINES[args.method](spec, args.order)
+        t = ENGINES[args.method](spec)
         if args.output == "json":
             print(_json_dump(_tutte_payload(spec, args.method, t)))
         else:
@@ -71,7 +71,7 @@ def cmd_compute(args) -> int:
             print(f"M(x,y) = {t.poly}")
         return EXIT_OK
 
-    outcomes = {m: attempt(lambda: run(spec, args.order)) for m, run in ENGINES.items()}
+    outcomes = {m: attempt(lambda: run(spec)) for m, run in ENGINES.items()}
     computed = {m: t for m, t in outcomes.items() if not isinstance(t, CapacityError)}
     if not computed:
         raise CapacityError("no method could run within its capacity guard")
@@ -205,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="compute one Tutte polynomial")
     p.add_argument("--system", required=True, help="family:n:lattice, e.g. C:2:integer")
     p.add_argument("--method", choices=(*ENGINES, "all"), default="bruteforce")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument(
+        "--order", type=int, default=DEFAULT_ORDER, help="ignored; genfun reads Z^n alone"
+    )
     common(p)
     p.set_defaults(func=cmd_compute)
 

@@ -259,8 +259,7 @@ def verify_finite_field_identity(
             f"prime {p} is inadmissible: subset multiplicity lcm {divisor} "
             f"does not divide q = {q}"
         )
-    histogram = _enumerate_profile(config, p)
-    return histogram == _scaled_coboundary(psi, q, config.lattice.rank)
+    return group_identity_holds(config, q, psi)
 
 
 def _interpolate(step: int, ys: Sequence[int]) -> List[int]:
@@ -355,5 +354,4 @@ def verify_classical_mode(
             f"field size {s} inadmissible for classical mode: "
             f"multiplicity lcm {divisor} must be prime to s - 1 = {q}"
         )
-    histogram = _enumerate_profile(config, s)
-    return histogram == _scaled_coboundary(classical_psi, q, config.lattice.rank)
+    return group_identity_holds(config, q, classical_psi)

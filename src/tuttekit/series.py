@@ -362,22 +362,19 @@ def deformed_exponential(
     *,
     beta_power: int = 1,
     alpha_y_power: int = 0,
-    variables: Iterable[str] = ("X", "Y"),
 ) -> TruncSeries:
     """Deformed exponential sum alpha^n beta^C(n,2) / n! truncated at Z^order.
 
     The first argument is scale * Y^alpha_y_power * Z and the second is
-    Y^beta_power, which covers every shape needed by the generating
-    functions here: F(Z,Y), F(2Z,Y), F(-2Z,Y), F(Z,Y^2), F(YZ,Y^2).  Each
+    Y^beta_power, over ("X", "Y"): F(Z,Y), F(2Z,Y), F(-2Z,Y), F(Z,Y^2) and
+    F(YZ,Y^2) are every shape the generating functions here need.  Each
     coefficient is written as its one monomial, not by `deformed_exp_general`.
     """
-    vs = tuple(variables)
-    (y,) = MultiPoly.var(vs, "Y").terms  # the exponents of Y itself
     if order < 0:
         raise StructureError("order must be non-negative")
     coeffs = []
     for k in range(order + 1):  # one monomial, reduced once
         c = Q(scale) ** k / factorial(k)
-        key = _pack(tuple((alpha_y_power * k + beta_power * comb(k, 2)) * i for i in y))
+        key = _pack((0, alpha_y_power * k + beta_power * comb(k, 2)))
         coeffs.append(({key: c.numerator}, c.denominator) if c else ZERO)
-    return TruncSeries._make(vs, coeffs)
+    return TruncSeries._make(("X", "Y"), coeffs)

@@ -7,7 +7,8 @@ component unbalanced.  Every census parameter depends on a graph only
 through its components, their balance, its loops and its edge count e, so
 the loopless graphs are counted by a dynamic program over the vertex pairs
 whose states are canonical component partitions with switching colourings,
-not graph by graph.  Loops are then attached analytically.  The engine
+not graph by graph.  Every census places loops through `_loop_classes`:
+a component of size s takes k >= 1 loops in C(s, k) ways.  The engine
 produces exact multi-parameter censuses and an independent route to the
 root-system Tutte polynomials through the per-graph rank and multiplicity
 dictionary.
@@ -219,27 +220,43 @@ def _graph_census(v: int, signed: bool) -> Dict[Signature, Dict[int, int]]:
 # censuses with loops, and the closed-form comparisons
 
 
+def _loop_classes(
+    sig: Signature, loops: bool
+) -> Iterable[Tuple[int, int, int, int, bool, int]]:
+    """All loop placements over a component signature.
+
+    Yields (c_plus, c_minus, c_zero, loops, has_odd_balanced, ways); a
+    component of size s takes k >= 1 loops in C(s, k) ways and then counts
+    as a loop component regardless of balance.  Without `loops` (type D)
+    only the loopless placement is yielded.
+    """
+    states: List[Tuple[int, int, int, int, bool, int]] = [(0, 0, 0, 0, False, 1)]
+    for size, balanced in sig:
+        nxt = []
+        for cp, cm, c0, l, odd, ways in states:
+            if balanced:
+                nxt.append((cp + 1, cm, c0, l, odd or size % 2 == 1, ways))
+            else:
+                nxt.append((cp, cm + 1, c0, l, odd, ways))
+            for k in range(1, size + 1 if loops else 1):
+                nxt.append((cp, cm, c0 + 1, l + k, odd, ways * comb(size, k)))
+        states = nxt
+    return states
+
+
 def master_census(v: int) -> MultiPoly:
     """Exact census polynomial over (tp, tm, t0, x, y) for signed graphs on [v].
 
-    Loops are attached analytically: a component of size s contributes
-    tp-or-tm with no loops, or t0 * ((1+x)^s - 1) once it carries loops.
+    Each loop placement of `_loop_classes` adds `ways` times the loopless
+    count at tp^c+ tm^c- t0^c0 x^l y^e.
     """
-    one_plus_x = MultiPoly(MASTER_VARS, {(0, 0, 0, 1, 0): 1, (0, 0, 0, 0, 0): 1})
-    tp = MultiPoly.var(MASTER_VARS, "tp")
-    tm = MultiPoly.var(MASTER_VARS, "tm")
-    t0 = MultiPoly.var(MASTER_VARS, "t0")
-    loopy = {}  # size -> t0 * ((1+x)^s - 1)
-    for s in range(1, v + 1):
-        loopy[s] = t0 * (one_plus_x**s - 1)
-    total = MultiPoly.zero(MASTER_VARS)
+    terms: Dict[Tuple[int, ...], int] = {}
     for sig, by_e in _graph_census(v, True).items():
-        factor = MultiPoly(MASTER_VARS, {(0, 0, 0, 0, e): c for e, c in by_e.items()})
-        for size, balanced in sig:
-            base = tp if balanced else tm
-            factor = factor * (base + loopy[size])
-        total = total + factor
-    return total
+        for cp, cm, c0, l, _, ways in _loop_classes(sig, loops=True):
+            for e, count in by_e.items():
+                key = (cp, cm, c0, l, e)
+                terms[key] = terms.get(key, 0) + ways * count
+    return MultiPoly(MASTER_VARS, terms)
 
 
 def master_genfun_theorem(order: int) -> TruncSeries:
@@ -281,12 +298,11 @@ def unsigned_genfun_theorem(order: int) -> TruncSeries:
 
 def balanced_census(v: int) -> Dict[Tuple[int, int], int]:
     """(c_plus, e) -> count of balanced signed graphs on [v]."""
-    out: Dict[Tuple[int, int], int] = {}
-    for sig, by_e in _graph_census(v, True).items():
-        if all(b for _, b in sig):
-            for e, count in by_e.items():
-                out[(len(sig), e)] = out.get((len(sig), e), 0) + count
-    return out
+    return {
+        (cp, e): count
+        for (cp, cm, c0, _, e), count in master_census(v).terms.items()
+        if cm == c0 == 0
+    }
 
 
 def marked_graph_identity_holds(v: int) -> bool:
@@ -307,30 +323,6 @@ def marked_graph_identity_holds(v: int) -> bool:
 
 # ----------------------------------------------------------------------
 # graph dictionary for the root-system Tutte polynomials
-
-
-def _loop_classes(
-    sig: Signature, loops: bool
-) -> Iterable[Tuple[int, int, int, int, bool, int]]:
-    """All loop placements over a component signature.
-
-    Yields (c_plus, c_minus, c_zero, loops, has_odd_balanced, ways); a
-    component of size s takes k >= 1 loops in C(s, k) ways and then counts
-    as a loop component regardless of balance.  Without `loops` (type D)
-    only the loopless placement is yielded.
-    """
-    states: List[Tuple[int, int, int, int, bool, int]] = [(0, 0, 0, 0, False, 1)]
-    for size, balanced in sig:
-        nxt = []
-        for cp, cm, c0, l, odd, ways in states:
-            if balanced:
-                nxt.append((cp + 1, cm, c0, l, odd or size % 2 == 1, ways))
-            else:
-                nxt.append((cp, cm + 1, c0, l, odd, ways))
-            for k in range(1, size + 1 if loops else 1):
-                nxt.append((cp, cm, c0 + 1, l + k, odd, ways * comb(size, k)))
-        states = nxt
-    return states
 
 
 def _dictionary_multiplicity(

@@ -1,6 +1,6 @@
 """The engine table, and cross-checks between the independent engines.
 
-`ENGINES` maps each `compute --method` name to a function (spec, order) ->
+`ENGINES` maps each `compute --method` name to a function spec ->
 TuttePolynomial that runs that engine and lets its own `CapacityError`
 propagate; `compute` calls one entry, `compute --method all` and
 `verify_system` walk the table through `attempt`.
@@ -54,17 +54,15 @@ PASS, FAIL, SKIP = "pass", "fail", "skip"
 
 T = TypeVar("T")
 
-# In the order `compute --method all` runs them.  genfun expands to order n
-# whatever the order asked for: the Z^n coefficient does not depend on it.
-ENGINES: Dict[str, Callable[[RootSystemSpec, int], TuttePolynomial]] = {
-    "bruteforce": lambda spec, order: arithmetic_tutte_bruteforce(build_config(spec)),
-    "genfun": lambda spec, order: extract_polynomial(
+# In the order `compute --method all` runs them.  genfun expands to order n:
+# the Z^n coefficient does not depend on any higher order.
+ENGINES: Dict[str, Callable[[RootSystemSpec], TuttePolynomial]] = {
+    "bruteforce": lambda spec: arithmetic_tutte_bruteforce(build_config(spec)),
+    "genfun": lambda spec: extract_polynomial(
         GenFunRequest(spec.family, spec.lattice_kind, spec.n), spec.n
     ),
-    "graphs": lambda spec, order: graph_dictionary_tutte(
-        spec.family, spec.n, spec.lattice_kind
-    ),
-    "finitefield": lambda spec, order: tutte_via_interpolation(build_config(spec)),
+    "graphs": lambda spec: graph_dictionary_tutte(spec.family, spec.n, spec.lattice_kind),
+    "finitefield": lambda spec: tutte_via_interpolation(build_config(spec)),
 }
 
 
@@ -128,7 +126,7 @@ def verify_system(spec: RootSystemSpec) -> List[CheckResult]:
     # checks compare directly; bruteforce folds the census that also gives L.
     outcomes = {
         _CHECK_NAMES.get(engine, engine): (
-            folded if engine == "bruteforce" else attempt(lambda: run(spec, spec.n))
+            folded if engine == "bruteforce" else attempt(lambda: run(spec))
         )
         for engine, run in ENGINES.items()
         if engine != "finitefield"

@@ -104,7 +104,7 @@ def test_criterion_4_four_way_agreement():
     t0 = time.time()
     for family, n, kind in ALL_SYSTEMS_N4:
         spec = RootSystemSpec(family, n, kind)
-        bf, gf, gd = (ENGINES[m](spec, 8) for m in ("bruteforce", "genfun", "graphs"))
+        bf, gf, gd = (ENGINES[m](spec) for m in ("bruteforce", "genfun", "graphs"))
         assert gf.poly == bf.poly, (family, n, kind, "genfun")
         assert gd.poly == bf.poly, (family, n, kind, "graphs")
         config = build_config(spec)

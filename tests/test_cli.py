@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -376,6 +377,25 @@ class TestPackage:
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         declared = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
         assert tuttekit.__version__ == declared.group(1)
+
+    def test_top_level_exports(self):
+        # The error contract of `main`, plus the entry points the demos and
+        # the README import from the top level; nothing else.
+        exported = {
+            name
+            for name, value in vars(tuttekit).items()
+            if not name.startswith("_") and not isinstance(value, ModuleType)
+        }
+        assert exported == {
+            "AdmissibilityError", "CapacityError", "ExactDivisionError",
+            "LatticeMembershipError", "PrecisionError", "SpanError",
+            "StructureError", "TutteKitError",
+            "GenFunRequest", "RootSystemSpec", "arithmetic_tutte_bruteforce",
+            "build_config", "coboundary_from_tutte", "derive_all",
+            "extract_polynomial", "graph_dictionary_tutte", "group_identity_holds",
+            "master_census", "master_genfun_theorem", "multiplicity_lcm",
+            "tutte_via_interpolation", "unsigned_census", "unsigned_genfun_theorem",
+        }
 
     @pytest.mark.parametrize(
         "argv",

@@ -140,6 +140,15 @@ class TestMarkedGraphIdentity:
     def test_holds(self, v):
         assert marked_graph_identity_holds(v)
 
+    @pytest.mark.parametrize("v", [0, 1, 2, 3, 4])
+    def test_balanced_census_matches_enumeration(self, v):
+        expected = {}
+        for sig, by_e in enumerated_census(v, True).items():
+            if all(balanced for _, balanced in sig):
+                for e, count in by_e.items():
+                    expected[(len(sig), e)] = expected.get((len(sig), e), 0) + count
+        assert balanced_census(v) == expected
+
     def test_balanced_census_example(self):
         # On 2 vertices: connected balanced graphs are the + edge and the
         # - edge; both-edges is unbalanced.

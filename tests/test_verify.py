@@ -64,7 +64,7 @@ def test_every_engine_returns_int_coefficients():
     # MultiPoly stores each integral coefficient as an int, never a Fraction.
     for spec in [RootSystemSpec("A", 1, "integer"), *SMALL_SYSTEMS]:
         for name, run in verify.ENGINES.items():
-            terms = run(spec, 8).poly.terms
+            terms = run(spec).poly.terms
             assert terms and all(type(c) is int for c in terms.values()), (spec, name)
 
 
@@ -249,8 +249,8 @@ def perturb(monkeypatch, engine):
     """Make one table entry return its polynomial plus 1."""
     real = verify.ENGINES[engine]
 
-    def perturbed(spec, order):
-        t = real(spec, order)
+    def perturbed(spec):
+        t = real(spec)
         one = MultiPoly.const(TUTTE_VARS, 1)
         return TuttePolynomial(t.poly + one, t.rank, t.ambient_rank, t.flavor)
 
