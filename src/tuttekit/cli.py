@@ -8,7 +8,8 @@ mismatch, 3 capacity guard, 4 usage error.
 
 `compute --method` takes the names of `tuttekit.verify.ENGINES` and calls
 that entry; `all` runs every entry, skips those that raise `CapacityError`
-and compares the rest.  `verify` prints one line per check of
+and compares the rest; `invariants` derives its report from the
+`bruteforce` entry.  `verify` prints one line per check of
 `tuttekit.verify.verify_system`, including its closing `cross-check` skip
 when no second engine reached a verdict; a skip's reason is the message of
 the `CapacityError` its engine raised.  Skips keep exit code 0 and any
@@ -28,9 +29,9 @@ from .errors import CapacityError, StructureError, TutteKitError
 from .genfun import DEFAULT_ORDER, GenFunRequest, expand_genfun, tutte_from_series
 from .invariants import derive_all
 from .poly import MultiPoly
-from .root_systems import RootSystemSpec, build_config, parse_system
+from .root_systems import RootSystemSpec, parse_system
 from .tables import FIXTURES, all_rows, fixture
-from .tutte import TuttePolynomial, arithmetic_tutte_bruteforce
+from .tutte import TuttePolynomial
 from .verify import ENGINES, all_passed, attempt, verify_system
 
 EXIT_OK = 0
@@ -144,8 +145,7 @@ def cmd_table(args) -> int:
 
 def cmd_invariants(args) -> int:
     spec = parse_system(args.system)
-    t = arithmetic_tutte_bruteforce(build_config(spec))
-    rep = derive_all(t)
+    rep = derive_all(ENGINES["bruteforce"](spec))
     fields = [(f.name, getattr(rep, f.name)) for f in dataclasses.fields(rep)]
     if args.output == "json":
         payload = {"system": str(spec)}

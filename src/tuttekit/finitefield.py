@@ -54,6 +54,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _field_q(p: int) -> int:
+    """q = p - 1, the order of F_p^*; refuses a p that is not prime."""
+    if not is_prime(p):
+        raise AdmissibilityError(f"{p} is not prime")
+    return p - 1
+
+
 def _check_points(q: int, d: int) -> None:
     if q**d > DEFAULT_POINT_CAP:
         raise CapacityError(
@@ -223,9 +230,7 @@ def _scaled_coboundary(psi: CoboundaryPolynomial, q: int, d: int) -> Dict[int, i
 
 def _enumerate_profile(config: VectorConfig, p: int) -> Dict[int, int]:
     """Incidence histogram over the torus (F_p^*)^d, counted as (Z/(p-1))^d."""
-    if not is_prime(p):
-        raise AdmissibilityError(f"{p} is not prime")
-    q, d = p - 1, config.lattice.rank
+    q, d = _field_q(p), config.lattice.rank
     _check_points(q, d)
     return _group_histogram(config, q)
 
@@ -251,9 +256,7 @@ def verify_finite_field_identity(
     Refuses to count when p is not prime or the multiplicity lcm does not
     divide q = p - 1; primality is checked before the census runs.
     """
-    if not is_prime(p):
-        raise AdmissibilityError(f"{p} is not prime")
-    q, divisor = p - 1, multiplicity_lcm(config)
+    q, divisor = _field_q(p), multiplicity_lcm(config)
     if q % divisor != 0:
         raise AdmissibilityError(
             f"prime {p} is inadmissible: subset multiplicity lcm {divisor} "
@@ -346,9 +349,7 @@ def verify_classical_mode(
     q^(d-r) psi_classical(q, Y).
     """
     s = field_size
-    if not is_prime(s):
-        raise AdmissibilityError(f"{s} is not prime")
-    q, divisor = s - 1, multiplicity_lcm(config)
+    q, divisor = _field_q(s), multiplicity_lcm(config)
     if gcd(divisor, q) != 1:
         raise AdmissibilityError(
             f"field size {s} inadmissible for classical mode: "

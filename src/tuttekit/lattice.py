@@ -175,11 +175,6 @@ class VectorConfig:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def subset_columns(self, indices: Sequence[int]) -> List[List[int]]:
-        """Lattice-coordinate matrix of a subset: d rows, one column per index."""
-        d = self.lattice.rank
-        return [[self.coord_matrix[j][i] for j in indices] for i in range(d)]
-
 
 @dataclass(frozen=True)
 class SubsetStats:
@@ -282,17 +277,6 @@ def snf_invariant_factors(rows: Sequence[Sequence[int]]) -> List[int]:
             g = gcd(a, b)
             factors[i], factors[j] = g, a * b // g if g else 0
     return sorted(f for f in factors if f != 0)
-
-
-def subset_stats(config: VectorConfig, subset: Sequence[int]) -> SubsetStats:
-    """Rank and multiplicity of a subset of a vector configuration."""
-    indices = list(subset)
-    for i in indices:
-        if not 0 <= i < len(config):
-            raise StructureError(f"subset index {i} out of range")
-    cols = config.subset_columns(indices)
-    mult = prod(snf_invariant_factors(cols))
-    return SubsetStats(rank=int_matrix_rank(cols), multiplicity=mult)
 
 
 def _hnf_add(

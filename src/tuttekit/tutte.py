@@ -6,7 +6,7 @@ in the lattice points of its rational span.  The engine therefore sums over
 the distinct lattices ZB from `lattice.sublattice_census`, a dynamic program
 over canonical Hermite normal forms, weighted by how many subsets of each
 size generate them.  The tests compare it with a raw per-subset sweep
-built on `lattice.subset_stats`.
+built on the one-Smith-form oracle `subset_stats` of `tests/oracles.py`.
 
 The rank/size sum and both coboundary transforms are arithmetic on the
 rows of `MultiPoly.rows` around one kernel, `_shift_x`: P(x, y) -> P(x + a, y).

@@ -1,0 +1,153 @@
+"""Brute-force oracles that the tests check the engines against.
+
+Nothing in the CLI, the engines, `verify`, the demos or the benchmark
+reaches these; they read one graph or one subset at a time, straight from
+the definitions, which is what makes them oracles.
+
+- `component_stats` gives the six enumeration parameters of one signed
+  graph (`SignedGraph`, read into `GraphStats`) through a union-find with
+  edge parities, `_ParityUnionFind`.  It is the per-graph oracle of the
+  edge fold and the loop rule in `tuttekit.signed_graphs`.
+- `subset_stats` gives the rank and multiplicity of one subset of a vector
+  configuration from one Smith normal form of `subset_columns`.  It is the
+  per-subset oracle of `tuttekit.lattice.sublattice_census`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import prod
+from typing import Dict, FrozenSet, List, Sequence, Tuple
+
+from tuttekit.errors import StructureError
+from tuttekit.lattice import (
+    SubsetStats,
+    VectorConfig,
+    int_matrix_rank,
+    snf_invariant_factors,
+)
+
+
+# ----------------------------------------------------------------------
+# one signed graph
+
+
+@dataclass(frozen=True)
+class SignedGraph:
+    v: int
+    pos_edges: FrozenSet[Tuple[int, int]]
+    neg_edges: FrozenSet[Tuple[int, int]]
+    loops: FrozenSet[int]
+
+    def __post_init__(self):
+        for i, j in list(self.pos_edges) + list(self.neg_edges):
+            if not (0 <= i < j < self.v):
+                raise StructureError(f"bad edge ({i}, {j}) on {self.v} vertices")
+        for i in self.loops:
+            if not 0 <= i < self.v:
+                raise StructureError(f"bad loop vertex {i}")
+
+
+@dataclass(frozen=True)
+class GraphStats:
+    c_plus: int
+    c_minus: int
+    c_zero: int
+    l: int
+    e: int
+    v: int
+
+
+class _ParityUnionFind:
+    """Union-find with edge parities; tracks per-component balance."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.parity = [0] * n  # parity of the path to the parent
+        self.balanced = [True] * n  # valid at roots
+
+    def _find_with_parity(self, a: int) -> Tuple[int, int]:
+        if self.parent[a] == a:
+            return a, 0
+        root, p = self._find_with_parity(self.parent[a])
+        self.parent[a] = root
+        self.parity[a] ^= p
+        return root, self.parity[a]
+
+    def union(self, a: int, b: int, sign_parity: int) -> None:
+        """Join a and b with an edge of the given parity (1 = negative)."""
+        ra, pa = self._find_with_parity(a)
+        rb, pb = self._find_with_parity(b)
+        if ra == rb:
+            if (pa ^ pb) != sign_parity:
+                self.balanced[ra] = False
+            return
+        bal = self.balanced[ra] and self.balanced[rb]
+        self.parent[rb] = ra
+        self.parity[rb] = pa ^ pb ^ sign_parity
+        self.balanced[ra] = bal
+
+    def mark_unbalanced(self, a: int) -> None:
+        ra, _ = self._find_with_parity(a)
+        self.balanced[ra] = False
+
+    def components(self) -> Dict[int, Tuple[int, bool]]:
+        """root -> (size, balanced)."""
+        out: Dict[int, List] = {}
+        for a in range(len(self.parent)):
+            ra, _ = self._find_with_parity(a)
+            if ra not in out:
+                out[ra] = [0, self.balanced[ra]]
+            out[ra][0] += 1
+        return {r: (s, b) for r, (s, b) in out.items()}
+
+
+def component_stats(g: SignedGraph) -> GraphStats:
+    """The six enumeration parameters of a signed graph."""
+    uf = _ParityUnionFind(g.v)
+    for i, j in g.pos_edges:
+        uf.union(i, j, 0)
+    for i, j in g.neg_edges:
+        uf.union(i, j, 1)
+    loop_roots = set()
+    for i in g.loops:
+        uf.mark_unbalanced(i)
+    for i in g.loops:
+        loop_roots.add(uf._find_with_parity(i)[0])
+    c_plus = c_minus = c_zero = 0
+    for root, (_, balanced) in uf.components().items():
+        if root in loop_roots:
+            c_zero += 1
+        elif balanced:
+            c_plus += 1
+        else:
+            c_minus += 1
+    return GraphStats(
+        c_plus=c_plus,
+        c_minus=c_minus,
+        c_zero=c_zero,
+        l=len(g.loops),
+        e=len(g.pos_edges) + len(g.neg_edges),
+        v=g.v,
+    )
+
+
+# ----------------------------------------------------------------------
+# one subset of a vector configuration
+
+
+def subset_columns(config: VectorConfig, indices: Sequence[int]) -> List[List[int]]:
+    """Lattice-coordinate matrix of a subset: d rows, one column per index."""
+    d = config.lattice.rank
+    return [[config.coord_matrix[j][i] for j in indices] for i in range(d)]
+
+
+def subset_stats(config: VectorConfig, subset: Sequence[int]) -> SubsetStats:
+    """Rank and multiplicity of a subset of a vector configuration."""
+    indices = list(subset)
+    for i in indices:
+        if not 0 <= i < len(config):
+            raise StructureError(f"subset index {i} out of range")
+    cols = subset_columns(config, indices)
+    mult = prod(snf_invariant_factors(cols))
+    return SubsetStats(rank=int_matrix_rank(cols), multiplicity=mult)

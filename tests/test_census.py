@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import configs
+from oracles import subset_stats
 from tuttekit.errors import StructureError
 from tuttekit.lattice import (
     DEFAULT_CAPACITY,
@@ -27,7 +28,6 @@ from tuttekit.lattice import (
     multiplicity_lcm,
     snf_invariant_factors,
     sublattice_census,
-    subset_stats,
 )
 from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config, parse_system

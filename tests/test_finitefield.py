@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import configs
+from oracles import subset_stats
 from tuttekit import finitefield, lattice
 from tuttekit.errors import AdmissibilityError, CapacityError
 from tuttekit.finitefield import (
@@ -31,12 +32,7 @@ from tuttekit.finitefield import (
     verify_classical_mode,
     verify_finite_field_identity,
 )
-from tuttekit.lattice import (
-    LatticeBasis,
-    VectorConfig,
-    multiplicity_lcm,
-    subset_stats,
-)
+from tuttekit.lattice import LatticeBasis, VectorConfig, multiplicity_lcm
 from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config
 from tuttekit.tutte import (
@@ -263,8 +259,9 @@ class TestInterpolation:
         tutte_via_interpolation(cfg("C", 2, "integer"))
         assert seen == [4, 8, 12]
 
-    def test_one_census_and_no_subset_stats(self, monkeypatch):
-        # The census gives both L and the rank r.
+    def test_one_census_and_no_smith_form(self, monkeypatch):
+        # The census gives both L and the rank r, with no Smith normal form
+        # of any subset.
         systems = [cfg("C", 3, "integer"), cfg("A", 4, "weight")]
         expected = [arithmetic_tutte_bruteforce(c).poly for c in systems]
         censuses = []
@@ -275,13 +272,13 @@ class TestInterpolation:
             return census(config)
 
         def refuse(*_):
-            raise AssertionError("subset_stats called")
+            raise AssertionError("snf_invariant_factors called")
 
         for module in (lattice, finitefield):
             if hasattr(module, "sublattice_census"):
                 monkeypatch.setattr(module, "sublattice_census", spy)
-            if hasattr(module, "subset_stats"):
-                monkeypatch.setattr(module, "subset_stats", refuse)
+            if hasattr(module, "snf_invariant_factors"):
+                monkeypatch.setattr(module, "snf_invariant_factors", refuse)
         for c, poly in zip(systems, expected):
             del censuses[:]
             assert tutte_via_interpolation(c).poly == poly

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import configs, int_matrices
+from oracles import subset_stats
 from tuttekit.errors import (
     CapacityError,
     LatticeMembershipError,
@@ -18,7 +19,6 @@ from tuttekit.lattice import (
     int_matrix_rank,
     multiplicity_lcm,
     snf_invariant_factors,
-    subset_stats,
 )
 
 

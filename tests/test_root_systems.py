@@ -3,8 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+from oracles import subset_stats
 from tuttekit.errors import StructureError
-from tuttekit.lattice import int_matrix_rank, subset_stats
+from tuttekit.lattice import int_matrix_rank
 from tuttekit.root_systems import (
     FAMILIES,
     LATTICE_KINDS,

@@ -1,19 +1,17 @@
+from itertools import product
 from math import factorial
 
 import pytest
 
+from oracles import GraphStats, SignedGraph, _ParityUnionFind, component_stats
 from tuttekit import signed_graphs
 from tuttekit.errors import CapacityError
 from tuttekit.lattice import sublattice_census
 from tuttekit.root_systems import RootSystemSpec, build_config
 from tuttekit.signed_graphs import (
-    GraphStats,
-    SignedGraph,
     _edge_fold,
     _graph_census,
-    _ParityUnionFind,
     balanced_census,
-    component_stats,
     graph_dictionary_tutte,
     marked_graph_identity_holds,
     master_census,
@@ -85,6 +83,25 @@ def enumerated_census(v, signed):
     return counts
 
 
+def enumerated_loop_census(v):
+    """The master census by brute force over every signed graph with loops.
+
+    Each of the 4^C(v,2) edge choices of `enumerated_census` is taken with
+    each of the 2^v loop sets, and `component_stats` reads every graph;
+    the counts are summed per (c+, c-, c0, l, e).
+    """
+    pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
+    counts = {}
+    for states in product(range(4), repeat=len(pairs)):
+        pos = [pair for pair, state in zip(pairs, states) if state & 1]
+        neg = [pair for pair, state in zip(pairs, states) if state & 2]
+        for mask in range(1 << v):
+            s = component_stats(G(v, pos, neg, [i for i in range(v) if mask >> i & 1]))
+            key = (s.c_plus, s.c_minus, s.c_zero, s.l, s.e)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 class TestEdgeFold:
     @pytest.mark.parametrize("v", [0, 1, 2, 3, 4])
     def test_signed_matches_enumeration(self, v):
@@ -112,6 +129,12 @@ class TestMasterCensus:
     def test_census_matches_theorem(self, v):
         thm = master_genfun_theorem(6)
         assert master_census(v) == thm.coefficient(v) * factorial(v)
+
+    # The loop rule of `_loop_classes` against every graph with loops; v = 4
+    # (2^16 graphs, about a second) also matches but is left out of tier-1.
+    @pytest.mark.parametrize("v", [0, 1, 2, 3])
+    def test_census_matches_enumeration_with_loops(self, v):
+        assert master_census(v).terms == enumerated_loop_census(v)
 
     def test_census_total_counts_all_graphs(self):
         # 4 states per pair, 2 per vertex loop slot.
