@@ -77,7 +77,7 @@ def cmd_compute(args) -> int:
     if not computed:
         raise CapacityError("no method could run within its capacity guard")
     first = next(iter(computed.values()))
-    agree = all(t.poly == first.poly for t in computed.values())
+    agree = all(t == first for t in computed.values())  # the whole record
     if args.output == "json":
         payload = _tutte_payload(spec, "all", first)
         payload["methods_run"] = sorted(computed)

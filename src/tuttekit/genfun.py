@@ -32,6 +32,7 @@ from typing import Tuple
 
 from .errors import ExactDivisionError, StructureError
 from .poly import MultiPoly
+from .root_systems import FAMILIES, LATTICE_KINDS
 from .series import Products, TruncSeries, deformed_exponential, sum_of_products
 from .tutte import (
     COBOUNDARY_VARS,
@@ -42,7 +43,7 @@ from .tutte import (
 
 DEFAULT_ORDER = 8
 
-GENFUN_KINDS = ("integer", "root", "weight", "classical")
+GENFUN_KINDS = LATTICE_KINDS + ("classical",)
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class GenFunRequest:
     order: int
 
     def __post_init__(self):
-        if self.family not in "ABCD" or len(self.family) != 1:
+        if self.family not in FAMILIES:
             raise StructureError(f"unknown family {self.family!r}")
         if self.lattice_kind not in GENFUN_KINDS:
             raise StructureError(f"unknown lattice kind {self.lattice_kind!r}")
@@ -68,13 +69,18 @@ def _x_poly(x_coeff: Q, const: Q) -> MultiPoly:
     return MultiPoly(COBOUNDARY_VARS, {(1, 0): Q(x_coeff), (0, 0): Q(const)})
 
 
+def _y(power: int, scale: int = 1) -> MultiPoly:
+    """scale * Y^power: the alpha or beta of an X-free deformed exponential."""
+    return MultiPoly.var(COBOUNDARY_VARS, "Y", power) * scale
+
+
 def _final_products(family: str, kind: str, order: int) -> Tuple[Products, int]:
     """The family series as (weight, series, series) products over one divisor,
     every factor truncated at Z^order; see `series.sum_of_products`."""
     if family == "A":
         one = TruncSeries.constant(COBOUNDARY_VARS, 1, order)
         x = MultiPoly.var(COBOUNDARY_VARS, "X")
-        f = deformed_exponential(1, order)
+        f = deformed_exponential(_y(0), _y(1), order)  # F(Z,Y)
         if kind != "weight":
             # Integer and root lattices agree for type A (unimodular configuration).
             return [(1, f.pow_poly(x), one)], 1
@@ -86,13 +92,13 @@ def _final_products(family: str, kind: str, order: int) -> Tuple[Products, int]:
         ], 1
 
     def y_factor(a: int) -> TruncSeries:  # F(Y^a Z, Y^2), free of X
-        return deformed_exponential(1, order, beta_power=2, alpha_y_power=a)
+        return deformed_exponential(_y(a), _y(2), order)
 
     # One pair u, v per family: B (F(Z,Y^2), F(YZ,Y^2)), C both F(YZ,Y^2),
     # D both F(Z,Y^2).
     a_u, a_v = {"B": (0, 1), "C": (1, 1), "D": (0, 0)}[family]
     v = y_factor(a_v)
-    f2 = deformed_exponential(2, order)
+    f2 = deformed_exponential(_y(0, 2), _y(1), order)  # F(2Z,Y)
     if kind == "classical":
         return [(1, f2.pow_poly(_x_poly(Q(1, 2), Q(-1, 2))), v)], 1  # f2^((X-1)/2)
 
@@ -103,7 +109,7 @@ def _final_products(family: str, kind: str, order: int) -> Tuple[Products, int]:
     if kind == "weight" and family in ("B", "D"):
         # f2^(X/4-1) uv (f2^(X/4) + F(-2Z,Y)^(X/4)), regrouped so that every
         # product has a factor free of X.
-        even = f2 * deformed_exponential(-2, order)  # even in Z
+        even = f2 * deformed_exponential(_y(0, -2), _y(1), order)  # even in Z
         inverse = f2.pow_poly(MultiPoly.const(COBOUNDARY_VARS, -1))
         quarter = _x_poly(Q(1, 4), 0)  # X/4
         return [(1, head, uv), (1, even.pow_poly(quarter), uv * inverse)], 1

@@ -295,14 +295,6 @@ class TruncSeries:
             [c if k % n == 0 else ZERO for k, c in enumerate(self._coeffs)],
         )
 
-    def __str__(self) -> str:
-        parts = [
-            f"({self.coefficient(k)})*Z^{k}"
-            for k, (nums, _) in enumerate(self._coeffs)
-            if nums
-        ]
-        return " + ".join(parts) if parts else "0"
-
 
 # ----------------------------------------------------------------------
 # sums of products of series
@@ -332,49 +324,35 @@ def sum_of_products(products: Products, divisor: int = 1, low: int = 0) -> Trunc
 # deformed exponential series
 
 
-def deformed_exp_general(
-    alpha: MultiPoly, beta: MultiPoly, order: int
-) -> TruncSeries:
-    """Series whose Z^n coefficient is alpha^n * beta^C(n,2) / n!.
+def deformed_exponential(alpha: MultiPoly, beta: MultiPoly, order: int) -> TruncSeries:
+    """The deformed exponential F(alpha Z, beta): its Z^n coefficient is
+    alpha^n * beta^C(n,2) / n!, over the variables of alpha and beta.
 
-    alpha and beta are polynomials in the coefficient variables; alpha is
-    the coefficient of Z in the first argument of the deformed exponential.
+    When alpha has at most one term and beta exactly one, as in every factor
+    of the generating functions, each coefficient is written as its one
+    monomial.  Otherwise alpha^n, beta^n and beta^C(n,2) are carried from one
+    coefficient to the next by products.
     """
     if alpha.vars != beta.vars:
         raise StructureError("alpha and beta over differing variable lists")
     if order < 0:
         raise StructureError("order must be non-negative")
-    a, b, nv = _from_poly(alpha), _from_poly(beta), len(alpha.vars)
+    vs, nv = alpha.vars, len(alpha.vars)
+    coeffs = []
+    if len(alpha.terms) <= 1 and len(beta.terms) == 1:
+        e_a, c_a = next(iter(alpha.terms.items()), ((0,) * nv, 0))
+        ((e_b, c_b),) = beta.terms.items()
+        for n in range(order + 1):  # one monomial, reduced once
+            c = Q(c_a) ** n * Q(c_b) ** comb(n, 2) / factorial(n)
+            key = _pack(tuple(n * i + comb(n, 2) * j for i, j in zip(e_a, e_b)))
+            coeffs.append(({key: c.numerator}, c.denominator) if c else ZERO)
+        return TruncSeries._make(vs, coeffs)
+    a, b = _from_poly(alpha), _from_poly(beta)
     # alpha^n, beta^n and beta^C(n,2); C(n+1,2) = C(n,2) + n.
     a_n = b_n = b_c2 = ONE
-    coeffs = []
     for n in range(order + 1):
         coeffs.append(_sum_of_products(nv, ((1, a_n, b_c2),), factorial(n)))
         a_n = _sum_of_products(nv, ((1, a_n, a),))
         b_c2 = _sum_of_products(nv, ((1, b_c2, b_n),))
         b_n = _sum_of_products(nv, ((1, b_n, b),))
-    return TruncSeries._make(alpha.vars, coeffs)
-
-
-def deformed_exponential(
-    scale: Scalar,
-    order: int,
-    *,
-    beta_power: int = 1,
-    alpha_y_power: int = 0,
-) -> TruncSeries:
-    """Deformed exponential sum alpha^n beta^C(n,2) / n! truncated at Z^order.
-
-    The first argument is scale * Y^alpha_y_power * Z and the second is
-    Y^beta_power, over ("X", "Y"): F(Z,Y), F(2Z,Y), F(-2Z,Y), F(Z,Y^2) and
-    F(YZ,Y^2) are every shape the generating functions here need.  Each
-    coefficient is written as its one monomial, not by `deformed_exp_general`.
-    """
-    if order < 0:
-        raise StructureError("order must be non-negative")
-    coeffs = []
-    for k in range(order + 1):  # one monomial, reduced once
-        c = Q(scale) ** k / factorial(k)
-        key = _pack((0, alpha_y_power * k + beta_power * comb(k, 2)))
-        coeffs.append(({key: c.numerator}, c.denominator) if c else ZERO)
-    return TruncSeries._make(("X", "Y"), coeffs)
+    return TruncSeries._make(vs, coeffs)

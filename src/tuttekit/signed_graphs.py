@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import CapacityError, StructureError
 from .poly import MultiPoly
-from .series import TruncSeries, deformed_exp_general
+from .series import TruncSeries, deformed_exponential
 from .tutte import TuttePolynomial, poly_from_rank_sizes
 
 MASTER_VARS = ("tp", "tm", "t0", "x", "y")
@@ -168,11 +168,11 @@ def master_genfun_theorem(order: int) -> TruncSeries:
     tm = MultiPoly.var(MASTER_VARS, "tm")
     t0 = MultiPoly.var(MASTER_VARS, "t0")
     half = MultiPoly.const(MASTER_VARS, 1) * Q(1, 2)
-    f_a = deformed_exp_general(two, one_plus_y, order)
-    f_b = deformed_exp_general(
+    f_a = deformed_exponential(two, one_plus_y, order)
+    f_b = deformed_exponential(
         MultiPoly.const(MASTER_VARS, 1), one_plus_y**2, order
     )
-    f_c = deformed_exp_general(one_plus_x, one_plus_y**2, order)
+    f_c = deformed_exponential(one_plus_x, one_plus_y**2, order)
     return (
         f_a.pow_poly((tp - tm) * half)
         * f_b.pow_poly(tm - t0)
@@ -192,7 +192,7 @@ def unsigned_census(v: int) -> MultiPoly:
 def unsigned_genfun_theorem(order: int) -> TruncSeries:
     """F(z, 1+y)^t truncated at z^order, over (t, y)."""
     one_plus_y = MultiPoly(UNSIGNED_VARS, {(0, 1): 1, (0, 0): 1})
-    f = deformed_exp_general(MultiPoly.const(UNSIGNED_VARS, 1), one_plus_y, order)
+    f = deformed_exponential(MultiPoly.const(UNSIGNED_VARS, 1), one_plus_y, order)
     return f.pow_poly(MultiPoly.var(UNSIGNED_VARS, "t"))
 
 

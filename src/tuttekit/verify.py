@@ -14,8 +14,9 @@ system and lattice (the group-count checks below replace interpolation):
 
 The first engine that runs is the baseline and reports
 `<engine>: pass (taken as baseline)`; each later engine reports
-`<engine>-vs-<baseline engine>`.  One coboundary polynomial psi of the
-baseline then feeds every structural check:
+`<engine>-vs-<baseline engine>`, which passes when the whole Tutte record
+agrees: polynomial, rank, ambient rank and flavor.  One coboundary
+polynomial psi of the baseline then feeds every structural check:
 
 - `coboundary-at-Y1`: psi(X, 1) = X^r;
 - `finite-field-q{L}` and `finite-field-q{2L}`: the histogram over (Z/q)^d
@@ -141,8 +142,8 @@ def verify_system(spec: RootSystemSpec) -> List[CheckResult]:
             baseline_name, baseline = engine, t
             results.append(CheckResult(engine, PASS, "taken as baseline"))
         else:
-            ok = t.poly == baseline.poly
-            detail = "" if ok else f"{t.poly} != {baseline.poly}"
+            ok = t == baseline  # polynomial, both ranks and flavor
+            detail = "" if ok else f"{t!r} != {baseline!r}"
             results.append(
                 CheckResult(f"{engine}-vs-{baseline_name}", PASS if ok else FAIL, detail)
             )

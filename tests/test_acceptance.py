@@ -40,6 +40,7 @@ from tuttekit.signed_graphs import (
 )
 from tuttekit.tables import all_rows, fixture, parse_poly_terms
 from tuttekit.tutte import (
+    COBOUNDARY_VARS,
     arithmetic_tutte_bruteforce,
     classical_tutte_bruteforce,
     coboundary_from_tutte,
@@ -186,7 +187,8 @@ def test_criterion_9_property_suite():
             collapsed[i] = collapsed.get(i, 0) + c
         assert {i: c for i, c in collapsed.items() if c} == {t.rank: 1}
     # exp/log round trip on a nontrivial series.
-    f = deformed_exponential(2, 7)
+    y = MultiPoly.var(COBOUNDARY_VARS, "Y")
+    f = deformed_exponential(y * 2, y, 7)  # F(2Z, Y)
     assert f.log().exp() == f
     # SNF invariance under unimodular row/column operations.
     m = [[4, 6, 2], [2, 8, 10], [0, 4, 2]]

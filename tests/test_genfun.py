@@ -1,5 +1,6 @@
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 
@@ -22,7 +23,7 @@ from tuttekit.invariants import (
 )
 from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config
-from tuttekit.series import TruncSeries, deformed_exp_general, sum_of_products
+from tuttekit.series import TruncSeries, sum_of_products
 from tuttekit.tables import parse_poly_terms
 from tuttekit.tutte import (
     COBOUNDARY_VARS,
@@ -117,7 +118,7 @@ class TestClosedFormsToRankTwelve:
 # ----------------------------------------------------------------------
 # Oracle: expand_genfun as it was before the series powers moved to Miller's
 # recurrence and the products were regrouped, kept verbatim apart from the
-# power exp(e log f) and the deformed exponentials of deformed_exp_general,
+# power exp(e log f) and the deformed exponentials, built from MultiPoly products,
 # with the type-A weight series as the whole-series totient sum it was.
 
 
@@ -129,8 +130,12 @@ def oracle_factors(order):
     vs = COBOUNDARY_VARS
 
     def shape(scale, beta_power=1, alpha_y_power=0):
+        # F(alpha Z, beta): alpha^n beta^C(n,2) / n! at Z^n.
         alpha = MultiPoly.var(vs, "Y", alpha_y_power) * scale
-        return deformed_exp_general(alpha, MultiPoly.var(vs, "Y", beta_power), order)
+        beta = MultiPoly.var(vs, "Y", beta_power)
+        return TruncSeries(
+            [alpha**n * beta ** comb(n, 2) * Q(1, factorial(n)) for n in range(order + 1)]
+        )
 
     return {
         "F_Z_Y": shape(1),

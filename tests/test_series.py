@@ -1,6 +1,7 @@
 from fractions import Fraction as Q
 from math import comb, factorial
 from typing import Iterable, List, Sequence, Union
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +10,15 @@ from hypothesis import strategies as st
 from conftest import fractions, polys
 from tuttekit.errors import CapacityError, PrecisionError, StructureError
 from tuttekit.poly import MultiPoly, Scalar
-from tuttekit.series import (
-    TruncSeries,
-    deformed_exp_general,
-    deformed_exponential,
-    sum_of_products,
-)
+from tuttekit.series import TruncSeries, deformed_exponential, sum_of_products
+from tuttekit.signed_graphs import MASTER_VARS
 
 XY = ("X", "Y")
+
+
+def y_mono(power: int, scale: Scalar = 1) -> MultiPoly:
+    """scale * Y^power over (X, Y): alpha and beta of the genfun factors."""
+    return MultiPoly.var(XY, "Y", power) * scale
 
 
 def series_from_polys(poly_list):
@@ -84,7 +86,7 @@ class TestExpLog:
 class TestDeformedExponential:
     def test_coefficients_match_definition(self):
         # F(aZ, Y): coefficient of Z^n is a^n Y^C(n,2) / n!
-        f = deformed_exponential(2, 6)
+        f = deformed_exponential(y_mono(0, 2), y_mono(1), 6)
         for n in range(7):
             expected = MultiPoly(
                 XY, {(0, comb(n, 2)): Q(2**n, factorial(n))}
@@ -93,7 +95,7 @@ class TestDeformedExponential:
 
     def test_beta_power_and_alpha_y(self):
         # F(YZ, Y^2): coefficient of Z^n is Y^n (Y^2)^C(n,2) / n!
-        f = deformed_exponential(1, 5, beta_power=2, alpha_y_power=1)
+        f = deformed_exponential(y_mono(1), y_mono(2), 5)
         for n in range(6):
             expected = MultiPoly(XY, {(0, n + 2 * comb(n, 2)): Q(1, factorial(n))})
             assert f.coefficient(n) == expected
@@ -105,9 +107,7 @@ class TestDeformedExponential:
     def test_factor_shapes_match_definition(self, scale, beta_power, alpha_y_power):
         # The first five are the shapes of genfun._factors.  The Z^n
         # coefficient is scale^n / n! * Y^(alpha_y_power n + beta_power C(n,2)).
-        f = deformed_exponential(
-            scale, 12, beta_power=beta_power, alpha_y_power=alpha_y_power
-        )
+        f = deformed_exponential(y_mono(alpha_y_power, scale), y_mono(beta_power), 12)
         for n in range(13):
             y = alpha_y_power * n + beta_power * comb(n, 2)
             expected = MultiPoly(XY, {(0, y): Q(scale) ** n / factorial(n)})
@@ -116,27 +116,22 @@ class TestDeformedExponential:
     @pytest.mark.parametrize("scale", [1, 2, -2])
     @pytest.mark.parametrize("beta_power", [1, 2])
     @pytest.mark.parametrize("alpha_y_power", [0, 1])
-    def test_closed_form_matches_the_general_series(
-        self, scale, beta_power, alpha_y_power
-    ):
-        alpha = MultiPoly.var(XY, "Y", alpha_y_power) * scale
-        beta = MultiPoly.var(XY, "Y", beta_power)
+    def test_closed_form_matches_the_oracle(self, scale, beta_power, alpha_y_power):
+        alpha, beta = y_mono(alpha_y_power, scale), y_mono(beta_power)
         for order in range(16):
-            closed = deformed_exponential(
-                scale, order, beta_power=beta_power, alpha_y_power=alpha_y_power
-            )
-            assert closed == deformed_exp_general(alpha, beta, order), order
+            closed = deformed_exponential(alpha, beta, order)
+            assert_same(closed, oracle_deformed_exponential(alpha, beta, order))
 
     def test_negative_order_refused(self):
         with pytest.raises(StructureError, match="order must be non-negative"):
-            deformed_exponential(1, -1)
+            deformed_exponential(y_mono(0), y_mono(1), -1)
         with pytest.raises(StructureError, match="order must be non-negative"):
-            deformed_exp_general(MultiPoly.const(XY, 1), MultiPoly.var(XY, "Y"), -1)
+            deformed_exponential(y_mono(0) + y_mono(1), y_mono(1), -1)
 
     def test_general_form(self):
         alpha = MultiPoly(XY, {(1, 0): Q(1)})  # X
         beta = MultiPoly(XY, {(0, 1): Q(1)})  # Y
-        f = deformed_exp_general(alpha, beta, 4)
+        f = deformed_exponential(alpha, beta, 4)
         for n in range(5):
             expected = MultiPoly(XY, {(n, comb(n, 2)): Q(1, factorial(n))})
             assert f.coefficient(n) == expected
@@ -144,12 +139,12 @@ class TestDeformedExponential:
 
 class TestPowPoly:
     def test_integer_exponent_matches_repeated_product(self):
-        f = deformed_exponential(1, 5)
+        f = deformed_exponential(y_mono(0), y_mono(1), 5)
         three = MultiPoly.const(XY, 3)
         assert f.pow_poly(three) == f * f * f
 
     def test_power_law(self):
-        f = deformed_exponential(2, 5)
+        f = deformed_exponential(y_mono(0, 2), y_mono(1), 5)
         x = MultiPoly.var(XY, "X")
         lhs = f.pow_poly(x) * f.pow_poly(x)
         rhs = f.pow_poly(x * 2)
@@ -372,7 +367,7 @@ class OracleSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def oracle_deformed_exp_general(alpha: MultiPoly, beta: MultiPoly, order: int):
+def oracle_deformed_exponential(alpha: MultiPoly, beta: MultiPoly, order: int):
     coeffs = []
     for n in range(order + 1):
         coeffs.append((alpha**n) * (beta ** comb(n, 2)) * Q(1, factorial(n)))
@@ -390,6 +385,13 @@ def assert_same(series, oracle):
 
 
 V5 = ("a", "b", "c", "d", "e")
+
+
+def monomials(variables, coeffs=None):
+    """c * (one monomial with exponents 0..2); zero when c is."""
+    exps = st.tuples(*[st.integers(0, 2)] * len(variables))
+    coeffs = fractions() if coeffs is None else coeffs
+    return st.builds(lambda e, c: MultiPoly(variables, {e: c}), exps, coeffs)
 
 
 def poly_lists(variables=XY, max_exp=2, max_terms=3, min_size=1, max_size=5):
@@ -448,11 +450,28 @@ class TestAgainstOracle:
         st.integers(0, 5),
     )
     @settings(max_examples=30, deadline=None)
-    def test_deformed_exp_general(self, alpha, beta, order):
+    def test_deformed_exponential_polynomial_inputs(self, alpha, beta, order):
         assert_same(
-            deformed_exp_general(alpha, beta, order),
-            oracle_deformed_exp_general(alpha, beta, order),
+            deformed_exponential(alpha, beta, order),
+            oracle_deformed_exponential(alpha, beta, order),
         )
+
+    @given(
+        st.sampled_from([XY, MASTER_VARS]).flatmap(
+            lambda vs: st.tuples(
+                st.one_of(st.just(MultiPoly.zero(vs)), monomials(vs)),
+                monomials(vs, fractions().filter(bool)),
+            )
+        ),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_deformed_exponential_single_terms(self, alpha_beta, order):
+        # One monomial per coefficient: the product kernel never runs.
+        alpha, beta = alpha_beta
+        with mock.patch("tuttekit.series._sum_of_products", side_effect=AssertionError):
+            f = deformed_exponential(alpha, beta, order)
+        assert_same(f, oracle_deformed_exponential(alpha, beta, order))
 
     @given(
         poly_lists(),

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -269,3 +270,23 @@ def test_verify_runs_the_table_entries(monkeypatch, capsys, engine, check):
     perturb(monkeypatch, engine)
     assert main(["verify", "--system", "C:2:integer"]) == EXIT_MISMATCH
     assert f"C:2:integer  {check}-vs-bruteforce: fail" in capsys.readouterr().out
+
+
+# The right polynomial in a wrong record.
+WRONG_RECORDS = {
+    "ambient_rank": lambda t: replace(t, ambient_rank=t.ambient_rank + 1),
+    "rank": lambda t: replace(t, rank=t.rank - 1),
+    "flavor": lambda t: replace(t, flavor="classical"),
+}
+
+
+@pytest.mark.parametrize("field", WRONG_RECORDS)
+def test_same_polynomial_in_a_wrong_record_is_a_mismatch(monkeypatch, capsys, field):
+    # derive_all reads both ranks through the q^(d-r) factor, so the engines
+    # must agree on the whole record, not on the polynomial alone.
+    real = verify.ENGINES["genfun"]
+    monkeypatch.setitem(verify.ENGINES, "genfun", lambda spec: WRONG_RECORDS[field](real(spec)))
+    assert main(["verify", "--system", "C:2:integer"]) == EXIT_MISMATCH
+    assert "C:2:integer  genfun-vs-bruteforce: fail" in capsys.readouterr().out
+    assert main(["compute", "--method", "all", "--system", "C:2:integer"]) == EXIT_MISMATCH
+    assert capsys.readouterr().out.splitlines()[-1] == "agreement: NO"
