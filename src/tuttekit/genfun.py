@@ -71,7 +71,7 @@ def _x_poly(x_coeff: Q, const: Q) -> MultiPoly:
 
 def _y(power: int, scale: int = 1) -> MultiPoly:
     """scale * Y^power: the alpha or beta of an X-free deformed exponential."""
-    return MultiPoly.var(COBOUNDARY_VARS, "Y", power) * scale
+    return MultiPoly(COBOUNDARY_VARS, {(0, power): scale})
 
 
 def _final_products(family: str, kind: str, order: int) -> Tuple[Products, int]:

@@ -343,9 +343,12 @@ def deformed_exponential(alpha: MultiPoly, beta: MultiPoly, order: int) -> Trunc
         e_a, c_a = next(iter(alpha.terms.items()), ((0,) * nv, 0))
         ((e_b, c_b),) = beta.terms.items()
         for n in range(order + 1):  # one monomial, reduced once
-            c = Q(c_a) ** n * Q(c_b) ** comb(n, 2) / factorial(n)
-            key = _pack(tuple(n * i + comb(n, 2) * j for i, j in zip(e_a, e_b)))
-            coeffs.append(({key: c.numerator}, c.denominator) if c else ZERO)
+            m = comb(n, 2)
+            num = c_a.numerator**n * c_b.numerator**m
+            den = c_a.denominator**n * c_b.denominator**m * factorial(n)
+            g = gcd(num, den)
+            key = _pack(tuple(n * i + m * j for i, j in zip(e_a, e_b)))
+            coeffs.append(({key: num // g}, den // g) if num else ZERO)
         return TruncSeries._make(vs, coeffs)
     a, b = _from_poly(alpha), _from_poly(beta)
     # alpha^n, beta^n and beta^C(n,2); C(n+1,2) = C(n,2) + n.
