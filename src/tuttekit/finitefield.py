@@ -5,11 +5,11 @@ form the group (Z/q)^d, identified through the lattice basis.  A
 configuration vector a with integer lattice coordinates c vanishes at the
 points t with c . t = 0 (mod q).  Histogramming how many vectors vanish at
 each point gives sum_t Y^h(t) = q^(d-r) psi(q, Y), valid whenever every
-subset multiplicity divides q.  Interpolation therefore samples
-q = L, 2L, ..., (r+1)L, with L the multiplicity lcm, and `verify` checks the
-identity at q = L and 2L.  The torus (F_p^*)^d over GF(p) is the case
-q = p - 1: F_p^* is cyclic of that order, so a generator identifies the two
-histograms.
+subset multiplicity divides q.  The X^r term of psi is Y^z, z the number
+of zero vectors, so interpolation samples only q = L, 2L, ..., rL, with L
+the multiplicity lcm, and `verify` checks the identity at q = L and 2L.
+The torus (F_p^*)^d over GF(p) is the case q = p - 1: F_p^* is cyclic of
+that order, so a generator identifies the two histograms.
 """
 
 from __future__ import annotations
@@ -301,24 +301,26 @@ def _interpolate(step: int, ys: Sequence[int]) -> List[int]:
 def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
     """Recover the arithmetic Tutte polynomial from group histograms alone.
 
-    psi(X, Y) has X-degree at most r, so histograms at the r + 1 admissible
-    values q = L, 2L, ..., (r+1)L determine it: the coefficient of each
-    power of Y is interpolated in X on its own, as a scalar polynomial.
-    The largest q is checked against the point cap before any counting
-    starts.  One sublattice census gives both L and r, the largest rank of
-    a subset lattice.
+    psi(X, Y) has X-degree at most r, and its X^r term is Y^z: only subsets
+    of the z zero vectors have rank 0, each with multiplicity 1.  Taking
+    q^r Y^z off psi(q, Y) at the r admissible values q = L, 2L, ..., rL
+    leaves X-degree at most r - 1, so those r samples determine the rest:
+    the coefficient of each power of Y is interpolated in X on its own, as a
+    scalar polynomial.  At r = 0 nothing is counted.  The largest q is
+    checked against the point cap before any counting starts.  One
+    sublattice census gives both L and r, the largest rank of a subset
+    lattice.
     """
     census = sublattice_census(config)
     divisor = lcm(*(stats.multiplicity for stats, _ in census))
     r = max(stats.rank for stats, _ in census)
-    d = config.lattice.rank
-    qs = [k * divisor for k in range(1, r + 2)]
-    _check_points(qs[-1], d)
+    d, z = config.lattice.rank, sum(not any(row) for row in config.coord_matrix)
+    _check_points(r * divisor, d)
 
-    # samples[k][h]: the Y^h coefficient of psi(qs[k], Y), an int when psi is
-    # integral.
+    # samples[k][h]: the Y^h coefficient of psi(q, Y) - q^r Y^z at
+    # q = (k+1)L, an int when psi is integral.
     samples = []
-    for q in qs:
+    for q in range(divisor, r * divisor + 1, divisor):
         histogram = _group_histogram(config, q)
         scale = q ** (d - r)
         sample = []
@@ -327,10 +329,11 @@ def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
             if rem:
                 raise AdmissibilityError("interpolated coboundary is not integral")
             sample.append(c)
+        sample[z] -= q**r
         samples.append(sample)
-    # columns[h][i]: the X^i Y^h coefficient of psi.
+    # columns[h][i]: the X^i Y^h coefficient of psi, i < r; row X^r is Y^z.
     columns = [_interpolate(divisor, values) for values in zip(*samples)]
-    psi = MultiPoly.from_rows(COBOUNDARY_VARS, zip(*columns))
+    psi = MultiPoly.from_rows(COBOUNDARY_VARS, [*zip(*columns), [0] * z + [1]])
     cob = CoboundaryPolynomial(poly=psi, rank=r)
     return tutte_from_coboundary(cob, ambient_rank=d, flavor="arithmetic")
 

@@ -79,6 +79,18 @@ class TestCompute:
         assert code == EXIT_OK
         assert "agreement: yes" in out
 
+    def test_method_all_reaches_finitefield_on_d5_weight(self, capsys):
+        # L = 8 and r = 5: the largest group counted is (Z/40)^5, inside the
+        # point cap, so every engine runs.
+        code, out, _ = run(
+            capsys,
+            "compute", "--system", "D:5:weight", "--method", "all", "--output", "json",
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert "finitefield" in payload["methods_run"]
+        assert payload["agreement"] is True
+
     def test_bad_system_is_usage_error(self, capsys):
         code, _, err = run(capsys, "compute", "--system", "E:6:integer")
         assert code == EXIT_USAGE
@@ -98,7 +110,7 @@ class TestCompute:
         assert code == EXIT_CAPACITY
 
     def test_finitefield_cap_checked_before_counting(self, capsys, monkeypatch):
-        # C5 integer: L = 32, r = d = 5, so the largest group (Z/192)^5
+        # C5 integer: L = 32, r = d = 5, so the largest group (Z/160)^5
         # exceeds the point cap.
         def refuse(*_):
             raise AssertionError("counted past the point cap")

@@ -32,6 +32,7 @@ from tuttekit.finitefield import (
     verify_classical_mode,
     verify_finite_field_identity,
 )
+from tuttekit.genfun import GenFunRequest, expand_genfun, extract_coboundary
 from tuttekit.lattice import LatticeBasis, VectorConfig, multiplicity_lcm
 from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config
@@ -104,9 +105,9 @@ def run_python(code: str) -> subprocess.CompletedProcess:
 
 
 def interpolation_points(config):
-    """((r+1)L)^d, the size of the largest group interpolation counts over."""
+    """(rL)^d, the size of the largest group interpolation counts over."""
     r = subset_stats(config, range(len(config))).rank
-    return ((r + 1) * multiplicity_lcm(config)) ** config.lattice.rank
+    return (r * multiplicity_lcm(config)) ** config.lattice.rank
 
 
 def cfg(family, n, kind):
@@ -247,7 +248,8 @@ class TestInterpolation:
         assert tutte_via_interpolation(c).poly == arithmetic_tutte_bruteforce(c).poly
 
     def test_samples_multiples_of_the_lcm(self, monkeypatch):
-        # C2 integer: L = 4, r = 2.  q + 1 = 9 is not prime.
+        # C2 integer: L = 4, r = 2.  q + 1 = 9 is not prime.  The X^2 term
+        # is known, so (r+1)L = 12 is not counted.
         seen = []
         count = finitefield._group_histogram
 
@@ -257,7 +259,7 @@ class TestInterpolation:
 
         monkeypatch.setattr(finitefield, "_group_histogram", spy)
         tutte_via_interpolation(cfg("C", 2, "integer"))
-        assert seen == [4, 8, 12]
+        assert seen == [4, 8]
 
     def test_one_census_and_no_smith_form(self, monkeypatch):
         # The census gives both L and the rank r, with no Smith normal form
@@ -285,21 +287,22 @@ class TestInterpolation:
             assert censuses == [c]
 
     def test_point_cap_checked_before_counting(self, monkeypatch):
-        c = cfg("C", 2, "integer")  # largest group (Z/12)^2
-        monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 144)
+        c = cfg("C", 2, "integer")  # largest group (Z/8)^2
+        monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 64)
         tutte_via_interpolation(c)
 
         def refuse(*_):
             raise AssertionError("counted past the point cap")
 
         monkeypatch.setattr(finitefield, "_group_histogram", refuse)
-        monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 143)
+        monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 63)
         with pytest.raises(CapacityError):
             tutte_via_interpolation(c)
 
     def test_histogram_not_a_multiple_of_the_scale_is_refused(self, monkeypatch):
-        # e1 in Z^2: d - r = 1, so each count at q must be a multiple of q.
-        c = VectorConfig(vectors=((1, 0),), lattice=LatticeBasis.standard(2))
+        # 2 e1 in Z^2: L = 2 and d - r = 1, so the one count, at q = 2, must
+        # be a multiple of 2.
+        c = VectorConfig(vectors=((2, 0),), lattice=LatticeBasis.standard(2))
         assert tutte_via_interpolation(c).poly == arithmetic_tutte_bruteforce(c).poly
         count = finitefield._group_histogram
 
@@ -311,6 +314,33 @@ class TestInterpolation:
         monkeypatch.setattr(finitefield, "_group_histogram", perturbed)
         with pytest.raises(AdmissibilityError, match="not integral"):
             tutte_via_interpolation(c)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [((0, 0), (1, 2)), ((2, 0), (0, 0), (1, 3), (0, 0))],
+        ids=["one zero vector", "two zero vectors"],
+    )
+    def test_zero_vectors(self, vectors):
+        c = VectorConfig(vectors=vectors, lattice=LatticeBasis.standard(2))
+        assert tutte_via_interpolation(c) == arithmetic_tutte_bruteforce(c)
+
+    @pytest.mark.parametrize(
+        "vectors", [((0, 0), (0, 0)), ()], ids=["only zero vectors", "empty"]
+    )
+    def test_rank_0_counts_nothing(self, vectors, monkeypatch):
+        # r = 0: psi = Y^z is the known term alone.
+        c = VectorConfig(vectors=vectors, lattice=LatticeBasis.standard(2))
+        expected = arithmetic_tutte_bruteforce(c)
+        seen = []
+        count = finitefield._group_histogram
+
+        def spy(config, q):
+            seen.append(q)
+            return count(config, q)
+
+        monkeypatch.setattr(finitefield, "_group_histogram", spy)
+        assert tutte_via_interpolation(c) == expected
+        assert seen == []
 
     @given(
         st.lists(st.integers(-50, 50), min_size=1, max_size=7),
@@ -331,6 +361,38 @@ class TestInterpolation:
         # X (X - 1) / 2 is integer-valued on every node, not integral.
         with pytest.raises(AdmissibilityError, match="not integral"):
             _interpolate(1, [0, 1, 3])
+
+
+def assert_leading_term(psi, r, z):
+    """psi has X-degree r, and its X^r coefficient is exactly Y^z."""
+    rows = psi.poly.rows()
+    assert len(rows) == r + 1
+    assert rows[r] == [0] * z + [1]
+
+
+class TestLeadingTerm:
+    """The X^r Y^z term that interpolation adds back without counting it,
+    read off engines that do not rely on it."""
+
+    @given(configs(), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_bruteforce(self, config, extra_zeros):
+        zero = (0,) * len(config.vectors[0])
+        vectors = config.vectors + (zero,) * extra_zeros
+        c = VectorConfig(vectors=vectors, lattice=config.lattice)
+        z = sum(not any(v) for v in c.vectors)
+        r = subset_stats(c, range(len(c))).rank
+        assert_leading_term(coboundary_from_tutte(arithmetic_tutte_bruteforce(c)), r, z)
+
+    @pytest.mark.parametrize("kind", ["integer", "root", "weight"])
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+    def test_genfun_up_to_n_6(self, family, kind):
+        series = expand_genfun(GenFunRequest(family, kind, 6))
+        low = 2 if family == "D" or (family == "A" and kind != "integer") else 1
+        for n in range(low, 7):
+            c = cfg(family, n, kind)
+            r = subset_stats(c, range(len(c))).rank
+            assert_leading_term(extract_coboundary(series, family, n), r, 0)
 
 
 class TestRandomConfigurations:
