@@ -4,10 +4,12 @@ For a lattice of rank d and any q >= 1, the characters Hom(Lambda, Z/q)
 form the group (Z/q)^d, identified through the lattice basis.  A
 configuration vector a with integer lattice coordinates c vanishes at the
 points t with c . t = 0 (mod q).  Histogramming how many vectors vanish at
-each point gives sum_t Y^h(t) = q^(d-r) psi(q, Y), valid whenever every
-subset multiplicity divides q.  The X^r term of psi is Y^z, z the number
-of zero vectors, so interpolation samples only q = L, 2L, ..., rL, with L
-the multiplicity lcm, and `verify` checks the identity at q = L and 2L.
+each point gives sum_t Y^h(t) = q^(d-r) psi(q, Y) whenever q is a multiple
+of every torsion exponent: B vanishes at q^(d-r(B)) |Hom(T_B, Z/q)| points,
+T_B the torsion of Lambda / ZB, and that is m(B) exactly then.  The X^r
+term of psi is Y^z, z the number of zero vectors, so interpolation samples
+only q = E, 2E, ..., rE, E the lcm of the torsion exponents.  E divides the
+multiplicity lcm L, so `verify`'s checks at q = L and 2L stay valid.
 The torus (F_p^*)^d over GF(p) is the case q = p - 1: F_p^* is cyclic of
 that order, so a generator identifies the two histograms.
 """
@@ -21,7 +23,7 @@ from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Sequence
 
 from .errors import AdmissibilityError, CapacityError
-from .lattice import VectorConfig, multiplicity_lcm, sublattice_census
+from .lattice import VectorConfig, _census_fold, multiplicity_lcm, snf_invariant_factors
 from .poly import MultiPoly
 from .tutte import (
     COBOUNDARY_VARS,
@@ -240,8 +242,9 @@ def group_identity_holds(
 ) -> bool:
     """Histogram over (Z/q)^d against q^(d-r) psi(q, Y), counted once.
 
-    The identity holds when the multiplicity lcm divides q, which the
-    caller guarantees; a q^d past the point cap raises before counting.
+    The identity holds when q is a multiple of every torsion exponent, as
+    every multiple of the multiplicity lcm is; the caller guarantees it.  A
+    q^d past the point cap raises before counting.
     """
     d = config.lattice.rank
     _check_points(q, d)
@@ -303,24 +306,28 @@ def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
 
     psi(X, Y) has X-degree at most r, and its X^r term is Y^z: only subsets
     of the z zero vectors have rank 0, each with multiplicity 1.  Taking
-    q^r Y^z off psi(q, Y) at the r admissible values q = L, 2L, ..., rL
+    q^r Y^z off psi(q, Y) at the r admissible values q = E, 2E, ..., rE
     leaves X-degree at most r - 1, so those r samples determine the rest:
     the coefficient of each power of Y is interpolated in X on its own, as a
     scalar polynomial.  At r = 0 nothing is counted.  The largest q is
-    checked against the point cap before any counting starts.  One
-    sublattice census gives both L and r, the largest rank of a subset
-    lattice.
+    checked against the point cap before any counting starts.  E is the
+    lcm of the largest invariant factors of the rank-r keys of one census
+    fold: every subset's torsion group is a quotient of an independent
+    subset's, which embeds in a rank-r subset's, so every torsion exponent
+    divides E, which divides the multiplicity lcm L.
     """
-    census = sublattice_census(config)
-    divisor = lcm(*(stats.multiplicity for stats, _ in census))
-    r = max(stats.rank for stats, _ in census)
+    keys = _census_fold(config)
+    r = max(map(len, keys))
+    exponent = lcm(
+        *(max(snf_invariant_factors(key), default=1) for key in keys if len(key) == r)
+    )
     d, z = config.lattice.rank, sum(not any(row) for row in config.coord_matrix)
-    _check_points(r * divisor, d)
+    _check_points(r * exponent, d)
 
     # samples[k][h]: the Y^h coefficient of psi(q, Y) - q^r Y^z at
-    # q = (k+1)L, an int when psi is integral.
+    # q = (k+1)E, an int when psi is integral.
     samples = []
-    for q in range(divisor, r * divisor + 1, divisor):
+    for q in range(exponent, r * exponent + 1, exponent):
         histogram = _group_histogram(config, q)
         scale = q ** (d - r)
         sample = []
@@ -332,7 +339,7 @@ def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
         sample[z] -= q**r
         samples.append(sample)
     # columns[h][i]: the X^i Y^h coefficient of psi, i < r; row X^r is Y^z.
-    columns = [_interpolate(divisor, values) for values in zip(*samples)]
+    columns = [_interpolate(exponent, values) for values in zip(*samples)]
     psi = MultiPoly.from_rows(COBOUNDARY_VARS, [*zip(*columns), [0] * z + [1]])
     cob = CoboundaryPolynomial(poly=psi, rank=r)
     return tutte_from_coboundary(cob, ambient_rank=d, flavor="arithmetic")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import gcd, lcm, prod
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import CapacityError, LatticeMembershipError, SpanError, StructureError
 
@@ -398,19 +398,14 @@ def _key_multiplicity(rows: Sequence[Sequence[int]]) -> int:
     return index
 
 
-def sublattice_census(config: VectorConfig) -> Census:
-    """Every distinct sublattice ZB, B a subset of the configuration.
+def _census_fold(config: VectorConfig) -> Dict[Tuple[Tuple[int, ...], ...], int]:
+    """{canonical HNF key of ZB: its packed subset counts}, over every subset B.
 
-    Returns one (stats, counts) pair per lattice: its rank and multiplicity,
-    and counts[k], the number of k-element subsets B that generate it.
-    The vectors are folded in one at a time over a map from canonical HNF
-    to counts, so the work grows with the number of distinct lattices, not
-    with 2^|A|; m(B) of each final lattice is read off its key.
-    The counts of a state are packed into one int, counts[k] in digit k of
+    The vectors are folded in one at a time, so the work grows with the
+    number of distinct lattices, not with 2^|A|.  counts[k] is digit k of
     base 2^(n+1), so folding in a vector adds the counts shifted one digit
-    up; no digit carries, as counts[k] <= C(n, k) < 2^(n+1).  The digits are
-    unpacked once per final lattice.
-    Refuses more than DEFAULT_CAPACITY vectors.
+    up; no digit carries, as counts[k] <= C(n, k) < 2^(n+1).  Refuses more
+    than DEFAULT_CAPACITY vectors.
     """
     n = len(config)
     if n > DEFAULT_CAPACITY:
@@ -425,11 +420,22 @@ def sublattice_census(config: VectorConfig) -> Census:
             t = _hnf_add(key, v)
             grown[t] = grown.get(t, 0) + (c << width)
         states = grown
+    return states
+
+
+def sublattice_census(config: VectorConfig) -> Census:
+    """Every distinct sublattice ZB, B a subset of the configuration.
+
+    Returns one (stats, counts) pair per lattice of `_census_fold`: its
+    rank, m(B) read off its key, and counts[k], the number of k-element
+    subsets B that generate it, unpacked from its digits.
+    """
+    width = len(config) + 1
     digit = (1 << width) - 1
     census = []
-    for rows, packed in states.items():
+    for rows, packed in _census_fold(config).items():
         stats = SubsetStats(rank=len(rows), multiplicity=_key_multiplicity(rows))
-        census.append((stats, [packed >> width * k & digit for k in range(n + 1)]))
+        census.append((stats, [packed >> width * k & digit for k in range(width)]))
     return census
 
 

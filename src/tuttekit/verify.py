@@ -22,6 +22,8 @@ polynomial psi of the baseline then feeds every structural check:
 - `finite-field-q{L}` and `finite-field-q{2L}`: the histogram over (Z/q)^d
   equals q^(d-r) psi(q, Y), where L is the multiplicity lcm read off the
   same census.  When q + 1 is a prime p, (Z/q)^d is the torus (F_p^*)^d.
+  These are not the finite-field engine's nodes, which are multiples of
+  the torsion-exponent lcm E; E divides L, so both q are admissible.
 
 A check is skipped only when its engine raises `CapacityError`: the
 census's vector guard (which also skips the finite-field checks, as they

@@ -11,12 +11,18 @@ the definitions, which is what makes them oracles.
 - `subset_stats` gives the rank and multiplicity of one subset of a vector
   configuration from one Smith normal form of `subset_columns`.  It is the
   per-subset oracle of `tuttekit.lattice.sublattice_census`.
+- `torsion_exponent_lcm` gives the lcm, over every subset, of the largest
+  invariant factor of its coordinate matrix, one Smith normal form per
+  subset.  It is the oracle of the sampling step of
+  `tuttekit.finitefield.tutte_via_interpolation`, which reads it off the
+  rank-r lattices alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from itertools import combinations
+from math import lcm, prod
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from tuttekit.errors import StructureError
@@ -151,3 +157,16 @@ def subset_stats(config: VectorConfig, subset: Sequence[int]) -> SubsetStats:
     cols = subset_columns(config, indices)
     mult = prod(snf_invariant_factors(cols))
     return SubsetStats(rank=int_matrix_rank(cols), multiplicity=mult)
+
+
+def torsion_exponent_lcm(config: VectorConfig) -> int:
+    """lcm over all subsets B of the exponent of the torsion of Lambda / ZB.
+
+    The exponent is the largest invariant factor of B's coordinate matrix,
+    and 1 when B has rank 0.
+    """
+    n = len(config)
+    subsets = (b for k in range(n + 1) for b in combinations(range(n), k))
+    return lcm(
+        *(max(snf_invariant_factors(subset_columns(config, b)), default=1) for b in subsets)
+    )

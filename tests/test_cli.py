@@ -110,14 +110,14 @@ class TestCompute:
         assert code == EXIT_CAPACITY
 
     def test_finitefield_cap_checked_before_counting(self, capsys, monkeypatch):
-        # C5 integer: L = 32, r = d = 5, so the largest group (Z/160)^5
-        # exceeds the point cap.
+        # A7 weight: E = 7, r = d = 6, so the largest group (Z/42)^6, about
+        # 5.5e9 points, exceeds the point cap.
         def refuse(*_):
             raise AssertionError("counted past the point cap")
 
         monkeypatch.setattr(finitefield, "_group_histogram", refuse)
         code, out, err = run(
-            capsys, "compute", "--system", "C:5:integer", "--method", "finitefield"
+            capsys, "compute", "--system", "A:7:weight", "--method", "finitefield"
         )
         assert (code, out) == (EXIT_CAPACITY, "")
         assert err.startswith("capacity:")

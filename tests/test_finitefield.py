@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import configs
-from oracles import subset_stats
+from oracles import subset_stats, torsion_exponent_lcm
 from tuttekit import finitefield, lattice
 from tuttekit.errors import AdmissibilityError, CapacityError
 from tuttekit.finitefield import (
@@ -27,6 +27,7 @@ from tuttekit.finitefield import (
     _enumerate_profile,
     _interpolate,
     _group_histogram,
+    group_identity_holds,
     is_prime,
     tutte_via_interpolation,
     verify_classical_mode,
@@ -105,9 +106,22 @@ def run_python(code: str) -> subprocess.CompletedProcess:
 
 
 def interpolation_points(config):
-    """(rL)^d, the size of the largest group interpolation counts over."""
+    """(rE)^d, the size of the largest group interpolation counts over."""
     r = subset_stats(config, range(len(config))).rank
-    return (r * multiplicity_lcm(config)) ** config.lattice.rank
+    return (r * torsion_exponent_lcm(config)) ** config.lattice.rank
+
+
+def counted_groups(monkeypatch):
+    """The list of every q that `_group_histogram` is called with, from now on."""
+    seen = []
+    count = finitefield._group_histogram
+
+    def spy(config, q):
+        seen.append(q)
+        return count(config, q)
+
+    monkeypatch.setattr(finitefield, "_group_histogram", spy)
+    return seen
 
 
 def cfg(family, n, kind):
@@ -248,54 +262,53 @@ class TestInterpolation:
         assert tutte_via_interpolation(c).poly == arithmetic_tutte_bruteforce(c).poly
 
     def test_samples_multiples_of_the_lcm(self, monkeypatch):
-        # C2 integer: L = 4, r = 2.  q + 1 = 9 is not prime.  The X^2 term
-        # is known, so (r+1)L = 12 is not counted.
-        seen = []
-        count = finitefield._group_histogram
-
-        def spy(config, q):
-            seen.append(q)
-            return count(config, q)
-
-        monkeypatch.setattr(finitefield, "_group_histogram", spy)
+        # C2 integer: L = 4 but E = 2, r = 2.  The X^2 term is known, so
+        # (r+1)E = 6 is not counted.
+        seen = counted_groups(monkeypatch)
         tutte_via_interpolation(cfg("C", 2, "integer"))
-        assert seen == [4, 8]
+        assert seen == [2, 4]
 
-    def test_one_census_and_no_smith_form(self, monkeypatch):
-        # The census gives both L and the rank r, with no Smith normal form
-        # of any subset.
+    def test_one_fold_and_smith_forms_of_rank_r_keys_only(self, monkeypatch):
+        # One census fold gives the keys, hence r and E; only the rank-r
+        # keys get a Smith normal form, and no multiplicity is read off a
+        # key.
         systems = [cfg("C", 3, "integer"), cfg("A", 4, "weight")]
         expected = [arithmetic_tutte_bruteforce(c).poly for c in systems]
-        censuses = []
-        census = lattice.sublattice_census
+        fold, snf = lattice._census_fold, lattice.snf_invariant_factors
+        folds, smith_forms = [], []
 
-        def spy(config):
-            censuses.append(config)
-            return census(config)
+        def fold_spy(config):
+            folds.append(config)
+            return fold(config)
+
+        def snf_spy(rows):
+            smith_forms.append(rows)
+            return snf(rows)
 
         def refuse(*_):
-            raise AssertionError("snf_invariant_factors called")
+            raise AssertionError("multiplicity read off a key")
 
         for module in (lattice, finitefield):
-            if hasattr(module, "sublattice_census"):
-                monkeypatch.setattr(module, "sublattice_census", spy)
-            if hasattr(module, "snf_invariant_factors"):
-                monkeypatch.setattr(module, "snf_invariant_factors", refuse)
+            monkeypatch.setattr(module, "_census_fold", fold_spy)
+            monkeypatch.setattr(module, "snf_invariant_factors", snf_spy)
+        monkeypatch.setattr(lattice, "_key_multiplicity", refuse)
         for c, poly in zip(systems, expected):
-            del censuses[:]
+            del folds[:], smith_forms[:]
             assert tutte_via_interpolation(c).poly == poly
-            assert censuses == [c]
+            assert folds == [c]
+            r = c.lattice.rank  # both span their lattice
+            assert sorted(smith_forms) == sorted(k for k in fold(c) if len(k) == r)
 
     def test_point_cap_checked_before_counting(self, monkeypatch):
-        c = cfg("C", 2, "integer")  # largest group (Z/8)^2
-        monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 64)
+        c = cfg("C", 2, "integer")  # largest group (Z/4)^2
+        monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 16)
         tutte_via_interpolation(c)
 
         def refuse(*_):
             raise AssertionError("counted past the point cap")
 
         monkeypatch.setattr(finitefield, "_group_histogram", refuse)
-        monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 63)
+        monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 15)
         with pytest.raises(CapacityError):
             tutte_via_interpolation(c)
 
@@ -331,16 +344,15 @@ class TestInterpolation:
         # r = 0: psi = Y^z is the known term alone.
         c = VectorConfig(vectors=vectors, lattice=LatticeBasis.standard(2))
         expected = arithmetic_tutte_bruteforce(c)
-        seen = []
-        count = finitefield._group_histogram
-
-        def spy(config, q):
-            seen.append(q)
-            return count(config, q)
-
-        monkeypatch.setattr(finitefield, "_group_histogram", spy)
+        seen = counted_groups(monkeypatch)
         assert tutte_via_interpolation(c) == expected
         assert seen == []
+
+    @pytest.mark.parametrize("kind", ["integer", "root", "weight"])
+    def test_reaches_c5(self, kind):
+        # (rL)^5 = 160^5 or 80^5 points is past the cap; (rE)^5 = 10^5 is not.
+        c = cfg("C", 5, kind)
+        assert tutte_via_interpolation(c).poly == arithmetic_tutte_bruteforce(c).poly
 
     @given(
         st.lists(st.integers(-50, 50), min_size=1, max_size=7),
@@ -361,6 +373,37 @@ class TestInterpolation:
         # X (X - 1) / 2 is integer-valued on every node, not integral.
         with pytest.raises(AdmissibilityError, match="not integral"):
             _interpolate(1, [0, 1, 3])
+
+
+class TestTorsionExponent:
+    """The engine samples at multiples of E, the lcm of the torsion exponents
+    of the rank-r lattices; E is the lcm over every subset."""
+
+    @given(configs())
+    @settings(max_examples=60, deadline=None)
+    def test_engine_exponent_is_the_lcm_over_all_subsets(self, config):
+        exponent = torsion_exponent_lcm(config)
+        r = subset_stats(config, range(len(config))).rank
+        d = config.lattice.rank
+        assume((max(r, 2) * exponent) ** d <= 100_000)
+        assert multiplicity_lcm(config) % exponent == 0
+        with pytest.MonkeyPatch.context() as patch:
+            seen = counted_groups(patch)
+            tutte_via_interpolation(config)
+        assert seen == [k * exponent for k in range(1, r + 1)]
+        psi = coboundary_from_tutte(arithmetic_tutte_bruteforce(config))
+        assert group_identity_holds(config, exponent, psi)
+        assert group_identity_holds(config, 2 * exponent, psi)
+
+    def test_c2_integer(self):
+        # E = 2 but L = 4: the identity holds at every even q, and at q = 3
+        # the subsets whose torsion is Z/2 vanish on too few points.
+        c = cfg("C", 2, "integer")
+        assert (torsion_exponent_lcm(c), multiplicity_lcm(c)) == (2, 4)
+        psi = coboundary_from_tutte(arithmetic_tutte_bruteforce(c))
+        assert group_identity_holds(c, 2, psi)
+        assert group_identity_holds(c, 6, psi)
+        assert not group_identity_holds(c, 3, psi)
 
 
 def assert_leading_term(psi, r, z):
