@@ -9,12 +9,13 @@ vector subset B is the index of ZB inside span(B) intersected with the
 lattice: for a single subset, the product of the Smith normal form
 invariant factors of B's integer coordinate matrix.
 
-`sublattice_census` folds the vectors in one at a time over a map from each
-distinct lattice ZB, keyed by its canonical Hermite normal form, to its
-subset counts by size, packed into one int as base-2^(n+1) digits.  A vector
-that is already a member of a state's lattice leaves that key unchanged.
-The multiplicity of each final lattice is read off its key, as the index
-in Z^k of the lattice spanned by the columns of its k echelon rows.
+`sublattice_census` folds the vectors in one at a time over the distinct
+lattices ZB, each keyed by its canonical Hermite normal form, with its
+subset counts by size packed into one int as base-2^(n+1) digits.  A vector
+that is already a member of a state's lattice gets that key object itself
+back and is counted by index, with no hash.  The multiplicity of each
+final lattice is read off its key, as the index in Z^k of the lattice
+spanned by the columns of its k echelon rows.
 """
 
 from __future__ import annotations
@@ -289,31 +290,60 @@ def _hnf_add(
     The pivot columns and pivot values of an echelon basis depend only on
     the lattice, so the reduced form is unique and serves as its key.
 
-    One walk over the columns reduces v down the rows while each pivot
-    divides it, which changes no row; if v reaches 0 it is a member and
-    `rows` itself is returned.  Otherwise the walk stops at the first column
-    where v leads or a pivot does not divide it, and that row is the first
-    to change: v is merged into it by Euclid or inserted before it, and only
-    the rows from there on are normalized again, each reducing the entries
-    above it.
+    One walk down the rows finds each row's pivot and reduces v there while
+    the pivot divides it, which changes no row.  It has three exits.  A
+    member, where v reaches 0, gets `rows` itself back.  An insert, where v
+    leads at a column with no pivot, puts v there, its lead made positive
+    and reduced at the pivots below; a row above changes only if v reduces
+    its entry in that column, and is then reduced again at the pivots below,
+    and every other row keeps its tuple.  A merge, where a pivot does not
+    divide v's entry, merges v into that row by Euclid and normalizes the
+    rows from there on again, each reducing the entries above it.
     """
-    i, k = 0, len(rows)  # rows[i] is the first row whose pivot is not passed
-    for lead in range(len(v)):
-        x = v[lead]
-        # Every row from i on is 0 before `lead`, so a nonzero entry here
-        # is row i's pivot.
-        if i < k and rows[i][lead]:
-            row = rows[i]
-            if x % row[lead]:
-                break
-            if x:
-                q = x // row[lead]
-                v = [a - q * b for a, b in zip(v, row)]
-            i += 1
-        elif x:
+    c = 0  # v and every row from i on are 0 before column c
+    for i, row in enumerate(rows):
+        while not (row[c] or v[c]):
+            c += 1
+        p, x = row[c], v[c]
+        if not p or x % p:
             break
+        if x:
+            q = x // p
+            v = [a - q * b for a, b in zip(v, row)]
+        c += 1
     else:
-        return rows
+        i = len(rows)
+        if not any(v):
+            return rows
+        while not v[c]:
+            c += 1
+    lead = c
+    if i == len(rows) or not rows[i][lead]:
+        if v[lead] < 0:
+            v = [-x for x in v]
+        below = rows[i:]
+        pivots = []
+        for row in below:
+            c += 1
+            while not row[c]:
+                c += 1
+            pivots.append(c)
+            q = v[c] // row[c]
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
+        top = []
+        p = v[lead]
+        for a in rows[:i]:
+            q = a[lead] // p
+            if q:
+                a = [x - q * y for x, y in zip(a, v)]
+                for row, c in zip(below, pivots):
+                    q = a[c] // row[c]
+                    if q:
+                        a = [x - q * y for x, y in zip(a, row)]
+                a = tuple(a)
+            top.append(a)
+        return (*top, tuple(v), *below)
     # Pivot columns of rows[i:]; the rows above keep theirs and are only
     # reduced, so their entries of `pivots` are never read.
     pivots = [0] * i
@@ -404,8 +434,10 @@ def _census_fold(config: VectorConfig) -> Dict[Tuple[Tuple[int, ...], ...], int]
     The vectors are folded in one at a time, so the work grows with the
     number of distinct lattices, not with 2^|A|.  counts[k] is digit k of
     base 2^(n+1), so folding in a vector adds the counts shifted one digit
-    up; no digit carries, as counts[k] <= C(n, k) < 2^(n+1).  Refuses more
-    than DEFAULT_CAPACITY vectors.
+    up; no digit carries, as counts[k] <= C(n, k) < 2^(n+1).  Keys and counts
+    are parallel lists with one {key: index} map, so a member, whose key
+    `_hnf_add` returns itself, is counted with no hash.  Refuses more than
+    DEFAULT_CAPACITY vectors.
     """
     n = len(config)
     if n > DEFAULT_CAPACITY:
@@ -413,14 +445,21 @@ def _census_fold(config: VectorConfig) -> Dict[Tuple[Tuple[int, ...], ...], int]
             f"{n} vectors exceeds the census capacity guard of {DEFAULT_CAPACITY}"
         )
     width = n + 1
-    states = {(): 1}
+    keys: List[Tuple[Tuple[int, ...], ...]] = [()]
+    counts = [1]
+    index = {(): 0}
     for v in config.coord_matrix:
-        grown = dict(states)
-        for key, c in states.items():
+        for j, (key, c) in enumerate(zip(keys, counts.copy())):
             t = _hnf_add(key, v)
-            grown[t] = grown.get(t, 0) + (c << width)
-        states = grown
-    return states
+            c <<= width
+            if t is key:
+                counts[j] += c
+            elif (at := index.setdefault(t, len(keys))) < len(keys):
+                counts[at] += c
+            else:
+                keys.append(t)
+                counts.append(c)
+    return dict(zip(keys, counts))
 
 
 def sublattice_census(config: VectorConfig) -> Census:
@@ -428,14 +467,19 @@ def sublattice_census(config: VectorConfig) -> Census:
 
     Returns one (stats, counts) pair per lattice of `_census_fold`: its
     rank, m(B) read off its key, and counts[k], the number of k-element
-    subsets B that generate it, unpacked from its digits.
+    subsets B that generate it, unpacked from its digits.  Lattices of the
+    same rank and m(B) share one `SubsetStats`.
     """
     width = len(config) + 1
     digit = (1 << width) - 1
+    stats: Dict[Tuple[int, int], SubsetStats] = {}
     census = []
     for rows, packed in _census_fold(config).items():
-        stats = SubsetStats(rank=len(rows), multiplicity=_key_multiplicity(rows))
-        census.append((stats, [packed >> width * k & digit for k in range(width)]))
+        pair = len(rows), _key_multiplicity(rows)
+        if pair not in stats:
+            stats[pair] = SubsetStats(*pair)
+        counts = [packed >> width * k & digit for k in range(width)]
+        census.append((stats[pair], counts))
     return census
 
 

@@ -2,9 +2,10 @@
 
 `sweep` is the oracle: one `subset_stats` call (one Smith normal form) for
 each of the 2^|A| subsets, summed straight from the definition of M(x, y).
-`oracle_hnf_add` and `oracle_census` are the census kernel as it was before
-its counts were packed into one int per state and its insert learned to
-leave member vectors and the rows above the first change alone.
+`oracle_hnf_add`, `oracle_fold` and `oracle_census` are the census kernel
+as it was before its counts were packed into one int per state and its
+insert learned to leave member vectors and the rows above the first change
+alone.
 """
 
 from fractions import Fraction as Q
@@ -23,6 +24,7 @@ from tuttekit.lattice import (
     LatticeBasis,
     SubsetStats,
     VectorConfig,
+    _census_fold,
     _hnf_add,
     _key_multiplicity,
     multiplicity_lcm,
@@ -160,8 +162,8 @@ def oracle_hnf_add(rows, v):
     return tuple(tuple(r) for r in out)
 
 
-def oracle_census(config):
-    """The census with one list of n + 1 counts per state, built by the oracle."""
+def oracle_fold(config):
+    """{key: list of n + 1 counts} per state, folded by the oracle."""
     n = len(config)
     states = {(): [1] + [0] * n}
     for v in config.coord_matrix:
@@ -171,8 +173,13 @@ def oracle_census(config):
             for k in range(n):
                 target[k + 1] += counts[k]
         states = grown
+    return states
+
+
+def oracle_census(config):
+    """The census with one list of n + 1 counts per state, built by the oracle."""
     census = []
-    for rows, counts in states.items():
+    for rows, counts in oracle_fold(config).items():
         mult = 1
         for f in snf_invariant_factors(rows):
             mult *= f
@@ -189,11 +196,11 @@ def int_vectors(d, bound=6):
 
 
 @st.composite
-def keys_and_vectors(draw):
+def keys_and_vectors(draw, max_d=4, max_vectors=5):
     """(canonical key folded by the oracle from random vectors, a new vector)."""
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, max_d))
     key = ()
-    for v in draw(st.lists(int_vectors(d), max_size=5)):
+    for v in draw(st.lists(int_vectors(d), max_size=max_vectors)):
         key = oracle_hnf_add(key, v)
     return key, draw(int_vectors(d))
 
@@ -237,6 +244,80 @@ class TestKernel:
         for k in range(DEFAULT_CAPACITY + 1):
             assert sum(counts[k] for _, counts in census) == comb(DEFAULT_CAPACITY, k)
         assert table(census) == table(oracle_census(config))
+
+
+class TestKernelExits:
+    """One fixed case per exit of `_hnf_add`, and deeper keys than TestKernel."""
+
+    @pytest.mark.parametrize(
+        "key,v,result",
+        [
+            # insert above every row, with a negative lead
+            (((0, 2, 1), (0, 0, 3)), (-1, 5, 7), ((1, 1, 2), (0, 2, 1), (0, 0, 3))),
+            # insert between rows: the row above is reduced, and again below
+            (((1, 3, 5), (0, 0, 2)), (0, 1, 4), ((1, 0, 1), (0, 1, 0), (0, 0, 2))),
+            # insert below every row
+            (((1, 2, 0),), (0, 0, -3), ((1, 2, 0), (0, 0, 3))),
+            # merge: the pivot 2 does not divide 3
+            (((2, 1),), (3, 0), ((1, 2), (0, 3))),
+            # merge, then insert what Euclid leaves of v
+            (((2, 0, 0),), (1, 0, 1), ((1, 0, 1), (0, 0, 2))),
+        ],
+    )
+    def test_fixed_case(self, key, v, result):
+        grown = _hnf_add(key, v)
+        assert grown == result == oracle_hnf_add(key, v)
+        # Every row that did not change keeps its tuple.
+        assert all(any(row is old for old in key) for row in grown if row in key)
+
+    def test_member_returns_the_key_itself(self):
+        key = ((1, 0, 1), (0, 0, 2))
+        assert _hnf_add(key, (3, 0, 5)) is key == oracle_hnf_add(key, (3, 0, 5))
+
+    @given(keys_and_vectors(max_d=6, max_vectors=7))
+    @settings(max_examples=300, deadline=None)
+    def test_deep_insert_matches_the_oracle(self, case):
+        key, v = case
+        assert _hnf_add(key, v) == oracle_hnf_add(key, v)
+
+    @given(
+        keys_and_vectors(max_d=6, max_vectors=7),
+        st.lists(st.integers(-3, 3), max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_deep_member_returns_the_key_itself(self, case, coefficients):
+        key, v = case
+        d = len(v)
+        member = [sum(c * row[j] for c, row in zip(coefficients, key)) for j in range(d)]
+        assert _hnf_add(key, member) is key
+        grown = _hnf_add(key, v)
+        assert _hnf_add(grown, v) is grown
+
+
+def unpacked_fold(config):
+    """`_census_fold` with each packed count unpacked into a list of n + 1."""
+    width = len(config) + 1
+    digit = (1 << width) - 1
+    return {
+        key: [packed >> width * k & digit for k in range(width)]
+        for key, packed in _census_fold(config).items()
+    }
+
+
+class TestFold:
+    """The fold's keys themselves, which the finite-field engine reads."""
+
+    @given(configs())
+    @settings(max_examples=60, deadline=None)
+    def test_keys_and_counts_match_the_oracle_fold(self, config):
+        fold, oracle = unpacked_fold(config), oracle_fold(config)
+        assert list(fold.items()) == list(oracle.items())
+
+    @pytest.mark.parametrize("name", ["A:6:weight", "C:4:root"])
+    def test_root_system_keys_match_the_oracle_fold(self, name):
+        config = build_config(parse_system(name))
+        fold, oracle = unpacked_fold(config), oracle_fold(config)
+        assert list(fold.items()) == list(oracle.items())
 
 
 class TestKeyMultiplicity:
