@@ -291,36 +291,47 @@ def _hnf_add(
     the lattice, so the reduced form is unique and serves as its key.
 
     One walk down the rows finds each row's pivot and reduces v there while
-    the pivot divides it, which changes no row.  It has three exits.  A
+    the pivot divides it, which changes no row.  It has two exits.  A
     member, where v reaches 0, gets `rows` itself back.  An insert, where v
     leads at a column with no pivot, puts v there, its lead made positive
     and reduced at the pivots below; a row above changes only if v reduces
     its entry in that column, and is then reduced again at the pivots below,
-    and every other row keeps its tuple.  A merge, where a pivot does not
-    divide v's entry, merges v into that row by Euclid and normalizes the
-    rows from there on again, each reducing the entries above it.
+    and every other row keeps its tuple.  Where a pivot does not divide v's
+    entry, a merge step runs Euclid on that row and v.  The row is taken
+    out, which leaves a canonical HNF; the vector holding the gcd goes in by
+    the insert; and the rest, 0 up to that column, walks again.  Each walk
+    leads at a later column, so there are at most d of them.
     """
-    c = 0  # v and every row from i on are 0 before column c
-    for i, row in enumerate(rows):
-        while not (row[c] or v[c]):
+    while True:
+        c = 0  # v and every row from i on are 0 before column c
+        for i, row in enumerate(rows):
+            while not (row[c] or v[c]):
+                c += 1
+            p, x = row[c], v[c]
+            if not p or x % p:
+                break
+            if x:
+                q = x // p
+                v = [a - q * b for a, b in zip(v, row)]
             c += 1
-        p, x = row[c], v[c]
-        if not p or x % p:
-            break
-        if x:
-            q = x // p
-            v = [a - q * b for a, b in zip(v, row)]
-        c += 1
-    else:
-        i = len(rows)
-        if not any(v):
-            return rows
-        while not v[c]:
-            c += 1
-    lead = c
-    if i == len(rows) or not rows[i][lead]:
-        if v[lead] < 0:
-            v = [-x for x in v]
+        else:
+            i = len(rows)
+            if not any(v):
+                return rows
+            while not v[c]:
+                c += 1
+        lead = c
+        h = v
+        merge = i < len(rows) and rows[i][lead]
+        if merge:
+            # Euclid on the row and v: h gets the gcd at lead, v a 0.
+            h = rows[i]
+            while v[lead]:
+                q = h[lead] // v[lead]
+                h, v = v, [x - q * y for x, y in zip(h, v)]
+            rows = rows[:i] + rows[i + 1 :]
+        if h[lead] < 0:
+            h = [-x for x in h]
         below = rows[i:]
         pivots = []
         for row in below:
@@ -328,63 +339,24 @@ def _hnf_add(
             while not row[c]:
                 c += 1
             pivots.append(c)
-            q = v[c] // row[c]
+            q = h[c] // row[c]
             if q:
-                v = [a - q * b for a, b in zip(v, row)]
+                h = [a - q * b for a, b in zip(h, row)]
         top = []
-        p = v[lead]
+        p = h[lead]
         for a in rows[:i]:
             q = a[lead] // p
             if q:
-                a = [x - q * y for x, y in zip(a, v)]
+                a = [x - q * y for x, y in zip(a, h)]
                 for row, c in zip(below, pivots):
                     q = a[c] // row[c]
                     if q:
                         a = [x - q * y for x, y in zip(a, row)]
                 a = tuple(a)
             top.append(a)
-        return (*top, tuple(v), *below)
-    # Pivot columns of rows[i:]; the rows above keep theirs and are only
-    # reduced, so their entries of `pivots` are never read.
-    pivots = [0] * i
-    c = lead
-    for row in rows[i:]:
-        while not row[c]:
-            c += 1
-        pivots.append(c)
-        c += 1
-    out: List[Sequence[int]] = list(rows)
-    first = i
-    while True:
-        while not v[lead]:
-            lead += 1
-        while i < len(out) and pivots[i] < lead:
-            i += 1
-        if i == len(out) or pivots[i] > lead:
-            out.insert(i, v)
-            pivots.insert(i, lead)
-            break
-        # Euclid on the two rows: the row keeps the gcd at lead, v gets a 0.
-        h = out[i]
-        while v[lead]:
-            q = h[lead] // v[lead]
-            h, v = v, [x - q * y for x, y in zip(h, v)]
-        out[i] = h
-        i += 1
-        if not any(v):
-            break
-    for i in range(first, len(out)):
-        row, c = out[i], pivots[i]
-        p = row[c]
-        if p < 0:
-            out[i] = row = [-x for x in row]
-            p = -p
-        for above in range(i):
-            a = out[above]
-            q = a[c] // p
-            if q:
-                out[above] = [x - q * y for x, y in zip(a, row)]
-    return tuple(map(tuple, out))
+        rows = (*top, tuple(h), *below)
+        if not (merge and any(v)):
+            return rows
 
 
 def _key_multiplicity(rows: Sequence[Sequence[int]]) -> int:

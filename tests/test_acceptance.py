@@ -38,7 +38,14 @@ from tuttekit.signed_graphs import (
     unsigned_census,
     unsigned_genfun_theorem,
 )
-from tuttekit.tables import all_rows, fixture, parse_poly_terms
+from tuttekit.tables import (
+    C2_INTEGER_EHRHART_CORRECTED,
+    C2_INTEGER_TUTTE,
+    C2_ROOT_EHRHART,
+    all_rows,
+    fixture,
+    parse_poly_terms,
+)
 from tuttekit.tutte import (
     COBOUNDARY_VARS,
     arithmetic_tutte_bruteforce,
@@ -65,15 +72,15 @@ def test_criterion_1_worked_example():
     t0 = time.time()
     c2 = build_config(RootSystemSpec("C", 2, "integer"))
     m = arithmetic_tutte_bruteforce(c2)
-    assert m.poly == parse_poly_terms("x^2+2y^2+4x+4y+3", ("x", "y"))
+    assert m.poly == parse_poly_terms(C2_INTEGER_TUTTE, ("x", "y"))
     c2r = build_config(RootSystemSpec("C", 2, "root"))
     mr = arithmetic_tutte_bruteforce(c2r)
     assert mr.poly == parse_poly_terms("x^2+y^2+2x+2y+1", ("x", "y"))
     rep = derive_all(m)
-    assert rep.ehrhart == parse_poly_terms("14t^2+6t+1", ("t",))
+    assert rep.ehrhart == parse_poly_terms(C2_INTEGER_EHRHART_CORRECTED, ("t",))
     assert (rep.lattice_points, rep.interior_points) == (21, 9)
     rep_r = derive_all(mr)
-    assert rep_r.ehrhart == parse_poly_terms("7t^2+4t+1", ("t",))
+    assert rep_r.ehrhart == parse_poly_terms(C2_ROOT_EHRHART, ("t",))
     assert (rep_r.lattice_points, rep_r.interior_points) == (12, 4)
     report(1, "C2 worked example", t0, 1)
 

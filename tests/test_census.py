@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import configs
 from oracles import subset_stats
+from tuttekit import lattice
 from tuttekit.errors import StructureError
 from tuttekit.lattice import (
     DEFAULT_CAPACITY,
@@ -247,7 +248,12 @@ class TestKernel:
 
 
 class TestKernelExits:
-    """One fixed case per exit of `_hnf_add`, and deeper keys than TestKernel."""
+    """Fixed cases of `_hnf_add`'s two exits and its merge step, and deeper keys.
+
+    A member gets the key itself back; an insert puts v in at a new pivot
+    column; a merge step runs Euclid on a row and v, inserts the gcd row and
+    walks the rest again, which ends as a member, an insert or a merge.
+    """
 
     @pytest.mark.parametrize(
         "key,v,result",
@@ -262,6 +268,10 @@ class TestKernelExits:
             (((2, 1),), (3, 0), ((1, 2), (0, 3))),
             # merge, then insert what Euclid leaves of v
             (((2, 0, 0),), (1, 0, 1), ((1, 0, 1), (0, 0, 2))),
+            # merge, then the rest is a member
+            (((2, 0), (0, 2)), (1, 1), ((1, 1), (0, 2))),
+            # merge, then merge again: dropping the rest loses (0, 1)
+            (((2, 0), (0, 3)), (1, 1), ((1, 0), (0, 1))),
         ],
     )
     def test_fixed_case(self, key, v, result):
@@ -317,6 +327,14 @@ class TestFold:
     def test_root_system_keys_match_the_oracle_fold(self, name):
         config = build_config(parse_system(name))
         fold, oracle = unpacked_fold(config), oracle_fold(config)
+        assert list(fold.items()) == list(oracle.items())
+
+    def test_past_the_guard_matches_the_oracle_fold(self, monkeypatch):
+        # D6 weight: 30 vectors, 2,781 lattices, past the 25-vector guard.
+        config = build_config(parse_system("D:6:weight"))
+        monkeypatch.setattr(lattice, "DEFAULT_CAPACITY", len(config))
+        fold, oracle = unpacked_fold(config), oracle_fold(config)
+        assert len(config) == 30 and len(fold) == 2781
         assert list(fold.items()) == list(oracle.items())
 
 
