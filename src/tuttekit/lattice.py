@@ -439,20 +439,17 @@ def sublattice_census(config: VectorConfig) -> Census:
 
     Returns one (stats, counts) pair per lattice of `_census_fold`: its
     rank, m(B) read off its key, and counts[k], the number of k-element
-    subsets B that generate it, unpacked from its digits.  Lattices of the
-    same rank and m(B) share one `SubsetStats`.
+    subsets B that generate it, unpacked from its digits.
     """
     width = len(config) + 1
     digit = (1 << width) - 1
-    stats: Dict[Tuple[int, int], SubsetStats] = {}
-    census = []
-    for rows, packed in _census_fold(config).items():
-        pair = len(rows), _key_multiplicity(rows)
-        if pair not in stats:
-            stats[pair] = SubsetStats(*pair)
-        counts = [packed >> width * k & digit for k in range(width)]
-        census.append((stats[pair], counts))
-    return census
+    return [
+        (
+            SubsetStats(len(rows), _key_multiplicity(rows)),
+            [packed >> width * k & digit for k in range(width)],
+        )
+        for rows, packed in _census_fold(config).items()
+    ]
 
 
 def multiplicity_lcm(config: VectorConfig) -> int:

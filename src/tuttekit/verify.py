@@ -29,7 +29,8 @@ A check is skipped only when its engine raises `CapacityError`: the
 census's vector guard (which also skips the finite-field checks, as they
 need L), the graph dictionary's rank guard, or the point cap of a group
 count.  The skip's detail is the error's message.  A run in which no second
-engine reached a verdict (no `-vs-` and no `finite-field-q` check) ends with
+engine reached a verdict, that is no engine comparison ran and no group
+count passed or failed, ends with
 `cross-check: skip (no second engine reaches <system>)`.
 """
 
@@ -137,6 +138,7 @@ def verify_system(spec: RootSystemSpec) -> List[CheckResult]:
 
     results: List[CheckResult] = []
     baseline_name, baseline = "", None
+    cross_checked = False  # a second engine reached a pass or a fail
     for engine, t in outcomes.items():
         if isinstance(t, CapacityError):
             results.append(CheckResult(engine, SKIP, str(t)))
@@ -144,6 +146,7 @@ def verify_system(spec: RootSystemSpec) -> List[CheckResult]:
             baseline_name, baseline = engine, t
             results.append(CheckResult(engine, PASS, "taken as baseline"))
         else:
+            cross_checked = True
             ok = t == baseline  # polynomial, both ranks and flavor
             detail = "" if ok else f"{t!r} != {baseline!r}"
             results.append(
@@ -157,23 +160,13 @@ def verify_system(spec: RootSystemSpec) -> List[CheckResult]:
         if isinstance(census, CapacityError):
             results.append(CheckResult("finite-field", SKIP, str(census)))
         else:
-            results.extend(_finite_field_checks(config, census, psi))
-    if not cross_checked(results):
+            counts = _finite_field_checks(config, census, psi)
+            cross_checked = cross_checked or any(r.status != SKIP for r in counts)
+            results.extend(counts)
+    if not cross_checked:
         why = f"no second engine reaches {spec}"
         results.append(CheckResult("cross-check", SKIP, why))
     return results
-
-
-def cross_checked(results: List[CheckResult]) -> bool:
-    """Whether a second engine reached a verdict on the baseline.
-
-    That is a `-vs-` check or a finite-field check that passed or failed;
-    the baseline and `coboundary-at-Y1` alone check no engine against another.
-    """
-    return any(
-        r.status != SKIP and ("-vs-" in r.name or r.name.startswith("finite-field-q"))
-        for r in results
-    )
 
 
 def all_passed(results: List[CheckResult]) -> bool:

@@ -1,11 +1,19 @@
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import strategies as st
 
 from tuttekit.lattice import LatticeBasis, VectorConfig
 from tuttekit.poly import MultiPoly
 
 VARS_XY = ("x", "y")
+
+
+def assert_refused(call, error, message):
+    """`call()` raises exactly `error`, and its message is exactly `message`."""
+    with pytest.raises(error) as raised:
+        call()
+    assert (type(raised.value), str(raised.value)) == (error, message)
 
 
 def fractions(max_num=30, max_den=6):

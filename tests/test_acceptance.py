@@ -5,10 +5,7 @@ asserted loosely (the printed line records the measured time).
 """
 
 import time
-from fractions import Fraction as Q
 from math import factorial
-
-import pytest
 
 from tuttekit.finitefield import (
     _enumerate_profile,

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from conftest import assert_refused
 from tuttekit.errors import CapacityError, StructureError
 from tuttekit.invariants import (
     char_coeffs_via_permutations,
@@ -19,7 +20,7 @@ from tuttekit.genfun import GenFunRequest, expand_genfun, tutte_from_series
 from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config
 from tuttekit.tables import parse_poly_terms
-from tuttekit.tutte import arithmetic_tutte_bruteforce
+from tuttekit.tutte import TUTTE_VARS, TuttePolynomial, arithmetic_tutte_bruteforce
 
 
 def tutte(family, n, kind):
@@ -244,3 +245,48 @@ class TestWeylGroup:
     def test_weight_lattice_chi_at_zero(self, family, n):
         chi = derive_all(tutte(family, n, "weight")).characteristic
         assert weyl_group_check(family, n, chi)
+
+
+REFUSALS = {
+    "half-integer volume": (
+        lambda: derive_all(
+            TuttePolynomial(MultiPoly(TUTTE_VARS, {(1, 0): Q(1, 2)}), 1, 1, "arithmetic")
+        ),
+        StructureError,
+        "volume is not an integer: 1/2",
+    ),
+    "type D below rank 2": (
+        lambda: closed_form_characteristic("D", 1),
+        StructureError,
+        "type D needs n >= 2",
+    ),
+    "unknown family": (
+        lambda: closed_form_characteristic("E", 3),
+        StructureError,
+        "unknown family 'E'",
+    ),
+    "weight type A at n = 0": (
+        lambda: weight_characteristic_type_A(0),
+        StructureError,
+        "n must be positive",
+    ),
+    "prime case below 3": (
+        lambda: prime_case_characteristic_type_A(2),
+        StructureError,
+        "formula requires n >= 3",
+    ),
+    "more beads than places": (
+        lambda: necklace_count(3, 2),
+        StructureError,
+        "need 0 <= n <= q",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    assert_refused(*REFUSALS[case])
+
+
+def test_the_empty_necklace():
+    assert necklace_count(0, 0) == necklace_count_direct(0, 0) == 1

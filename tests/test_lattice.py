@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import configs, int_matrices
+from conftest import assert_refused, configs, int_matrices
 from oracles import subset_stats
 from tuttekit.errors import (
     CapacityError,
@@ -270,3 +270,37 @@ class TestIntegerElimination:
         assert smaller.coordinates(inside) == c
         with pytest.raises(SpanError):
             smaller.coordinates(tuple(a + b for a, b in zip(inside, basis[-1])))
+
+
+REFUSALS = {
+    "empty basis": (lambda: LatticeBasis(()), StructureError, "empty lattice basis"),
+    "ragged basis": (
+        lambda: LatticeBasis((V(1, 0), V(1))),
+        StructureError,
+        "basis columns of unequal length",
+    ),
+    "index of a lower rank": (
+        lambda: LatticeBasis.standard(2).index_of_sublattice(LatticeBasis.standard(1)),
+        StructureError,
+        "sublattice of different rank",
+    ),
+    # Only a basis of another space is degenerate in Z^2: `coordinates`
+    # reads the first two entries of (1, 0, 0) and (1, 0, 1) alike.
+    "degenerate index": (
+        lambda: LatticeBasis.standard(2).index_of_sublattice(
+            LatticeBasis((V(1, 0, 0), V(1, 0, 1)))
+        ),
+        StructureError,
+        "claimed sublattice basis is degenerate",
+    ),
+    "vector of another space": (
+        lambda: VectorConfig((V(1, 0),), LatticeBasis.standard(3)),
+        StructureError,
+        "vector dimension differs from ambient",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    assert_refused(*REFUSALS[case])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import VARS_XY, fractions, nonzero_polys, polys
+from conftest import VARS_XY, assert_refused, fractions, nonzero_polys, polys
 from tuttekit.errors import ExactDivisionError, StructureError
 from tuttekit.poly import MultiPoly, compose_affine
 
@@ -226,3 +226,43 @@ class TestQueries:
     def test_integer_coefficient_check(self):
         assert P({(1, 0): Q(4, 2)}).has_integer_coefficients()
         assert not P({(1, 0): Q(1, 2)}).has_integer_coefficients()
+
+
+X = MultiPoly.var(VARS_XY, "x")
+Q_ONLY = MultiPoly.var(("q",), "q")
+
+REFUSALS = {
+    "assignment": (lambda: setattr(X, "terms", {}), AttributeError, "MultiPoly is immutable"),
+    "sum over other variables": (
+        lambda: X + Q_ONLY,
+        StructureError,
+        "variable lists differ: ('x', 'y') vs ('q',)",
+    ),
+    "negative power": (lambda: X**-1, StructureError, "negative polynomial power"),
+    "bindings over two lists": (
+        lambda: (X * MultiPoly.var(VARS_XY, "y")).substitute(
+            {"x": Q_ONLY, "y": MultiPoly.var(("t",), "t")}
+        ),
+        StructureError,
+        "bindings use inconsistent variable lists",
+    ),
+    "division by zero": (
+        lambda: X.divide_exact(MultiPoly.zero(VARS_XY)),
+        ExactDivisionError,
+        "division by zero polynomial",
+    ),
+    "unbound variable": (
+        lambda: X.evaluate({"x": 1}),
+        StructureError,
+        "no value for variable 'y'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    assert_refused(*REFUSALS[case])
+
+
+def test_truth_is_being_nonzero():
+    assert X and not MultiPoly.zero(VARS_XY)

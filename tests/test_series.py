@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fractions, polys
+from conftest import assert_refused, fractions, polys
 from tuttekit.errors import CapacityError, PrecisionError, StructureError
 from tuttekit.poly import MultiPoly, Scalar
 from tuttekit.series import TruncSeries, deformed_exponential, sum_of_products
@@ -529,3 +529,60 @@ class TestExponentLimits:
     def test_negative_exponents_are_refused(self):
         with pytest.raises(StructureError):
             TruncSeries((MultiPoly(XY, {(-1, 0): 1}),))
+
+
+Q_ONLY = MultiPoly.var(("q",), "q")
+ONE_PLUS_Y = TruncSeries([MultiPoly.const(XY, 1), y_mono(1)])
+
+REFUSALS = {
+    "no coefficients": (
+        lambda: TruncSeries([]),
+        StructureError,
+        "a series needs at least the constant coefficient",
+    ),
+    "coefficients over two lists": (
+        lambda: TruncSeries([y_mono(1), Q_ONLY]),
+        StructureError,
+        "series coefficients over differing variables",
+    ),
+    "assignment": (
+        lambda: setattr(ONE_PLUS_Y, "order", 3),
+        AttributeError,
+        "TruncSeries is immutable",
+    ),
+    "polynomial over another list": (
+        lambda: ONE_PLUS_Y + Q_ONLY,
+        StructureError,
+        "variable lists differ: ('X', 'Y') vs ('q',)",
+    ),
+    "series over another list": (
+        lambda: ONE_PLUS_Y + TruncSeries([Q_ONLY]),
+        StructureError,
+        "series over differing variable lists",
+    ),
+    "log off constant term 1": (
+        lambda: TruncSeries([MultiPoly.const(XY, 2)]).log(),
+        PrecisionError,
+        "log requires constant term 1",
+    ),
+    "exponent over another list": (
+        lambda: ONE_PLUS_Y.pow_poly(Q_ONLY),
+        StructureError,
+        "exponent over differing variable list",
+    ),
+    "filter stride 0": (
+        lambda: ONE_PLUS_Y.filter_every_nth(0),
+        PrecisionError,
+        "filter stride must be positive",
+    ),
+    "alpha and beta over two lists": (
+        lambda: deformed_exponential(y_mono(1), Q_ONLY, 2),
+        StructureError,
+        "alpha and beta over differing variable lists",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    assert_refused(*REFUSALS[case])

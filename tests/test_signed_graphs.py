@@ -3,9 +3,10 @@ from math import factorial
 
 import pytest
 
+from conftest import assert_refused
 from oracles import GraphStats, SignedGraph, _ParityUnionFind, component_stats
 from tuttekit import signed_graphs
-from tuttekit.errors import CapacityError
+from tuttekit.errors import CapacityError, StructureError
 from tuttekit.lattice import sublattice_census
 from tuttekit.root_systems import RootSystemSpec, build_config
 from tuttekit.signed_graphs import (
@@ -214,3 +215,17 @@ class TestGraphDictionary:
             graph_dictionary_tutte("B", 8, "integer")
         with pytest.raises(CapacityError):
             graph_dictionary_tutte("A", 11, "integer")
+
+
+REFUSALS = {
+    "unknown family": (
+        lambda: graph_dictionary_tutte("E", 2, "integer"),
+        StructureError,
+        "no signed-graph dictionary for family 'E'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    assert_refused(*REFUSALS[case])

@@ -1,10 +1,10 @@
 import pytest
 
+from conftest import assert_refused
 from tuttekit import tables
 from tuttekit.errors import StructureError
 from tuttekit.genfun import GenFunRequest, extract_polynomial
 from tuttekit.invariants import derive_all
-from tuttekit.poly import MultiPoly
 from tuttekit.tables import (
     C2_INTEGER_EHRHART_CORRECTED,
     C2_INTEGER_EHRHART_PRINTED,
@@ -103,3 +103,22 @@ class TestRecordedTypo:
         # The printed string double-counts t^2 and has no linear term.
         assert printed.terms[(2,)] == 20
         assert corrected.terms == {(2,): 14, (1,): 6, (0,): 1}
+
+
+REFUSALS = {
+    "no terms": (
+        lambda: parse_poly_terms(" + ", ("x", "y")),
+        StructureError,
+        "no terms in ' + '",
+    ),
+    "unparseable term": (
+        lambda: parse_poly_terms("1 + 3 x!", ("x", "y")),
+        StructureError,
+        "unparseable term '3 x!'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    assert_refused(*REFUSALS[case])

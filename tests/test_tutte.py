@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_refused
 from tuttekit.errors import CapacityError, ExactDivisionError, StructureError
 from tuttekit.lattice import LatticeBasis, VectorConfig
 from tuttekit.poly import MultiPoly
@@ -250,3 +251,27 @@ class TestEvaluations:
         for x, y in [(1, 0), (0, 1), (1, 1), (2, 1)]:
             v = t.evaluate(x, y)
             assert v.denominator == 1 and v >= 0
+
+
+REFUSALS = {
+    "Tutte over (X, Y)": (
+        lambda: TuttePolynomial(MultiPoly.var(COBOUNDARY_VARS, "X"), 1, 1, "arithmetic"),
+        StructureError,
+        "Tutte polynomial must be over (x, y)",
+    ),
+    "unknown flavor": (
+        lambda: TuttePolynomial(MultiPoly.var(TUTTE_VARS, "x"), 1, 1, "tropical"),
+        StructureError,
+        "unknown flavor 'tropical'",
+    ),
+    "coboundary over (x, y)": (
+        lambda: CoboundaryPolynomial(MultiPoly.var(TUTTE_VARS, "x"), 1),
+        StructureError,
+        "coboundary polynomial must be over (X, Y)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    assert_refused(*REFUSALS[case])

@@ -229,13 +229,49 @@ def test_cross_checked_runs_carry_no_label(capsys, system):
     assert "cross-check" not in capsys.readouterr().out
 
 
-def test_a_failed_cross_check_is_a_verdict():
-    baseline = CheckResult("genfun", PASS, "taken as baseline")
-    failed = CheckResult("graph-dictionary-vs-genfun", FAIL, "differs")
-    skipped = CheckResult("finite-field", SKIP, "guard")
-    assert verify.cross_checked([baseline, failed, skipped])
-    assert not verify.cross_checked([baseline, skipped])
-    assert verify.cross_checked([baseline, CheckResult("finite-field-q4", PASS)])
+def refuse(monkeypatch, *engines):
+    """Make table entries raise the CapacityError of an engine past its guard."""
+
+    def refused(spec):
+        raise CapacityError(f"refused {spec}")
+
+    for engine in engines:
+        monkeypatch.setitem(verify.ENGINES, engine, refused)
+
+
+def test_a_failed_comparison_is_a_verdict(monkeypatch, capsys):
+    # B:6:integer is past the census guard: graphs against genfun is the only
+    # comparison, and no group count runs.
+    perturb(monkeypatch, "graphs")
+    assert main(["verify", "--system", "B:6:integer"]) == EXIT_MISMATCH
+    out = capsys.readouterr().out
+    assert "graph-dictionary-vs-genfun: fail" in out
+    assert "cross-check" not in out
+
+
+def test_group_counts_alone_are_a_verdict(monkeypatch, capsys):
+    refuse(monkeypatch, "genfun", "graphs")
+    assert main(["verify", "--system", "C:2:integer"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "-vs-" not in out and "finite-field-q4: pass" in out
+    assert "cross-check" not in out
+
+
+def test_counts_that_skip_are_not_a_verdict(monkeypatch, capsys):
+    refuse(monkeypatch, "genfun", "graphs")
+    monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 1)
+    assert main(["verify", "--system", "C:2:integer"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "C:2:integer  cross-check: skip (no second engine reaches C:2:integer)"
+
+
+def test_a_count_is_a_verdict_whatever_its_name(monkeypatch):
+    refuse(monkeypatch, "genfun", "graphs")
+    monkeypatch.setattr(
+        verify, "_finite_field_checks", lambda *_: [CheckResult("group-count", PASS)]
+    )
+    names = [r.name for r in verify_system(parse_system("C:2:integer"))]
+    assert names == ["bruteforce", "genfun", "graph-dictionary", "coboundary-at-Y1", "group-count"]
 
 
 def test_the_engine_table_is_the_method_list():
