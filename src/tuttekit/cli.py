@@ -8,7 +8,8 @@ mismatch, 3 capacity guard, 4 usage error.
 
 `compute --method` takes the names of `tuttekit.verify.ENGINES` and calls
 that entry; `all` runs every entry, skips those that raise `CapacityError`
-and compares the rest; `invariants` derives its report from the
+and compares the rest, reporting the agreement as a skip (`null` in JSON)
+when only one ran; `invariants` derives its report from the
 `bruteforce` entry.  `verify` prints one line per check of
 `tuttekit.verify.verify_system`, including its closing `cross-check` skip
 when no second engine reached a verdict; a skip's reason is the message of
@@ -77,7 +78,11 @@ def cmd_compute(args) -> int:
     if not computed:
         raise CapacityError("no method could run within its capacity guard")
     first = next(iter(computed.values()))
-    agree = all(t == first for t in computed.values())  # the whole record
+    if len(computed) == 1:  # nothing to compare with
+        agree, verdict = None, f"skip (only {next(iter(computed))} ran)"
+    else:
+        agree = all(t == first for t in computed.values())  # the whole record
+        verdict = "yes" if agree else "NO"
     if args.output == "json":
         payload = _tutte_payload(spec, "all", first)
         payload["methods_run"] = sorted(computed)
@@ -86,8 +91,8 @@ def cmd_compute(args) -> int:
     else:
         print(f"{spec} [{', '.join(sorted(computed))}]")
         print(f"M(x,y) = {first.poly}")
-        print(f"agreement: {'yes' if agree else 'NO'}")
-    return EXIT_OK if agree else EXIT_MISMATCH
+        print(f"agreement: {verdict}")
+    return EXIT_MISMATCH if agree is False else EXIT_OK
 
 
 def cmd_verify(args) -> int:

@@ -7,9 +7,11 @@ points t with c . t = 0 (mod q).  Histogramming how many vectors vanish at
 each point gives sum_t Y^h(t) = q^(d-r) psi(q, Y) whenever q is a multiple
 of every torsion exponent: B vanishes at q^(d-r(B)) |Hom(T_B, Z/q)| points,
 T_B the torsion of Lambda / ZB, and that is m(B) exactly then.  The X^r
-term of psi is Y^z, z the number of zero vectors, so interpolation samples
-only q = E, 2E, ..., rE, E the lcm of the torsion exponents.  E divides the
-multiplicity lcm L, so `verify`'s checks at q = L and 2L stay valid.
+term of psi is Y^z, z the number of zero vectors, and the X^(r-1) term is
+a sum over the rank-1 subsets, which lie on lines through 0; both are read
+off the coordinates, so interpolation samples only q = E, 2E, ...,
+(r-1)E, E the lcm of the torsion exponents.  E divides the multiplicity
+lcm L, so `verify`'s checks at q = L and 2L stay valid.
 The torus (F_p^*)^d over GF(p) is the case q = p - 1: F_p^* is cyclic of
 that order, so a generator identifies the two histograms.
 """
@@ -18,9 +20,9 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import zip_longest
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import AdmissibilityError, CapacityError
 from .lattice import VectorConfig, _census_fold, multiplicity_lcm, snf_invariant_factors
@@ -271,27 +273,28 @@ def verify_finite_field_identity(
 def _interpolate(step: int, ys: Sequence[int]) -> List[int]:
     """Int coefficients, lowest first, of p with p(k step) = ys[k-1], k >= 1.
 
-    The degree of p is below len(ys) = r + 1.  In t = X / step the nodes are
-    t = 1, ..., r + 1, where Newton's forward differences D^j of the ys are
-    ints and p = sum_j D^j (t-1)...(t-j) / j!.  Scaled by r!, every term is
-    an int polynomial in t, expanded by Horner's rule; the coefficient of
-    X^j is that of t^j over r! step^j.  Raises AdmissibilityError when a
-    division leaves a remainder, that is, when p is not integral.
+    With n = len(ys) nodes, the degree of p is below n.  In t = X / step the
+    nodes are t = 1, ..., n, where Newton's forward differences D^j of the
+    ys are ints and p = sum_j D^j (t-1)...(t-j) / j!.  Scaled by (n-1)!,
+    every term is an int polynomial in t, expanded by Horner's rule; the
+    coefficient of X^j is that of t^j over (n-1)! step^j.  Raises
+    AdmissibilityError when a division leaves a remainder, that is, when p
+    is not integral.
     """
-    r = len(ys) - 1
+    top = len(ys) - 1  # the degree bound, n - 1
     diffs = list(ys)
-    for k in range(1, r + 1):
-        for i in range(r, k - 1, -1):
+    for k in range(1, top + 1):
+        for i in range(top, k - 1, -1):
             diffs[i] -= diffs[i - 1]
-    # r! p = c_0 + (t-1)(c_1 + (t-2)(c_2 + ...)), with c_j = D^j r!/j!.
+    # (n-1)! p = c_0 + (t-1)(c_1 + (t-2)(c_2 + ...)), c_j = D^j (n-1)!/j!.
     out: List[int] = []
-    scale = 1  # r!/j!
-    for j in range(r, -1, -1):
+    scale = 1  # (n-1)!/j!
+    for j in range(top, -1, -1):
         out = [hi - (j + 1) * lo for lo, hi in zip(out + [0], [0] + out)]
         out[0] += diffs[j] * scale
         scale *= j
     coefficients = []
-    den = factorial(r)
+    den = factorial(top)
     for a in out:
         c, rem = divmod(a, den)
         if rem:
@@ -301,20 +304,54 @@ def _interpolate(step: int, ys: Sequence[int]) -> List[int]:
     return coefficients
 
 
+def _line_sum(config: VectorConfig) -> List[int]:
+    """Y-coefficients of sum_S m(S) (Y-1)^|S|, S of rank 1 without 0.
+
+    A rank-1 subset of nonzero vectors lies on one line through 0.  With u
+    the line's primitive direction in lattice coordinates and each vector
+    a = k_a u, ZS = gcd(k_S) u Z has index m(S) = gcd(k_S) in the
+    saturation u Z.  Per line, a table keyed by (gcd, size) counts the
+    subsets, one vector at a time.
+    """
+    lines: Dict[Tuple[int, ...], List[int]] = {}
+    for row in config.coord_matrix:
+        g = gcd(*row)
+        if g:
+            unit = g if next(c for c in row if c) > 0 else -g
+            lines.setdefault(tuple(c // unit for c in row), []).append(g)
+    by_size: Counter = Counter()  # sum of m(S) over the S of each size
+    # Lines with the same multiset of k's contribute alike.
+    shapes = Counter(tuple(sorted(ks)) for ks in lines.values())
+    for shape, alike in shapes.items():
+        subsets = Counter({(0, 0): 1})  # gcd(k_S), |S| -> number of S
+        for k in shape:
+            for (g, size), count in list(subsets.items()):
+                subsets[gcd(g, k), size + 1] += count
+        for (g, size), count in subsets.items():
+            by_size[size] += alike * g * count
+    out = [0] * (max(by_size, default=0) + 1)
+    for size, total in by_size.items():
+        for j in range(size + 1):  # (Y-1)^s = sum_j C(s, j) (-1)^(s-j) Y^j
+            out[j] += total * comb(size, j) * (-1) ** (size - j)
+    return out
+
+
 def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
     """Recover the arithmetic Tutte polynomial from group histograms alone.
 
-    psi(X, Y) has X-degree at most r, and its X^r term is Y^z: only subsets
-    of the z zero vectors have rank 0, each with multiplicity 1.  Taking
-    q^r Y^z off psi(q, Y) at the r admissible values q = E, 2E, ..., rE
-    leaves X-degree at most r - 1, so those r samples determine the rest:
-    the coefficient of each power of Y is interpolated in X on its own, as a
-    scalar polynomial.  At r = 0 nothing is counted.  The largest q is
-    checked against the point cap before any counting starts.  E is the
-    lcm of the largest invariant factors of the rank-r keys of one census
-    fold: every subset's torsion group is a quotient of an independent
-    subset's, which embeds in a rank-r subset's, so every torsion exponent
-    divides E, which divides the multiplicity lcm L.
+    psi(X, Y) = sum_B m(B) X^(r - r(B)) (Y-1)^|B| has X-degree at most r.
+    Its top two rows need no count: X^r has Y^z, since only subsets of the
+    z zero vectors have rank 0, each with multiplicity 1; X^(r-1) has Y^z
+    times the rank-1 sum of `_line_sum`.  Taking q^r Y^z and q^(r-1) times
+    that row off psi(q, Y) at the r - 1 admissible values q = E, 2E, ...,
+    (r-1)E leaves X-degree at most r - 2, so those samples determine the
+    rest: the coefficient of each power of Y is interpolated in X on its
+    own, as a scalar polynomial.  At r <= 1 nothing is counted.  The largest
+    q is checked against the point cap before any counting starts.  E is
+    the lcm of the largest invariant factors of the rank-r keys of one
+    census fold: every subset's torsion group is a quotient of an
+    independent subset's, which embeds in a rank-r subset's, so every
+    torsion exponent divides E, which divides the multiplicity lcm L.
     """
     keys = _census_fold(config)
     r = max(map(len, keys))
@@ -322,12 +359,14 @@ def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
         *(max(snf_invariant_factors(key), default=1) for key in keys if len(key) == r)
     )
     d, z = config.lattice.rank, sum(not any(row) for row in config.coord_matrix)
-    _check_points(r * exponent, d)
+    _check_points(max(r - 1, 0) * exponent, d)
+    top = [0] * z + [1]  # row X^r
+    below = [0] * z + _line_sum(config)  # row X^(r-1), when r >= 1
 
-    # samples[k][h]: the Y^h coefficient of psi(q, Y) - q^r Y^z at
-    # q = (k+1)E, an int when psi is integral.
+    # samples[k][h]: the Y^h coefficient of psi(q, Y) - q^r Y^z - q^(r-1)
+    # below(Y) at q = (k+1)E, an int when psi is integral.
     samples = []
-    for q in range(exponent, r * exponent + 1, exponent):
+    for q in range(exponent, r * exponent, exponent):
         histogram = _group_histogram(config, q)
         scale = q ** (d - r)
         sample = []
@@ -337,10 +376,13 @@ def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
                 raise AdmissibilityError("interpolated coboundary is not integral")
             sample.append(c)
         sample[z] -= q**r
+        for h, c in enumerate(below):
+            sample[h] -= q ** (r - 1) * c
         samples.append(sample)
-    # columns[h][i]: the X^i Y^h coefficient of psi, i < r; row X^r is Y^z.
+    # columns[h][i]: the X^i Y^h coefficient of psi, i < r - 1.
     columns = [_interpolate(exponent, values) for values in zip(*samples)]
-    psi = MultiPoly.from_rows(COBOUNDARY_VARS, [*zip(*columns), [0] * z + [1]])
+    rows = [*zip(*columns), below, top] if r else [top]
+    psi = MultiPoly.from_rows(COBOUNDARY_VARS, rows)
     cob = CoboundaryPolynomial(poly=psi, rank=r)
     return tutte_from_coboundary(cob, ambient_rank=d, flavor="arithmetic")
 

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import strategies as st
@@ -55,17 +56,12 @@ def int_matrices(max_dim=4, max_entry=9):
     )
 
 
-@st.composite
-def configs(draw):
-    """<= 8 vectors with lattice coordinates in [-3, 3], in rank 2 or 3.
+def _in_random_basis(draw, d, coords):
+    """The configuration with lattice coordinates `coords` in rank d.
 
     Half the time the lattice basis is a random triangular one with
     half-integer entries above the diagonal instead of the standard basis.
     """
-    d = draw(st.sampled_from([2, 3]))
-    coords = draw(
-        st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=8)
-    )
     if draw(st.booleans()):
         lattice = LatticeBasis.standard(d)
     else:
@@ -83,3 +79,33 @@ def configs(draw):
         for cs in coords
     )
     return VectorConfig(vectors=vectors, lattice=lattice)
+
+
+@st.composite
+def configs(draw):
+    """<= 8 vectors with lattice coordinates in [-3, 3], in rank 2 or 3,
+    in the standard or a random half-integer basis."""
+    d = draw(st.sampled_from([2, 3]))
+    coords = draw(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=8)
+    )
+    return _in_random_basis(draw, d, coords)
+
+
+@st.composite
+def line_configs(draw):
+    """<= 8 vectors k u on at most 3 lines, in rank 2 or 3.
+
+    Each u is a primitive vector of lattice coordinates in [-3, 3], and
+    each k in [-4, 4], so zero vectors and opposite vectors occur; the basis
+    is standard or random half-integer, as in `configs`.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    primitive = st.tuples(*[st.integers(-3, 3)] * d).filter(lambda u: gcd(*u) == 1)
+    directions = draw(st.lists(primitive, min_size=1, max_size=3))
+    multiples = st.tuples(st.sampled_from(directions), st.integers(-4, 4))
+    coords = [
+        tuple(k * c for c in u)
+        for u, k in draw(st.lists(multiples, min_size=1, max_size=8))
+    ]
+    return _in_random_basis(draw, d, coords)

@@ -79,8 +79,37 @@ class TestCompute:
         assert code == EXIT_OK
         assert "agreement: yes" in out
 
+    def test_method_all_with_one_engine_skips_the_agreement(self, capsys):
+        # B:8:integer: every engine but genfun stops at its capacity guard,
+        # so there is nothing to compare with.
+        code, out, _ = run(capsys, "compute", "--system", "B:8:integer", "--method", "all")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert (lines[0], lines[-1]) == (
+            "B:8:integer [genfun]", "agreement: skip (only genfun ran)"
+        )
+        code, out, _ = run(
+            capsys,
+            "compute", "--system", "B:8:integer", "--method", "all", "--output", "json",
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert (payload["methods_run"], payload["agreement"]) == (["genfun"], None)
+
+    @pytest.mark.parametrize("engine", list(verify.ENGINES))
+    def test_method_all_names_the_one_engine_that_ran(self, monkeypatch, capsys, engine):
+        def refuse(spec):
+            raise CapacityError("refused")
+
+        for other in verify.ENGINES:
+            if other != engine:
+                monkeypatch.setitem(verify.ENGINES, other, refuse)
+        code, out, _ = run(capsys, "compute", "--system", "C:2:integer", "--method", "all")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == f"agreement: skip (only {engine} ran)"
+
     def test_method_all_reaches_finitefield_on_d5_weight(self, capsys):
-        # L = 8 and r = 5: the largest group counted is (Z/40)^5, inside the
+        # E = 4 and r = 5: the largest group counted is (Z/16)^5, inside the
         # point cap, so every engine runs.
         code, out, _ = run(
             capsys,

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import configs
+from conftest import configs, line_configs
 from oracles import subset_stats, torsion_exponent_lcm
 from tuttekit import finitefield, lattice
 from tuttekit.errors import AdmissibilityError, CapacityError
@@ -27,6 +27,7 @@ from tuttekit.finitefield import (
     _enumerate_profile,
     _interpolate,
     _group_histogram,
+    _line_sum,
     group_identity_holds,
     is_prime,
     tutte_via_interpolation,
@@ -106,9 +107,9 @@ def run_python(code: str) -> subprocess.CompletedProcess:
 
 
 def interpolation_points(config):
-    """(rE)^d, the size of the largest group interpolation counts over."""
+    """((r-1)E)^d, the size of the largest group interpolation counts over."""
     r = subset_stats(config, range(len(config))).rank
-    return (r * torsion_exponent_lcm(config)) ** config.lattice.rank
+    return (max(r - 1, 0) * torsion_exponent_lcm(config)) ** config.lattice.rank
 
 
 def counted_groups(monkeypatch):
@@ -262,11 +263,11 @@ class TestInterpolation:
         assert tutte_via_interpolation(c).poly == arithmetic_tutte_bruteforce(c).poly
 
     def test_samples_multiples_of_the_lcm(self, monkeypatch):
-        # C2 integer: L = 4 but E = 2, r = 2.  The X^2 term is known, so
-        # (r+1)E = 6 is not counted.
+        # C2 integer: L = 4 but E = 2, r = 2.  The X^2 and X^1 rows are
+        # known, so rE = 4 is not counted.
         seen = counted_groups(monkeypatch)
         tutte_via_interpolation(cfg("C", 2, "integer"))
-        assert seen == [2, 4]
+        assert seen == [2]
 
     def test_one_fold_and_smith_forms_of_rank_r_keys_only(self, monkeypatch):
         # One census fold gives the keys, hence r and E; only the rank-r
@@ -300,22 +301,23 @@ class TestInterpolation:
             assert sorted(smith_forms) == sorted(k for k in fold(c) if len(k) == r)
 
     def test_point_cap_checked_before_counting(self, monkeypatch):
-        c = cfg("C", 2, "integer")  # largest group (Z/4)^2
-        monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 16)
+        c = cfg("C", 2, "integer")  # largest group (Z/2)^2
+        monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 4)
         tutte_via_interpolation(c)
 
         def refuse(*_):
             raise AssertionError("counted past the point cap")
 
         monkeypatch.setattr(finitefield, "_group_histogram", refuse)
-        monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 15)
+        monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 3)
         with pytest.raises(CapacityError):
             tutte_via_interpolation(c)
 
     def test_histogram_not_a_multiple_of_the_scale_is_refused(self, monkeypatch):
-        # 2 e1 in Z^2: L = 2 and d - r = 1, so the one count, at q = 2, must
-        # be a multiple of 2.
-        c = VectorConfig(vectors=((2, 0),), lattice=LatticeBasis.standard(2))
+        # 2 e1 and e2 in Z^3: E = 2, r = 2 and d - r = 1, so the one count,
+        # at q = 2, must be a multiple of 2.
+        vectors = ((2, 0, 0), (0, 1, 0))
+        c = VectorConfig(vectors=vectors, lattice=LatticeBasis.standard(3))
         assert tutte_via_interpolation(c).poly == arithmetic_tutte_bruteforce(c).poly
         count = finitefield._group_histogram
 
@@ -348,9 +350,23 @@ class TestInterpolation:
         assert tutte_via_interpolation(c) == expected
         assert seen == []
 
+    @pytest.mark.parametrize(
+        "vectors,d",
+        [(((2, 4), (-1, -2), (0, 0), (3, 6), (1, 2)), 2), (((4,), (6,), (0,)), 1)],
+        ids=["one line in Z^2", "Z^1"],
+    )
+    def test_rank_1_counts_nothing(self, vectors, d, monkeypatch):
+        # r = 1: the X^1 and X^0 rows are both read off the one line.
+        c = VectorConfig(vectors=vectors, lattice=LatticeBasis.standard(d))
+        expected = arithmetic_tutte_bruteforce(c)
+        seen = counted_groups(monkeypatch)
+        assert tutte_via_interpolation(c) == expected
+        assert seen == []
+
     @pytest.mark.parametrize("kind", ["integer", "root", "weight"])
     def test_reaches_c5(self, kind):
-        # (rL)^5 = 160^5 or 80^5 points is past the cap; (rE)^5 = 10^5 is not.
+        # (rL)^5 = 160^5 or 80^5 points is past the cap; ((r-1)E)^5 = 8^5 is
+        # not.
         c = cfg("C", 5, kind)
         assert tutte_via_interpolation(c).poly == arithmetic_tutte_bruteforce(c).poly
 
@@ -390,7 +406,7 @@ class TestTorsionExponent:
         with pytest.MonkeyPatch.context() as patch:
             seen = counted_groups(patch)
             tutte_via_interpolation(config)
-        assert seen == [k * exponent for k in range(1, r + 1)]
+        assert seen == [k * exponent for k in range(1, r)]
         psi = coboundary_from_tutte(arithmetic_tutte_bruteforce(config))
         assert group_identity_holds(config, exponent, psi)
         assert group_identity_holds(config, 2 * exponent, psi)
@@ -436,6 +452,37 @@ class TestLeadingTerm:
             c = cfg(family, n, kind)
             r = subset_stats(c, range(len(c))).rank
             assert_leading_term(extract_coboundary(series, family, n), r, 0)
+
+
+def line_row(config):
+    """The X^(r-1) row the engine reads off the lines: Y^z times `_line_sum`."""
+    z = sum(not any(row) for row in config.coord_matrix)
+    return [0] * z + _line_sum(config)
+
+
+class TestLineRow:
+    """The X^(r-1) row that interpolation adds back without counting it,
+    read off engines that do not rely on it."""
+
+    @given(line_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_bruteforce(self, config):
+        r = subset_stats(config, range(len(config))).rank
+        assume(r >= 1)
+        psi = coboundary_from_tutte(arithmetic_tutte_bruteforce(config))
+        assert psi.poly.rows()[r - 1] == line_row(config)
+
+    @pytest.mark.parametrize("kind", ["integer", "root", "weight"])
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+    def test_genfun_up_to_n_6(self, family, kind):
+        series = expand_genfun(GenFunRequest(family, kind, 6))
+        # A:1:integer has no vectors, so r = 0 and no X^(r-1) row.
+        low = 1 if family in "BC" else 2
+        for n in range(low, 7):
+            c = cfg(family, n, kind)
+            r = subset_stats(c, range(len(c))).rank
+            psi = extract_coboundary(series, family, n)
+            assert psi.poly.rows()[r - 1] == line_row(c)
 
 
 class TestRandomConfigurations:
