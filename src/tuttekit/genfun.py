@@ -74,9 +74,13 @@ def _y(power: int, scale: int = 1) -> MultiPoly:
     return MultiPoly(COBOUNDARY_VARS, {(0, power): scale})
 
 
-def _final_products(family: str, kind: str, order: int) -> Tuple[Products, int]:
+def _final_products(
+    family: str, kind: str, order: int, n: int = 0
+) -> Tuple[Products, int]:
     """The family series as (weight, series, series) products over one divisor,
-    every factor truncated at Z^order; see `series.sum_of_products`."""
+    every factor truncated at Z^order; see `series.sum_of_products`.  Type A
+    weight keeps only the m | n, as exp(X cg_m) lives on multiples of m;
+    n = 0, the default, keeps every m, for a read of every Z^k."""
     if family == "A":
         one = TruncSeries.constant(COBOUNDARY_VARS, 1, order)
         x = MultiPoly.var(COBOUNDARY_VARS, "X")
@@ -89,6 +93,7 @@ def _final_products(family: str, kind: str, order: int) -> Tuple[Products, int]:
         return [
             (euler_phi(m), (cg.filter_every_nth(m) * x).exp() - 1, one)
             for m in range(1, order + 1)
+            if not n % m
         ], 1
 
     def y_factor(a: int) -> TruncSeries:  # F(Y^a Z, Y^2), free of X
@@ -156,6 +161,6 @@ def tutte_from_series(
 def extract_polynomial(req: GenFunRequest, n: int) -> TuttePolynomial:
     """Tutte polynomial of the rank-n (or n-coordinate, type A) system, from
     the Z^n term of the family series alone."""
-    final = _final_products(req.family, req.lattice_kind, req.order)
+    final = _final_products(req.family, req.lattice_kind, req.order, n)
     z_n = sum_of_products(*final, low=n)
     return tutte_from_series(z_n, req.family, req.lattice_kind, n)

@@ -15,7 +15,8 @@ subset counts by size packed into one int as base-2^(n+1) digits.  A vector
 that is already a member of a state's lattice gets that key object itself
 back and is counted by index, with no hash.  The multiplicity of each
 final lattice is read off its key, as the index in Z^k of the lattice
-spanned by the columns of its k echelon rows.
+spanned by the columns of its k echelon rows, and the census returns one
+entry per (rank, m(B)) class: 51 for the 770 lattices of the `census` benchmark.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ class SubsetStats:
     multiplicity: int
 
 
-# One (stats, counts[k] of k-element generating subsets) pair per lattice ZB.
+# One (stats, counts[k] of k-element subsets B) pair per (rank, m(B)) class.
 Census = List[Tuple[SubsetStats, List[int]]]
 
 
@@ -435,23 +436,26 @@ def _census_fold(config: VectorConfig) -> Dict[Tuple[Tuple[int, ...], ...], int]
 
 
 def sublattice_census(config: VectorConfig) -> Census:
-    """Every distinct sublattice ZB, B a subset of the configuration.
+    """Every (rank, m(B)) class of the subsets B of the configuration.
 
-    Returns one (stats, counts) pair per lattice of `_census_fold`: its
-    rank, m(B) read off its key, and counts[k], the number of k-element
-    subsets B that generate it, unpacked from its digits.
+    M(x, y) reads B only through |B|, r(B) and m(B), so the lattices of
+    `_census_fold` are grouped by rank and m(B), read once off each key.
+    Their packed counts are added as ints and unpacked once per class into
+    counts[k], its number of k-element subsets.  No digit carries: each
+    k-subset generates one lattice, so counts[k] <= C(n, k) < 2^(n+1).
     """
     width = len(config) + 1
     digit = (1 << width) - 1
+    classes: Dict[Tuple[int, int], int] = {}
+    for rows, packed in _census_fold(config).items():
+        rank_m = len(rows), _key_multiplicity(rows)
+        classes[rank_m] = classes.get(rank_m, 0) + packed
     return [
-        (
-            SubsetStats(len(rows), _key_multiplicity(rows)),
-            [packed >> width * k & digit for k in range(width)],
-        )
-        for rows, packed in _census_fold(config).items()
+        (SubsetStats(*rank_m), [packed >> width * k & digit for k in range(width)])
+        for rank_m, packed in classes.items()
     ]
 
 
 def multiplicity_lcm(config: VectorConfig) -> int:
-    """lcm of m(B) over all subsets B (the census's vector guard applies)."""
+    """lcm of m(B) over the census's (rank, m) classes (its guard applies)."""
     return lcm(*(stats.multiplicity for stats, _ in sublattice_census(config)))

@@ -3,9 +3,9 @@
 M(x, y) = sum_B m(B) (x-1)^(r(A)-r(B)) (y-1)^(|B|-r(B)) depends on a subset
 B only through |B| and the lattice ZB: r(B) is its rank and m(B) its index
 in the lattice points of its rational span.  The engine therefore sums over
-the distinct lattices ZB from `lattice.sublattice_census`, a dynamic program
+the (rank, m(B)) classes from `lattice.sublattice_census`, a dynamic program
 over canonical Hermite normal forms, weighted by how many subsets of each
-size generate them.  The tests compare it with a raw per-subset sweep
+size fall in them.  The tests compare it with a raw per-subset sweep
 built on the one-Smith-form oracle `subset_stats` of `tests/oracles.py`.
 
 The rank/size sum and both coboundary transforms are arithmetic on the
@@ -100,9 +100,9 @@ def tutte_from_census(
 ) -> TuttePolynomial:
     """Fold a `sublattice_census` into M(x, y).
 
-    Each lattice's row of counts by size, times its weight (m(B) for the
-    arithmetic polynomial, 1 for the classical one), is added into one row
-    per rank; the rows are then read out as {(rank, size): total weight}.
+    Each (rank, m) class's row of counts by size, times its weight (m for
+    the arithmetic polynomial, 1 for the classical one), is added into one
+    row per rank; the rows are then read out as {(rank, size): total weight}.
     """
     by_rank: Dict[int, List[int]] = {}
     for stats, by_size in census:

@@ -1,8 +1,9 @@
 """Brute-force oracles that the tests check the engines against.
 
 Nothing in the CLI, the engines, `verify`, the demos or the benchmark
-reaches these; they read one graph or one subset at a time, straight from
-the definitions, which is what makes them oracles.
+reaches these.  All but `lattice_census` read one graph or one subset at a
+time, straight from the definitions, which is what makes them oracles;
+`lattice_census` reads the census fold one lattice at a time.
 
 - `component_stats` gives the six enumeration parameters of one signed
   graph (`SignedGraph`, read into `GraphStats`) through a union-find with
@@ -11,6 +12,10 @@ the definitions, which is what makes them oracles.
 - `subset_stats` gives the rank and multiplicity of one subset of a vector
   configuration from one Smith normal form of `subset_columns`.  It is the
   per-subset oracle of `tuttekit.lattice.sublattice_census`.
+- `lattice_census` gives one (stats, counts) pair per lattice ZB of
+  `tuttekit.lattice._census_fold`, unpacked from the fold's keys and
+  digits: the per-lattice data that `sublattice_census` groups into
+  (rank, m) classes.
 - `torsion_exponent_lcm` gives the lcm, over every subset, of the largest
   invariant factor of its coordinate matrix, one Smith normal form per
   subset.  It is the oracle of the sampling step of
@@ -27,8 +32,11 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from tuttekit.errors import StructureError
 from tuttekit.lattice import (
+    Census,
     SubsetStats,
     VectorConfig,
+    _census_fold,
+    _key_multiplicity,
     int_matrix_rank,
     snf_invariant_factors,
 )
@@ -157,6 +165,24 @@ def subset_stats(config: VectorConfig, subset: Sequence[int]) -> SubsetStats:
     cols = subset_columns(config, indices)
     mult = prod(snf_invariant_factors(cols))
     return SubsetStats(rank=int_matrix_rank(cols), multiplicity=mult)
+
+
+def lattice_census(config: VectorConfig) -> Census:
+    """One (stats, counts) pair per lattice ZB, B a subset of the configuration.
+
+    Each lattice of `_census_fold` gives its rank, m(B) read off its key,
+    and counts[k], the number of k-element subsets B that generate it,
+    unpacked from its digits.
+    """
+    width = len(config) + 1
+    digit = (1 << width) - 1
+    return [
+        (
+            SubsetStats(len(rows), _key_multiplicity(rows)),
+            [packed >> width * k & digit for k in range(width)],
+        )
+        for rows, packed in _census_fold(config).items()
+    ]
 
 
 def torsion_exponent_lcm(config: VectorConfig) -> int:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import configs
-from oracles import subset_stats
+from oracles import lattice_census, subset_stats
 from tuttekit import lattice
 from tuttekit.errors import StructureError
 from tuttekit.lattice import (
@@ -104,7 +104,7 @@ class TestCensus:
     def test_states_of_c2_integer(self):
         # {0}, the four lines through the roots, the lattice of even
         # coordinate sum (index 2) and 2Z^2 (index 4) from {2e1, 2e2}.
-        census = sublattice_census(build_config(RootSystemSpec("C", 2, "integer")))
+        census = lattice_census(build_config(RootSystemSpec("C", 2, "integer")))
         assert sorted((s.rank, s.multiplicity) for s, _ in census) == [
             (0, 1), (1, 1), (1, 1), (1, 2), (1, 2), (2, 2), (2, 4)
         ]
@@ -226,7 +226,7 @@ class TestKernel:
     @given(configs())
     @settings(max_examples=60, deadline=None)
     def test_census_matches_the_list_count_fold(self, config):
-        assert table(sublattice_census(config)) == table(oracle_census(config))
+        assert table(lattice_census(config)) == table(oracle_census(config))
 
     def test_capacity_edge_one_vector(self):
         vecs = tuple((Q(1), Q(0)) for _ in range(DEFAULT_CAPACITY))
@@ -238,9 +238,10 @@ class TestKernel:
         ]
 
     def test_capacity_edge_many_lattices(self):
-        # C5 in Z^5: 25 vectors, 999 lattices; the largest digit is C(25, 12).
+        # C5 in Z^5: 25 vectors, 999 lattices; the largest digit, 5,188,390,
+        # is near the bound C(25, 12) = 5,200,300.
         config = build_config(RootSystemSpec("C", 5, "integer"))
-        census = sublattice_census(config)
+        census = lattice_census(config)
         assert len(config) == DEFAULT_CAPACITY and len(census) == 999
         for k in range(DEFAULT_CAPACITY + 1):
             assert sum(counts[k] for _, counts in census) == comb(DEFAULT_CAPACITY, k)
@@ -336,6 +337,65 @@ class TestFold:
         fold, oracle = unpacked_fold(config), oracle_fold(config)
         assert len(config) == 30 and len(fold) == 2781
         assert list(fold.items()) == list(oracle.items())
+
+
+def regrouped(census):
+    """`table` of a per-lattice census summed into one row per (rank, m)."""
+    classes = {}
+    for s, counts in census:
+        row = classes.get((s.rank, s.multiplicity), [0] * len(counts))
+        classes[s.rank, s.multiplicity] = [a + c for a, c in zip(row, counts)]
+    return sorted((rank, m, row) for (rank, m), row in classes.items())
+
+
+def class_census(config):
+    """`sublattice_census`, checked to be the regrouped per-lattice census."""
+    census = sublattice_census(config)
+    pairs = [(s.rank, s.multiplicity) for s, _ in census]
+    assert len(set(pairs)) == len(pairs)
+    assert table(census) == regrouped(lattice_census(config))
+    return census
+
+
+class TestClasses:
+    """One census entry per (rank, m) class: the per-lattice census regrouped."""
+
+    @given(configs())
+    @settings(max_examples=60, deadline=None)
+    def test_random_configurations(self, config):
+        class_census(config)
+
+    def test_capacity_edge_many_lattices(self):
+        # C5 in Z^5: 25 vectors, 999 lattices in 20 classes.  The largest
+        # digit, 13-subsets of rank 5 and m = 2, is near the bound C(25, 12).
+        config = build_config(parse_system("C:5:integer"))
+        census = class_census(config)
+        assert len(census) == 20 and len(lattice_census(config)) == 999
+        assert max(c for _, counts in census for c in counts) == 5188390
+        for k in range(DEFAULT_CAPACITY + 1):
+            assert sum(counts[k] for _, counts in census) == comb(DEFAULT_CAPACITY, k)
+
+    def test_past_the_guard(self, monkeypatch):
+        # D6 weight: 30 vectors, 2,781 lattices, past the 25-vector guard.
+        monkeypatch.setattr(lattice, "DEFAULT_CAPACITY", 30)
+        config = build_config(parse_system("D:6:weight"))
+        assert len(config) == 30 and len(class_census(config)) == 15
+
+    @pytest.mark.parametrize(
+        "name,lattices,classes",
+        [
+            ("B:4:integer", 164, 9),
+            ("C:4:root", 164, 11),
+            ("A:6:weight", 203, 9),
+            ("D:4:weight", 75, 8),
+            ("C:4:weight", 164, 14),
+        ],
+    )
+    def test_census_workload_systems(self, name, lattices, classes):
+        # The five systems of the `census` benchmark: 770 lattices, 51 classes.
+        config = build_config(parse_system(name))
+        assert len(lattice_census(config)) == lattices
+        assert len(class_census(config)) == classes
 
 
 class TestKeyMultiplicity:
@@ -453,5 +513,5 @@ def test_census_pins_cover_every_admitted_system():
 @pytest.mark.parametrize("name", list(CENSUS_SHA256))
 def test_census_matches_its_pin(name):
     config = build_config(parse_system(name))
-    digest = sha256(repr(table(sublattice_census(config))).encode()).hexdigest()
+    digest = sha256(repr(table(lattice_census(config))).encode()).hexdigest()
     assert digest == CENSUS_SHA256[name]

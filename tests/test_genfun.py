@@ -227,6 +227,16 @@ def test_zn_read_alone_matches_the_expansion(family, kind, n):
         assert extract_polynomial(req, n) == tutte_from_series(series, family, kind, n)
 
 
+def test_type_a_weight_zn_read_lists_only_the_divisors_of_n():
+    # exp(X cg_m) lives on multiples of m, so the Z^n read needs only m | n.
+    series = expanded("A", "weight", 20)
+    for n in range(1, 21):
+        products, _ = _final_products("A", "weight", n, n)
+        assert len(products) == sum(1 for m in range(1, n + 1) if n % m == 0)
+        req = GenFunRequest("A", "weight", n)
+        assert extract_polynomial(req, n) == tutte_from_series(series, "A", "weight", n)
+
+
 class TestClassicalSeries:
     def test_b_and_c_series_coincide(self):
         b = expand_genfun(GenFunRequest("B", "classical", ORDER))

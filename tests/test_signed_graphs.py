@@ -4,10 +4,15 @@ from math import factorial
 import pytest
 
 from conftest import assert_refused
-from oracles import GraphStats, SignedGraph, _ParityUnionFind, component_stats
+from oracles import (
+    GraphStats,
+    SignedGraph,
+    _ParityUnionFind,
+    component_stats,
+    lattice_census,
+)
 from tuttekit import signed_graphs
 from tuttekit.errors import CapacityError, StructureError
-from tuttekit.lattice import sublattice_census
 from tuttekit.root_systems import RootSystemSpec, build_config
 from tuttekit.signed_graphs import (
     _edge_fold,
@@ -122,7 +127,7 @@ class TestEdgeFold:
     def test_state_count_equals_sublattice_count(self, system, signed, states):
         family, n = system.split(":")
         config = build_config(RootSystemSpec(family, int(n), "integer"))
-        assert len(_edge_fold(int(n), signed)) == states == len(sublattice_census(config))
+        assert len(_edge_fold(int(n), signed)) == states == len(lattice_census(config))
 
 
 class TestMasterCensus:
