@@ -386,25 +386,3 @@ def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:
     cob = CoboundaryPolynomial(poly=psi, rank=r)
     return tutte_from_coboundary(cob, ambient_rank=d, flavor="arithmetic")
 
-
-def verify_classical_mode(
-    config: VectorConfig,
-    field_size: int,
-    classical_psi: CoboundaryPolynomial,
-) -> bool:
-    """Histogram over (F_s^*)^d against the classical coboundary polynomial.
-
-    A subset B vanishes at q^(d-r(B)) |Hom(T_B, Z/q)| points of (Z/q)^d,
-    q = s - 1, where T_B is the torsion of Lambda / ZB, of order m(B).  That
-    is the classical count q^(d-r(B)) for every B when q is prime to the
-    multiplicity lcm, which is required; the right side is then
-    q^(d-r) psi_classical(q, Y).
-    """
-    s = field_size
-    q, divisor = _field_q(s), multiplicity_lcm(config)
-    if gcd(divisor, q) != 1:
-        raise AdmissibilityError(
-            f"field size {s} inadmissible for classical mode: "
-            f"multiplicity lcm {divisor} must be prime to s - 1 = {q}"
-        )
-    return group_identity_holds(config, q, classical_psi)

@@ -7,28 +7,25 @@ of the toric arrangement complement.  It reads both x-marginals M(x, 0) and
 M(x, 1) once, on ints: a polynomial is a marginal composed with 1 - q,
 1 + s or 2 + s by `poly.compose_affine` (s = 1/t or 1/q, cleared by a power
 of t or q), and each count is a value of a marginal.  Closed-form
-characteristic polynomials and two independent necklace counters are
-provided as cross-checks.
+characteristic polynomials are provided as cross-checks; the tests hold
+the necklace counters and the cycle-type formula they are checked against,
+as oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import comb, factorial, gcd
-from typing import Dict, Iterator, List, Tuple
+from math import factorial
+from typing import List, Tuple
 
-from .errors import CapacityError, StructureError
+from .errors import StructureError
 from .genfun import euler_phi
 from .poly import MultiPoly, Scalar, compose_affine
 from .tutte import TuttePolynomial
 
 CHAR_VARS = ("q",)
 EHRHART_VARS = ("t",)
-
-# The two enumeration oracles walk 2^q strings and the partitions of n.
-NECKLACE_DIRECT_MAX_Q = 22
-CYCLE_TYPE_MAX_N = 9
 
 
 def _as_int(value: Scalar, what: str) -> int:
@@ -172,103 +169,3 @@ def weight_characteristic_type_A(n: int) -> MultiPoly:
     if not chi.has_integer_coefficients():
         raise StructureError("weight-lattice characteristic is not integral")
     return chi
-
-
-def prime_case_characteristic_type_A(n: int) -> MultiPoly:
-    """(q-1)...(q-n+1) + (n-1)(n-1)! for prime n >= 3."""
-    if n < 3:
-        raise StructureError("formula requires n >= 3")
-    qv = MultiPoly.var(CHAR_VARS, "q")
-    out = MultiPoly.const(CHAR_VARS, 1)
-    for i in range(1, n):
-        out = out * (qv - i)
-    return out + (n - 1) * factorial(n - 1)
-
-
-# ----------------------------------------------------------------------
-# necklaces
-
-
-def necklace_count(n: int, q: int) -> int:
-    """Cyclic necklaces with n black and q - n white beads (Burnside)."""
-    if not 0 <= n <= q:
-        raise StructureError("need 0 <= n <= q")
-    if q == 0:
-        return 1
-    total = 0
-    for m in range(1, q + 1):
-        if q % m or n % m:
-            continue
-        total += euler_phi(m) * comb(q // m, n // m)
-    assert total % q == 0
-    return total // q
-
-
-def necklace_count_direct(n: int, q: int) -> int:
-    """Oracle: enumerate binary strings and count rotation orbits."""
-    if q > NECKLACE_DIRECT_MAX_Q:
-        raise CapacityError(
-            f"direct necklace enumeration guarded at q <= {NECKLACE_DIRECT_MAX_Q}"
-        )
-    seen = set()
-    orbits = 0
-    for code in range(1 << q):
-        if bin(code).count("1") != n or code in seen:
-            continue
-        orbits += 1
-        c = code
-        for _ in range(q):
-            c = (c >> 1) | ((c & 1) << (q - 1))
-            seen.add(c)
-    return orbits
-
-
-# ----------------------------------------------------------------------
-# cycle-type formula for the weight-lattice type-A characteristic
-
-
-def _partitions(n: int, max_part: int = None) -> Iterator[Tuple[int, ...]]:
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for p in range(min(n, max_part), 0, -1):
-        for rest in _partitions(n - p, p):
-            yield (p,) + rest
-
-
-def char_coeffs_via_permutations(n: int) -> MultiPoly:
-    """chi of type A (n coordinates, weight lattice) via gcds over cycle types.
-
-    chi(q) = sum over k of (-1)^(n-k) c_k q^(k-1), where c_k totals
-    gcd(cycle lengths) over all permutations of [n] with k cycles.
-    """
-    if n > CYCLE_TYPE_MAX_N:
-        raise CapacityError(f"cycle-type enumeration guarded at n <= {CYCLE_TYPE_MAX_N}")
-    c: Dict[int, int] = {}
-    for part in _partitions(n):
-        mult: Dict[int, int] = {}
-        for p in part:
-            mult[p] = mult.get(p, 0) + 1
-        perms = factorial(n)
-        for j, mj in mult.items():
-            perms //= j**mj * factorial(mj)
-        g = 0
-        for p in part:
-            g = gcd(g, p)
-        k = len(part)
-        c[k] = c.get(k, 0) + perms * g
-    coeffs = {}
-    for k, ck in c.items():
-        sign = -1 if (n - k) % 2 else 1
-        coeffs[(k - 1,)] = sign * ck
-    return MultiPoly(CHAR_VARS, coeffs)
-
-
-def weyl_group_check(family: str, n: int, chi: MultiPoly) -> bool:
-    """|chi(0)| should equal the Weyl group order (weight-lattice chi)."""
-    from .root_systems import weyl_group_order
-
-    order = weyl_group_order(family, n)
-    return abs(_as_int(chi.evaluate({"q": 0}), "chi(0)")) == order

@@ -55,11 +55,10 @@ def parse_system(text: str) -> RootSystemSpec:
     if len(parts) != 3:
         raise StructureError(f"bad system spec {text!r}, expected family:n:lattice")
     family, n_str, kind = parts
-    try:
-        n = int(n_str)
-    except ValueError:
-        raise StructureError(f"bad rank in system spec {text!r}") from None
-    return RootSystemSpec(family=family.upper(), n=n, lattice_kind=kind.lower())
+    # int() would also take signs, spaces, underscores and non-ASCII digits.
+    if not (n_str.isascii() and n_str.isdigit()):
+        raise StructureError(f"bad rank in system spec {text!r}")
+    return RootSystemSpec(family=family.upper(), n=int(n_str), lattice_kind=kind.lower())
 
 
 def build_config(spec: RootSystemSpec) -> VectorConfig:
@@ -102,30 +101,6 @@ def build_config(spec: RootSystemSpec) -> VectorConfig:
         # All of Z^d: the integer kind, B's root and A's and C's weight lattices.
         basis = e[:d]
     return VectorConfig(vectors=tuple(roots), lattice=LatticeBasis(tuple(basis)))
-
-
-def cartan_index(family: str, n: int) -> int:
-    """Index of the root lattice inside the weight lattice."""
-    if family == "A":
-        return n
-    if family in ("B", "C"):
-        return 2
-    if n < 3:
-        raise StructureError("the type-D Cartan determinant formula needs n >= 3")
-    return 4
-
-
-def lattice_index_check(family: str, n: int) -> int:
-    """Compute [weight : root] from the bases and verify the Cartan value."""
-    weight = build_config(RootSystemSpec(family, n, "weight")).lattice
-    root = build_config(RootSystemSpec(family, n, "root")).lattice
-    index = weight.index_of_sublattice(root)
-    expected = cartan_index(family, n)
-    if index != expected:
-        raise StructureError(
-            f"lattice index {index} does not match Cartan determinant {expected}"
-        )
-    return index
 
 
 def weyl_group_order(family: str, n: int) -> int:

@@ -196,31 +196,6 @@ def unsigned_genfun_theorem(order: int) -> TruncSeries:
     return f.pow_poly(MultiPoly.var(UNSIGNED_VARS, "t"))
 
 
-def balanced_census(v: int) -> Dict[Tuple[int, int], int]:
-    """(c_plus, e) -> count of balanced signed graphs on [v]."""
-    return {
-        (cp, e): count
-        for (cp, cm, c0, _, e), count in master_census(v).terms.items()
-        if cm == c0 == 0
-    }
-
-
-def marked_graph_identity_holds(v: int) -> bool:
-    """Check #marked graphs = 2^c_plus * #balanced signed graphs, per class.
-
-    Marked graphs are simple graphs with vertex signs, so their census is
-    the unsigned census scaled by 2^v.
-    """
-    unsigned = unsigned_census(v).terms
-    balanced = balanced_census(v)
-    keys = set(unsigned) | set(balanced)
-    for c, e in keys:
-        marked = unsigned.get((c, e), 0) * 2**v
-        if marked != 2**c * balanced.get((c, e), 0):
-            return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # graph dictionary for the root-system Tutte polynomials
 

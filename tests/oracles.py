@@ -1,9 +1,11 @@
 """Brute-force oracles that the tests check the engines against.
 
 Nothing in the CLI, the engines, `verify`, the demos or the benchmark
-reaches these.  All but `lattice_census` read one graph or one subset at a
-time, straight from the definitions, which is what makes them oracles;
-`lattice_census` reads the census fold one lattice at a time.
+reaches these.  `component_stats`, `subset_stats` and
+`torsion_exponent_lcm` read one graph or one subset at a time, straight
+from the definitions, which is what makes them oracles; `lattice_census`
+reads the census fold one lattice at a time.  The rest are second formulas
+and counts for identities the engines' results must satisfy.
 
 - `component_stats` gives the six enumeration parameters of one signed
   graph (`SignedGraph`, read into `GraphStats`) through a union-find with
@@ -21,16 +23,31 @@ time, straight from the definitions, which is what makes them oracles;
   subset.  It is the oracle of the sampling step of
   `tuttekit.finitefield.tutte_via_interpolation`, which reads it off the
   rank-r lattices alone.
+- `prime_case_characteristic_type_A` and `char_coeffs_via_permutations`
+  give the characteristic polynomial of type A in its weight lattice, the
+  first for prime n >= 3 in closed form, the second as gcds over the cycle
+  types (`_partitions`) of the permutations of [n].  They are oracles of
+  `tuttekit.invariants.weight_characteristic_type_A`, a divisor sum.
+- `necklace_count` (Burnside) and `necklace_count_direct` (rotation orbits
+  of the binary strings, one at a time) count the necklaces of n black and
+  q - n white beads.  For odd n dividing q, that characteristic at q is n!
+  times the count.
+- `balanced_census` reads the balanced signed graphs off
+  `tuttekit.signed_graphs.master_census`, and `marked_graph_identity_holds`
+  checks them against `unsigned_census`: 2^c+ balanced signed graphs per
+  marked graph class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm, prod
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from math import comb, factorial, gcd, lcm, prod
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from tuttekit.errors import StructureError
+from tuttekit.genfun import euler_phi
+from tuttekit.invariants import CHAR_VARS
 from tuttekit.lattice import (
     Census,
     SubsetStats,
@@ -40,6 +57,8 @@ from tuttekit.lattice import (
     int_matrix_rank,
     snf_invariant_factors,
 )
+from tuttekit.poly import MultiPoly
+from tuttekit.signed_graphs import master_census, unsigned_census
 
 
 # ----------------------------------------------------------------------
@@ -196,3 +215,114 @@ def torsion_exponent_lcm(config: VectorConfig) -> int:
     return lcm(
         *(max(snf_invariant_factors(subset_columns(config, b)), default=1) for b in subsets)
     )
+
+
+# ----------------------------------------------------------------------
+# type A in its weight lattice: closed forms and necklaces
+
+
+def prime_case_characteristic_type_A(n: int) -> MultiPoly:
+    """(q-1)...(q-n+1) + (n-1)(n-1)! for prime n >= 3."""
+    if n < 3:
+        raise StructureError("formula requires n >= 3")
+    qv = MultiPoly.var(CHAR_VARS, "q")
+    out = MultiPoly.const(CHAR_VARS, 1)
+    for i in range(1, n):
+        out = out * (qv - i)
+    return out + (n - 1) * factorial(n - 1)
+
+
+def necklace_count(n: int, q: int) -> int:
+    """Cyclic necklaces with n black and q - n white beads (Burnside)."""
+    if not 0 <= n <= q:
+        raise StructureError("need 0 <= n <= q")
+    if q == 0:
+        return 1
+    total = 0
+    for m in range(1, q + 1):
+        if q % m or n % m:
+            continue
+        total += euler_phi(m) * comb(q // m, n // m)
+    assert total % q == 0
+    return total // q
+
+
+def necklace_count_direct(n: int, q: int) -> int:
+    """Enumerate binary strings and count rotation orbits."""
+    seen = set()
+    orbits = 0
+    for code in range(1 << q):
+        if bin(code).count("1") != n or code in seen:
+            continue
+        orbits += 1
+        c = code
+        for _ in range(q):
+            c = (c >> 1) | ((c & 1) << (q - 1))
+            seen.add(c)
+    return orbits
+
+
+def _partitions(n: int, max_part: int = None) -> Iterator[Tuple[int, ...]]:
+    if max_part is None:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for p in range(min(n, max_part), 0, -1):
+        for rest in _partitions(n - p, p):
+            yield (p,) + rest
+
+
+def char_coeffs_via_permutations(n: int) -> MultiPoly:
+    """chi of type A (n coordinates, weight lattice) via gcds over cycle types.
+
+    chi(q) = sum over k of (-1)^(n-k) c_k q^(k-1), where c_k totals
+    gcd(cycle lengths) over all permutations of [n] with k cycles.
+    """
+    c: Dict[int, int] = {}
+    for part in _partitions(n):
+        mult: Dict[int, int] = {}
+        for p in part:
+            mult[p] = mult.get(p, 0) + 1
+        perms = factorial(n)
+        for j, mj in mult.items():
+            perms //= j**mj * factorial(mj)
+        g = 0
+        for p in part:
+            g = gcd(g, p)
+        k = len(part)
+        c[k] = c.get(k, 0) + perms * g
+    coeffs = {}
+    for k, ck in c.items():
+        sign = -1 if (n - k) % 2 else 1
+        coeffs[(k - 1,)] = sign * ck
+    return MultiPoly(CHAR_VARS, coeffs)
+
+
+# ----------------------------------------------------------------------
+# balanced and marked graphs
+
+
+def balanced_census(v: int) -> Dict[Tuple[int, int], int]:
+    """(c_plus, e) -> count of balanced signed graphs on [v]."""
+    return {
+        (cp, e): count
+        for (cp, cm, c0, _, e), count in master_census(v).terms.items()
+        if cm == c0 == 0
+    }
+
+
+def marked_graph_identity_holds(v: int) -> bool:
+    """Check #marked graphs = 2^c_plus * #balanced signed graphs, per class.
+
+    Marked graphs are simple graphs with vertex signs, so their census is
+    the unsigned census scaled by 2^v.
+    """
+    unsigned = unsigned_census(v).terms
+    balanced = balanced_census(v)
+    keys = set(unsigned) | set(balanced)
+    for c, e in keys:
+        marked = unsigned.get((c, e), 0) * 2**v
+        if marked != 2**c * balanced.get((c, e), 0):
+            return False
+    return True

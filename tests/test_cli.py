@@ -125,6 +125,13 @@ class TestCompute:
         assert code == EXIT_USAGE
         assert "usage" in err
 
+    # int() would read these as A:10 and B:-2.
+    @pytest.mark.parametrize("system", ["A:1_0:weight", "B:-2:integer"])
+    def test_malformed_rank_is_usage_error(self, capsys, system):
+        code, out, err = run(capsys, "compute", "--system", system)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage: bad rank in system spec {system!r}\n"
+
     @pytest.mark.parametrize("method", [*verify.ENGINES, "all"])
     @pytest.mark.parametrize("system", ["A:1:root", "A:1:weight"])
     def test_a1_quotient_refused_by_every_method(self, capsys, method, system):

@@ -31,7 +31,6 @@ from tuttekit.finitefield import (
     group_identity_holds,
     is_prime,
     tutte_via_interpolation,
-    verify_classical_mode,
     verify_finite_field_identity,
 )
 from tuttekit.genfun import GenFunRequest, expand_genfun, extract_coboundary
@@ -212,13 +211,14 @@ class TestIdentity:
 
 
 class TestClassicalMode:
-    # The torus (F_s^*)^d sees the classical count exactly when the
-    # multiplicity lcm L is prime to s - 1; any L is exercisable at such s.
-    @pytest.mark.parametrize("s", [3, 5, 7])
-    def test_type_a_any_prime(self, s):
+    # A subset B vanishes at q^(d-r(B)) |Hom(T_B, Z/q)| points of (Z/q)^d,
+    # T_B of order m(B): the classical count q^(d-r(B)) for every B when q
+    # is prime to the multiplicity lcm L.
+    @pytest.mark.parametrize("q", [2, 4, 6])
+    def test_type_a_any_q(self, q):
         c = cfg("A", 3, "integer")
         psi = coboundary_from_tutte(classical_tutte_bruteforce(c))
-        assert verify_classical_mode(c, s, psi)
+        assert group_identity_holds(c, q, psi)
 
     def test_classical_equals_arithmetic_when_unimodular(self):
         c = cfg("A", 3, "integer")
@@ -226,25 +226,23 @@ class TestClassicalMode:
         arithmetic = arithmetic_tutte_bruteforce(c)
         assert classical.poly == arithmetic.poly
 
-    def test_precondition_enforced(self):
-        c = cfg("C", 2, "integer")
+    # Holds at q prime to L, and not at q sharing a factor with it: q = 3
+    # is one where q + 1 is not prime.
+    @pytest.mark.parametrize(
+        "family,n,kind,lcm,holds,fails",
+        [
+            ("C", 2, "integer", 4, (3, 5), (2, 4, 6)),
+            ("A", 5, "weight", 5, (6, 12), (5, 10)),
+        ],
+    )
+    def test_holds_exactly_at_q_prime_to_the_lcm(self, family, n, kind, lcm, holds, fails):
+        c = cfg(family, n, kind)
+        assert multiplicity_lcm(c) == lcm
         psi = coboundary_from_tutte(classical_tutte_bruteforce(c))
-        with pytest.raises(AdmissibilityError):
-            verify_classical_mode(c, 5, psi)  # gcd(4, 4) = 4
-
-    def test_composite_field_size_refused(self):
-        c = cfg("A", 3, "integer")
-        psi = coboundary_from_tutte(classical_tutte_bruteforce(c))
-        with pytest.raises(AdmissibilityError, match="^9 is not prime$"):
-            verify_classical_mode(c, 9, psi)
-
-    def test_lcm_prime_to_s_minus_1(self):
-        c = cfg("A", 5, "weight")
-        assert multiplicity_lcm(c) == 5
-        psi = coboundary_from_tutte(classical_tutte_bruteforce(c))
-        assert verify_classical_mode(c, 13, psi)  # gcd(5, 12) = 1
-        with pytest.raises(AdmissibilityError):
-            verify_classical_mode(c, 11, psi)  # gcd(5, 10) = 5
+        for q in holds:
+            assert group_identity_holds(c, q, psi), q
+        for q in fails:
+            assert not group_identity_holds(c, q, psi), q
 
 
 class TestInterpolation:

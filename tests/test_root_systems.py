@@ -11,8 +11,6 @@ from tuttekit.root_systems import (
     LATTICE_KINDS,
     RootSystemSpec,
     build_config,
-    cartan_index,
-    lattice_index_check,
     parse_system,
     weyl_group_order,
 )
@@ -27,7 +25,20 @@ class TestSpecParsing:
     def test_parse_normalizes_case(self):
         assert parse_system("b:3:WEIGHT") == RootSystemSpec("B", 3, "weight")
 
-    @pytest.mark.parametrize("bad", ["E:6:integer", "B:3", "B:x:root", "A:2:dual"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "E:6:integer",
+            "B:3",
+            "B:x:root",
+            "A:2:dual",
+            "A:1_0:weight",
+            "B: 2:integer",
+            "B:+2:integer",
+            "B:2 :integer",
+            "B:\u0662:integer",
+        ],
+    )
     def test_rejects_malformed(self, bad):
         with pytest.raises(StructureError):
             parse_system(bad)
@@ -98,17 +109,24 @@ class TestPinnedConfigurations:
 
 
 class TestLatticeIndices:
+    # [weight : root] is the Cartan determinant: n for A with n
+    # coordinates, 2 for B and C, 4 for D.
     @pytest.mark.parametrize(
         "family,n,index",
-        [("A", 3, 3), ("A", 5, 5), ("B", 3, 2), ("C", 4, 2), ("D", 3, 4), ("D", 4, 4)],
+        [
+            ("A", 3, 3),
+            ("A", 5, 5),
+            ("B", 3, 2),
+            ("C", 4, 2),
+            ("D", 2, 4),
+            ("D", 3, 4),
+            ("D", 4, 4),
+        ],
     )
     def test_cartan_index(self, family, n, index):
-        assert cartan_index(family, n) == index
-        assert lattice_index_check(family, n) == index
-
-    def test_d2_has_no_cartan_formula(self):
-        with pytest.raises(StructureError):
-            cartan_index("D", 2)
+        weight = build_config(RootSystemSpec(family, n, "weight")).lattice
+        root = build_config(RootSystemSpec(family, n, "root")).lattice
+        assert weight.index_of_sublattice(root) == index
 
 
 class TestWeylGroups:
