@@ -15,15 +15,22 @@ when only one ran; `invariants` derives its report from the
 when no second engine reached a verdict; a skip's reason is the message of
 the `CapacityError` its engine raised.  Skips keep exit code 0 and any
 failed check gives 2.
+
+`COMMANDS` is the parse table: verb -> (handler, {flag: (dest, int or str,
+choices, default)}), where a default of None makes the flag required.
+`parse_args` reads a command line against it.  A flag is its exact long
+name, followed by its value as the next token, which may begin with `-`, or
+after `=`; a repeated flag keeps its last value, and an integer is an
+optional `-` and ASCII digits.  Anything else raises `StructureError`
+(exit 4); `-h` or `--help` prints the synopsis the table gives.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import sys
-from functools import cache
+from types import SimpleNamespace
 from typing import List, Optional
 
 from .errors import CapacityError, StructureError, TutteKitError
@@ -190,64 +197,79 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use.
+_OUTPUT = {"--output": ("output", str, ("text", "json"), "text")}
+_SYSTEM = {"--system": ("system", str, None, None)}
 
-    `parse_args` leaves the parser unchanged, and argparse looks up
-    sys.stdout and sys.stderr only when it prints, so every `main` call
-    can share it.
-    """
-    parser = argparse.ArgumentParser(
-        prog="tuttekit",
-        description="Exact arithmetic Tutte polynomials of classical root systems",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+COMMANDS = {
+    "compute": (cmd_compute, {
+        **_SYSTEM,
+        "--method": ("method", str, (*ENGINES, "all"), "bruteforce"),
+        "--order": ("order", int, None, DEFAULT_ORDER),  # ignored; genfun reads Z^n alone
+        **_OUTPUT,
+    }),
+    "verify": (cmd_verify, {**_SYSTEM, **_OUTPUT}),
+    "table": (cmd_table, {
+        "--lattice": ("lattice", str, ("integer", "root", "weight"), "weight"),
+        "--max-n": ("max_n", int, None, 4),
+        "--report": ("report", str, None, "tutte"),  # comma list of REPORTS names
+        **_OUTPUT,
+    }),
+    "invariants": (cmd_invariants, {**_SYSTEM, **_OUTPUT}),
+    "fixtures": (cmd_fixtures, _OUTPUT),
+}
+HELP = ("-h", "--help")
 
-    def common(p):
-        p.add_argument("--output", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("compute", help="compute one Tutte polynomial")
-    p.add_argument("--system", required=True, help="family:n:lattice, e.g. C:2:integer")
-    p.add_argument("--method", choices=(*ENGINES, "all"), default="bruteforce")
-    p.add_argument(
-        "--order", type=int, default=DEFAULT_ORDER, help="ignored; genfun reads Z^n alone"
-    )
-    common(p)
-    p.set_defaults(func=cmd_compute)
+def print_help(verbs) -> int:
+    """Print the synopsis of each verb, read off COMMANDS."""
+    print("usage:")
+    for verb in verbs:
+        flags = []
+        for flag, (dest, _, choices, default) in COMMANDS[verb][1].items():
+            value = "{" + ",".join(choices) + "}" if choices else dest.upper()
+            flags.append(f"{flag} {value}" if default is None else f"[{flag} {value}]")
+        print("  tuttekit", verb, *flags)
+    return EXIT_OK
 
-    p = sub.add_parser("verify", help="run all cross-checks for a system")
-    p.add_argument("--system", required=True)
-    common(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("table", help="emit reference-style tables")
-    p.add_argument("--lattice", choices=("integer", "root", "weight"), default="weight")
-    p.add_argument("--max-n", type=int, default=4, dest="max_n")
-    p.add_argument("--report", default="tutte", help="comma list of tutte,char,ehrhart")
-    common(p)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("invariants", help="derived invariants of one system")
-    p.add_argument("--system", required=True)
-    common(p)
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("fixtures", help="dump the embedded fixture data")
-    common(p)
-    p.set_defaults(func=cmd_fixtures)
-
-    return parser
+def parse_args(argv: List[str]):
+    """Read `VERB --flag value ...` against COMMANDS into (handler, args)."""
+    verb = argv[0] if argv else ""
+    if verb in HELP:
+        return print_help, list(COMMANDS)
+    if verb not in COMMANDS:
+        raise StructureError(f"expected a verb, one of {', '.join(COMMANDS)}")
+    handler, flags = COMMANDS[verb]
+    values = {dest: default for dest, _, _, default in flags.values()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in HELP:
+            return print_help, [verb]
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise StructureError(f"unrecognized argument {token!r} for {verb}")
+        value = value if eq else next(tokens, None)
+        if value is None:
+            raise StructureError(f"{flag} needs a value")
+        dest, kind, choices, _ = flags[flag]
+        if choices and value not in choices:
+            raise StructureError(f"{flag} must be one of {', '.join(choices)}, got {value!r}")
+        if kind is int:
+            digits = value[1:] if value.startswith("-") else value
+            if not (digits.isascii() and digits.isdigit()):
+                raise StructureError(f"{flag} takes decimal digits, got {value!r}")
+            value = int(value)
+        values[dest] = value
+    for flag, (dest, *_) in flags.items():
+        if values[dest] is None:
+            raise StructureError(f"{verb} needs {flag}")
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
+        handler, args = parse_args(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

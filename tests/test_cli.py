@@ -1,7 +1,8 @@
-import argparse
 import hashlib
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -195,24 +196,27 @@ class TestExitCodes:
         assert got == code
         assert out == "" and err == f"{prefix} boom\n"
 
-    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def spy(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-        cli.build_parser.cache_clear()
+    def test_one_parser_serves_every_call(self, capsys):
         argv = ["compute", "--system", "C:2:integer", "--output", "json"]
         first = run(capsys, *argv)
         bad = run(capsys, "compute", "--system", "E:6:integer")
         again = run(capsys, *argv)
-        verbs = ["compute", "verify", "table", "invariants", "fixtures"]
-        assert built == ["tuttekit", *(f"tuttekit {v}" for v in verbs)]
         assert bad[0] == EXIT_USAGE and bad[2].startswith("usage:")
         assert first[0] == EXIT_OK and again == first
+
+    def test_a_command_loads_no_argparse_gettext_or_locale(self):
+        # argparse's constructors call gettext, which imports locale.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); from tuttekit import cli; "
+            'code = cli.main(["compute", "--method", "bruteforce", "--system", "C:2:integer"]); '
+            'print(code, [m for m in ("argparse", "gettext", "locale") if m in sys.modules])'
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
 
     def test_mismatch(self, capsys, monkeypatch):
         failed = [CheckResult("genfun-vs-bruteforce", FAIL)]
@@ -220,6 +224,69 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "--system", "C:2:integer")
         assert code == EXIT_MISMATCH
         assert "genfun-vs-bruteforce: fail" in out
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["tabel"],
+            ["compute", "--system", "C:2:integer", "--bogus", "1"],
+            ["compute", "--sys", "C:2:integer"],
+            ["compute", "--system"],
+            ["compute", "--system", "--output", "json"],
+            ["compute"],
+            ["compute", "--system", "C:2:integer", "--method", "fast"],
+            ["compute", "--system", "C:2:integer", "--output", "xml"],
+            ["table", "--lattice", "spin"],
+            ["verify", "C:2:integer"],
+            # int() reads each of these as a number.
+            *(["table", "--max-n", n] for n in ["1_0", "+8", " 8", "8 ", "\u0668", "-", ""]),
+            ["compute", "--system", "C:2:integer", "--order", "1_0"],
+        ],
+        ids=repr,
+    )
+    def test_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--output=json"],
+            ["--output", "text", "--output", "json"],
+            ["--output=text", "--output=json"],
+        ],
+    )
+    def test_equals_form_and_last_value_wins(self, capsys, argv):
+        base = ["compute", "--system", "C:2:integer"]
+        assert run(capsys, *base, *argv) == run(capsys, *base, "--output", "json")
+
+    def test_a_value_may_begin_with_a_dash(self, capsys):
+        assert run(capsys, "table", "--max-n=-3") == run(capsys, "table", "--max-n", "-3")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_verb(self, capsys, flag):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (EXIT_OK, "")
+        for verb in ["compute", "verify", "table", "invariants", "fixtures"]:
+            assert f"tuttekit {verb}" in out
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_verb_help_names_every_flag(self, capsys, flag):
+        code, out, err = run(capsys, "compute", flag)
+        assert (code, err) == (EXIT_OK, "")
+        for name in ["--system", "--method", "--order", "--output", *verify.ENGINES, "all"]:
+            assert name in out
+        assert "tuttekit verify" not in out
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["compute", "--system", "C:2:integer"]
+        monkeypatch.setattr(sys, "argv", ["tuttekit", *argv])
+        code = main()
+        assert (code, *capsys.readouterr()) == run(capsys, *argv)
 
 
 class TestVerify:

@@ -1,4 +1,3 @@
-import argparse
 import inspect
 import json
 from dataclasses import replace
@@ -6,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from tuttekit import finitefield, lattice, tutte, verify
-from tuttekit.cli import EXIT_MISMATCH, EXIT_OK, build_parser, main
+from tuttekit.cli import COMMANDS, EXIT_MISMATCH, EXIT_OK, main
 from tuttekit.errors import CapacityError
 from tuttekit.invariants import derive_all
 from tuttekit.poly import MultiPoly
@@ -275,11 +274,10 @@ def test_a_count_is_a_verdict_whatever_its_name(monkeypatch):
 
 
 def test_the_engine_table_is_the_method_list():
-    parser = build_parser()
-    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    method = next(a for a in verbs.choices["compute"]._actions if a.dest == "method")
+    _, flags = COMMANDS["compute"]
+    _, _, choices, _ = flags["--method"]
     assert list(verify.ENGINES) == ["bruteforce", "genfun", "graphs", "finitefield"]
-    assert method.choices == (*verify.ENGINES, "all")
+    assert choices == (*verify.ENGINES, "all")
 
 
 def perturb(monkeypatch, engine):
