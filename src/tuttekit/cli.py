@@ -37,7 +37,7 @@ from .errors import CapacityError, StructureError, TutteKitError
 from .genfun import DEFAULT_ORDER, GenFunRequest, expand_genfun, tutte_from_series
 from .invariants import derive_all
 from .poly import MultiPoly
-from .root_systems import RootSystemSpec, parse_system
+from .root_systems import FAMILIES, LATTICE_KINDS, RootSystemSpec, parse_system
 from .tables import FIXTURES, all_rows, fixture
 from .tutte import TuttePolynomial
 from .verify import ENGINES, all_passed, attempt, verify_system
@@ -135,7 +135,7 @@ def cmd_table(args) -> int:
         raise StructureError(f"--max-n must be at least 2, got {args.max_n}")
     keys = [key for name, key in REPORTS.items() if name in reports]
     rows = []
-    for family in "ABCD":
+    for family in FAMILIES:
         # The Z^n coefficients do not depend on the order once it is n or more.
         series = expand_genfun(GenFunRequest(family, args.lattice, args.max_n))
         for n in range(2, args.max_n + 1):
@@ -209,7 +209,7 @@ COMMANDS = {
     }),
     "verify": (cmd_verify, {**_SYSTEM, **_OUTPUT}),
     "table": (cmd_table, {
-        "--lattice": ("lattice", str, ("integer", "root", "weight"), "weight"),
+        "--lattice": ("lattice", str, LATTICE_KINDS, "weight"),
         "--max-n": ("max_n", int, None, 4),
         "--report": ("report", str, None, "tutte"),  # comma list of REPORTS names
         **_OUTPUT,

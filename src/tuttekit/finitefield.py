@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import zip_longest
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import AdmissibilityError, CapacityError
 from .lattice import VectorConfig, _census_fold, multiplicity_lcm, snf_invariant_factors
-from .poly import MultiPoly
+from .poly import MultiPoly, compose_affine
 from .tutte import (
     COBOUNDARY_VARS,
     CoboundaryPolynomial,
@@ -246,8 +246,10 @@ def group_identity_holds(
 
     The identity holds when q is a multiple of every torsion exponent, as
     every multiple of the multiplicity lcm is; the caller guarantees it.  A
-    q^d past the point cap raises before counting.
+    q below 1 or a q^d past the point cap raises before counting.
     """
+    if q < 1:
+        raise AdmissibilityError(f"q = {q} is not a group order: it must be at least 1")
     d = config.lattice.rank
     _check_points(q, d)
     return _group_histogram(config, q) == _scaled_coboundary(psi, q, d)
@@ -329,11 +331,7 @@ def _line_sum(config: VectorConfig) -> List[int]:
                 subsets[gcd(g, k), size + 1] += count
         for (g, size), count in subsets.items():
             by_size[size] += alike * g * count
-    out = [0] * (max(by_size, default=0) + 1)
-    for size, total in by_size.items():
-        for j in range(size + 1):  # (Y-1)^s = sum_j C(s, j) (-1)^(s-j) Y^j
-            out[j] += total * comb(size, j) * (-1) ** (size - j)
-    return out
+    return compose_affine([by_size[s] for s in range(max(by_size, default=0) + 1)], -1)
 
 
 def tutte_via_interpolation(config: VectorConfig) -> TuttePolynomial:

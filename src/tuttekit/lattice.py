@@ -1,7 +1,7 @@
 """Lattices as rational basis matrices; ranks and multiplicities of subsets.
 
-A lattice of rank d inside Q^m is stored as an m x d matrix of exact
-rationals whose columns are the basis vectors.  One fraction-free
+A lattice of rank d inside Q^m is stored as an m x d matrix of ints and
+Fractions, as given, whose columns are the basis vectors.  One fraction-free
 elimination on ints at construction gives an integer left inverse over one
 denominator, so the lattice coordinates of a vector are an int
 matrix-vector product and a divisibility test.  The multiplicity of a
@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import CapacityError, LatticeMembershipError, SpanError, StructureError
 
-Vector = Tuple[Q, ...]
+Vector = Tuple[Union[int, Q], ...]
 
 # Vector-count guard of the sublattice census, and so of every caller.
 DEFAULT_CAPACITY = 25
@@ -42,9 +42,13 @@ def _dot(row: Sequence[int], v: Sequence[int]) -> int:
 def _over_one_denominator(rows: Sequence[Sequence[Q]]) -> Tuple[List[List[int]], int]:
     """Integer numerators of rational rows over their least common denominator.
 
-    Entries may be ints or Fractions: both have a numerator and denominator.
+    Any entry but an int or a Fraction, a float or numpy int too, raises StructureError.
     """
-    den = lcm(*(x.denominator for row in rows for x in row))
+    dens = (x.denominator if type(x) in (int, Q) else None for row in rows for x in row)
+    try:
+        den = lcm(*dens)
+    except TypeError:
+        raise StructureError("lattice entries must be ints or Fractions") from None
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
@@ -69,7 +73,7 @@ class LatticeBasis:
     _cokernel: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cols = tuple(tuple(Q(x) for x in col) for col in self.basis)
+        cols = tuple(map(tuple, self.basis))
         object.__setattr__(self, "basis", cols)
         if not cols:
             raise StructureError("empty lattice basis")
@@ -121,10 +125,7 @@ class LatticeBasis:
 
     @staticmethod
     def standard(n: int) -> "LatticeBasis":
-        cols = tuple(
-            tuple(Q(1) if i == j else Q(0) for i in range(n)) for j in range(n)
-        )
-        return LatticeBasis(cols)
+        return LatticeBasis(tuple(tuple(int(i == j) for i in range(n)) for j in range(n)))
 
     def coordinates(self, v: Sequence[Q]) -> Tuple[int, ...]:
         """Integer coordinates of v in this lattice.
@@ -164,7 +165,7 @@ class VectorConfig:
     coord_matrix: Tuple[Tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
-        vecs = tuple(tuple(Q(x) for x in v) for v in self.vectors)
+        vecs = tuple(map(tuple, self.vectors))
         object.__setattr__(self, "vectors", vecs)
         for v in vecs:
             if len(v) != self.lattice.ambient_dim:

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .errors import CapacityError, StructureError
 from .poly import MultiPoly
 from .series import TruncSeries, deformed_exponential
-from .tutte import TuttePolynomial, poly_from_rank_sizes
+from .tutte import TuttePolynomial, poly_from_rank_rows
 
 MASTER_VARS = ("tp", "tm", "t0", "x", "y")
 UNSIGNED_VARS = ("t", "y")
@@ -226,28 +226,27 @@ def graph_dictionary_tutte(family: str, n: int, lattice_kind: str) -> TuttePolyn
     This path never touches lattice coordinate arithmetic: ranks and
     multiplicities come from component counts and balance alone, so it is
     an independent oracle for the other engines.  Each graph class adds
-    its weight at (rank, size) = (n - components, e) for type A, and at
-    (n - balanced loopless components, e + loops) for B, C and D.
+    its weight into by_rank[rank][size]: at (n - components, e) for type A,
+    and at (n - balanced loopless components, e + loops) for B, C and D.
     """
-    counts: Dict[Tuple[int, int], int] = {}
     if family == "A":
         if n > UNSIGNED_MAX_V:
             raise CapacityError(f"type-A dictionary guarded at n <= {UNSIGNED_MAX_V}")
+        by_rank = {r: [0] * (n * (n - 1) // 2 + 1) for r in range(n)}
         for sig, by_e in _graph_census(n, False).items():
             m = gcd(*(s for s, _ in sig)) if lattice_kind == "weight" else 1
             for e, count in by_e.items():
-                key = (n - len(sig), e)
-                counts[key] = counts.get(key, 0) + m * count
+                by_rank[n - len(sig)][e] += m * count
         ambient = n if lattice_kind == "integer" else n - 1
-        poly = poly_from_rank_sizes(counts, n - 1)
+        poly = poly_from_rank_rows(by_rank, n - 1)
         return TuttePolynomial(poly, n - 1, ambient, "arithmetic")
 
     if n > SIGNED_MAX_V:
         raise CapacityError(f"signed-graph dictionary guarded at n <= {SIGNED_MAX_V}")
+    by_rank = {r: [0] * (n * (n - 1) + n + 1) for r in range(n + 1)}
     for sig, by_e in _graph_census(n, True).items():
         for cp, cm, c0, l, odd, ways in _loop_classes(sig, loops=family != "D"):
             m = _dictionary_multiplicity(family, lattice_kind, cp, cm, c0, odd) * ways
             for e, count in by_e.items():
-                key = (n - cp, e + l)
-                counts[key] = counts.get(key, 0) + m * count
-    return TuttePolynomial(poly_from_rank_sizes(counts, n), n, n, "arithmetic")
+                by_rank[n - cp][e + l] += m * count
+    return TuttePolynomial(poly_from_rank_rows(by_rank, n), n, n, "arithmetic")

@@ -8,8 +8,9 @@ over canonical Hermite normal forms, weighted by how many subsets of each
 size fall in them.  The tests compare it with a raw per-subset sweep
 built on the one-Smith-form oracle `subset_stats` of `tests/oracles.py`.
 
-The rank/size sum and both coboundary transforms are arithmetic on the
-rows of `MultiPoly.rows` around one kernel, `_shift_x`: P(x, y) -> P(x + a, y).
+M is read off one row of weights by subset size per rank, from the census
+or the graph dictionary.  That and both coboundary transforms are arithmetic
+on coefficient rows around one kernel, `_shift_x`: P(x, y) -> P(x + a, y).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import accumulate, zip_longest
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .errors import ExactDivisionError, StructureError
 from .lattice import Census, VectorConfig, sublattice_census
@@ -81,17 +82,16 @@ def _shift_x(rows: List[List[Scalar]], a: Scalar) -> List[List[Scalar]]:
     return out
 
 
-def poly_from_rank_sizes(
-    counts: Dict[Tuple[int, int], int], full_rank: int
-) -> MultiPoly:
-    """sum w (x-1)^(full_rank-r) (y-1)^(k-r) over {(r, k): w}, on ints.
+def poly_from_rank_rows(by_rank: Dict[int, List[int]], full_rank: int) -> MultiPoly:
+    """sum w (x-1)^(full_rank-r) (y-1)^(k-r) over the weights w = by_rank[r][k].
 
-    The weights are first laid out as rows by the two exponents; each row
-    sum_j w_j (y-1)^j is the weight list composed with y - 1, and the
-    x-shift by -1 turns the row powers into powers of x - 1.
+    Row full_rank - r of M(x + 1, y) is the weights from size r on composed
+    with y - 1; those below size r are 0, as a k-subset has rank at most k.
+    The x-shift by -1 then turns the row powers into powers of x - 1.
     """
-    cells = {(full_rank - r, k - r): w for (r, k), w in counts.items()}
-    rows = [compose_affine(row, -1) for row in MultiPoly(TUTTE_VARS, cells).rows()]
+    rows: List[List[int]] = [[] for _ in range(full_rank + 1)]
+    for r, weights in by_rank.items():
+        rows[full_rank - r] = compose_affine(weights[r:], -1)
     return MultiPoly.from_rows(TUTTE_VARS, _shift_x(rows, -1))
 
 
@@ -102,7 +102,7 @@ def tutte_from_census(
 
     Each (rank, m) class's row of counts by size, times its weight (m for
     the arithmetic polynomial, 1 for the classical one), is added into one
-    row per rank; the rows are then read out as {(rank, size): total weight}.
+    row of weights per rank, and `poly_from_rank_rows` reads M off them.
     """
     by_rank: Dict[int, List[int]] = {}
     for stats, by_size in census:
@@ -110,14 +110,8 @@ def tutte_from_census(
         acc = by_rank.get(stats.rank) or [0] * len(by_size)
         by_rank[stats.rank] = [a + weight * c for a, c in zip(acc, by_size)]
     full_rank = max(by_rank, default=0)
-    counts = {
-        (rank, size): c
-        for rank, row in by_rank.items()
-        for size, c in enumerate(row)
-        if c
-    }
     return TuttePolynomial(
-        poly_from_rank_sizes(counts, full_rank), full_rank, ambient_rank, flavor
+        poly_from_rank_rows(by_rank, full_rank), full_rank, ambient_rank, flavor
     )
 
 

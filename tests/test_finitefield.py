@@ -180,6 +180,13 @@ class TestTorusProfile:
             verify_finite_field_identity(c, 9, psi)
         assert censuses == []
 
+    @pytest.mark.parametrize("q", [0, -2])
+    def test_group_order_below_1_refused(self, q):
+        c = cfg("C", 2, "integer")
+        psi = coboundary_from_tutte(arithmetic_tutte_bruteforce(c))
+        with pytest.raises(AdmissibilityError, match=f"^q = {q} is not a group order"):
+            group_identity_holds(c, q, psi)
+
     def test_point_cap(self, monkeypatch):
         c = cfg("B", 3, "integer")
         monkeypatch.setattr(finitefield, "DEFAULT_POINT_CAP", 10)

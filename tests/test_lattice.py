@@ -1,5 +1,6 @@
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -71,6 +72,12 @@ class TestSmithNormalForm:
 
 
 class TestLatticeBasis:
+    def test_entries_kept_as_given(self):
+        assert LatticeBasis.standard(2).basis == ((1, 0), (0, 1))
+        assert {type(x) for col in LatticeBasis.standard(3).basis for x in col} == {int}
+        half = LatticeBasis(((1, 0), (Q(1, 2), 1)))
+        assert [type(x) for x in half.basis[1]] == [Q, int]
+
     def test_standard_coordinates(self):
         lat = LatticeBasis.standard(3)
         assert lat.coordinates(V(1, -2, 5)) == (1, -2, 5)
@@ -257,7 +264,7 @@ class TestIntegerElimination:
         c = tuple(coeffs[: len(basis)])
         assert config.lattice.coordinates(combination(basis, c)) == c
         with pytest.raises(LatticeMembershipError):
-            config.lattice.coordinates(tuple(x / 2 for x in basis[0]))
+            config.lattice.coordinates(tuple(Q(x, 2) for x in basis[0]))
 
     @given(configs(), st.lists(st.integers(-50, 50), min_size=2, max_size=2))
     @settings(max_examples=80, deadline=None)
@@ -297,6 +304,23 @@ REFUSALS = {
         lambda: VectorConfig((V(1, 0),), LatticeBasis.standard(3)),
         StructureError,
         "vector dimension differs from ambient",
+    ),
+    # Entries are ints or Fractions, kept as given; a float is refused.
+    "float basis entry": (
+        lambda: LatticeBasis(((0.5, 0), V(0, 1))),
+        StructureError,
+        "lattice entries must be ints or Fractions",
+    ),
+    "float vector entry": (
+        lambda: VectorConfig(((1, 0.5),), LatticeBasis.standard(2)),
+        StructureError,
+        "lattice entries must be ints or Fractions",
+    ),
+    # A fixed-width int could wrap in the elimination.
+    "numpy int entry": (
+        lambda: VectorConfig(((np.int64(1), 0),), LatticeBasis.standard(2)),
+        StructureError,
+        "lattice entries must be ints or Fractions",
     ),
 }
 

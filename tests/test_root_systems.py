@@ -64,6 +64,12 @@ class TestConfigurations:
         cfg = build_config(RootSystemSpec(family, n, kind))
         assert int_matrix_rank([list(c) for c in cfg.coord_matrix]) == rank
 
+    @pytest.mark.parametrize("system", ["B:4:integer", "A:5:root"])
+    def test_integral_entries_are_ints(self, system):
+        cfg = build_config(parse_system(system))
+        for rows in (cfg.vectors, cfg.lattice.basis):
+            assert {type(x) for row in rows for x in row} == {int}
+
     def test_c2_matches_worked_example(self):
         cfg = build_config(RootSystemSpec("C", 2, "integer"))
         vecs = set(cfg.vectors)
@@ -90,8 +96,12 @@ class TestConfigurations:
 class TestPinnedConfigurations:
     def test_every_config_up_to_rank_12(self):
         # For each lattice kind, family and n = 1..12 in that order: the repr
-        # of (vectors, lattice basis, coordinate matrix), or the StructureError
-        # a refused spec raises (D:1 in every lattice, A:1:root, A:1:weight).
+        # of (vectors, lattice basis, coordinate matrix), their entries as
+        # Fractions, or the StructureError a refused spec raises (D:1 in every
+        # lattice, A:1:root, A:1:weight).
+        def fractions(rows):
+            return tuple(tuple(Q(x) for x in row) for row in rows)
+
         entries = []
         for kind in LATTICE_KINDS:
             for family in FAMILIES:
@@ -101,7 +111,8 @@ class TestPinnedConfigurations:
                     except StructureError as exc:
                         entries.append(f"StructureError: {exc}")
                         continue
-                    entries.append(repr((c.vectors, c.lattice.basis, c.coord_matrix)))
+                    vectors, basis = fractions(c.vectors), fractions(c.lattice.basis)
+                    entries.append(repr((vectors, basis, c.coord_matrix)))
         assert len(entries) == 144
         assert sum(e.startswith("StructureError") for e in entries) == 5
         digest = hashlib.sha256("\n".join(entries).encode()).hexdigest()

@@ -18,7 +18,7 @@ from tuttekit.tutte import (
     arithmetic_tutte_bruteforce,
     classical_tutte_bruteforce,
     coboundary_from_tutte,
-    poly_from_rank_sizes,
+    poly_from_rank_rows,
     tutte_from_coboundary,
 )
 
@@ -222,21 +222,27 @@ def fraction_rank_size_poly(counts, full_rank):
 
 
 @st.composite
-def rank_size_counts(draw):
-    """A random full rank R and weights {(r, k): w} with r <= R and r <= k."""
+def rank_rows(draw):
+    """A random full rank R and rows {r: weights by size k}, r <= R.
+
+    Only valid cells are drawn: the weights below size r are 0, and r <= k <= r + 6.
+    """
     full_rank = draw(st.integers(min_value=0, max_value=5))
-    cells = st.integers(0, full_rank).flatmap(
-        lambda r: st.tuples(st.just(r), st.integers(r, r + 6))
-    )
-    return draw(st.dictionaries(cells, small_ints, max_size=12)), full_rank
+    ranks = st.lists(st.integers(0, full_rank), unique=True, max_size=full_rank + 1)
+    return {
+        r: [0] * r + draw(st.lists(small_ints, max_size=7)) for r in draw(ranks)
+    }, full_rank
 
 
 class TestRankSizeExpansion:
-    @given(rank_size_counts())
+    @given(rank_rows())
     @settings(max_examples=100, deadline=None)
     def test_agrees_with_fraction_products(self, case):
-        counts, full_rank = case
-        assert poly_from_rank_sizes(counts, full_rank) == fraction_rank_size_poly(
+        by_rank, full_rank = case
+        counts = {
+            (r, k): w for r, row in by_rank.items() for k, w in enumerate(row) if w
+        }
+        assert poly_from_rank_rows(by_rank, full_rank) == fraction_rank_size_poly(
             counts, full_rank
         )
 
