@@ -15,9 +15,8 @@ as oracles in `tests/oracles.py`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from math import factorial
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 from .errors import StructureError
 from .genfun import euler_phi
@@ -94,6 +93,13 @@ def derive_all(t: TuttePolynomial) -> InvariantReport:
 # closed forms
 
 
+def _times_linear(coeffs: List[int], shifts: Iterable[int]) -> MultiPoly:
+    """coeffs(q) * prod (q - s) over the shifts, on an int list lowest first."""
+    for s in shifts:
+        coeffs = [lo - s * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    return MultiPoly(CHAR_VARS, {(k,): c for k, c in enumerate(coeffs)})
+
+
 def closed_form_characteristic(
     family: str, n: int, lattice_kind: str = "integer"
 ) -> MultiPoly:
@@ -118,43 +124,26 @@ def closed_form_characteristic(
         raise StructureError(
             f"no closed-form characteristic for lattice kind {lattice_kind!r}"
         )
-    qv = MultiPoly.var(CHAR_VARS, "q")
-    one = MultiPoly.const(CHAR_VARS, 1)
-
-    def falling(shifts: List[int]) -> MultiPoly:
-        out = one
-        for s in shifts:
-            out = out * (qv - s)
-        return out
-
     if family == "A":
-        return falling(list(range(n)))
+        return _times_linear([1], range(n))
     if family == "B":
-        return falling([2 * k for k in range(1, n)]) * (qv - n)
+        return _times_linear([-n, 1], range(2, 2 * n, 2))
     if family == "C":
-        return falling([2 * k for k in range(1, n + 1)])
+        return _times_linear([1], range(2, 2 * n + 1, 2))
     if family == "D":
         if n < 2:
             raise StructureError("type D needs n >= 2")
-        tail = qv * qv - qv * (2 * (n - 1)) + n * (n - 1)
-        return falling([2 * k for k in range(1, n - 1)]) * tail
+        tail = [n * (n - 1), -2 * (n - 1), 1]  # q^2 - 2(n-1) q + n(n-1)
+        return _times_linear(tail, range(2, 2 * n - 2, 2))
     raise StructureError(f"unknown family {family!r}")
-
-
-def _binomial_poly_in_q(m: int, k: int) -> MultiPoly:
-    """C(q/m, k) as a polynomial in q with rational coefficients."""
-    qv = MultiPoly(CHAR_VARS, {(1,): Q(1, m)})
-    out = MultiPoly.const(CHAR_VARS, Q(1, factorial(k)))
-    for i in range(k):
-        out = out * (qv - i)
-    return out
 
 
 def weight_characteristic_type_A(n: int) -> MultiPoly:
     """chi of the rank n-1 type-A system in its weight lattice.
 
-    Computed as (n!/q) * sum over m | n of (-1)^(n - n/m) phi(m) C(q/m, n/m),
-    with the division by q performed exactly.
+    chi = (n!/q) * sum over m | n of (-1)^(n - k) phi(m) C(q/m, k), k = n/m.
+    As k! m^k C(q/m, k) = q (q - m) ... (q - (k-1) m), each term is the int
+    n!/(k! m^k) times (q - m) ... (q - (k-1) m), and nothing is divided by q.
     """
     if n < 1:
         raise StructureError("n must be positive")
@@ -162,10 +151,8 @@ def weight_characteristic_type_A(n: int) -> MultiPoly:
     for m in range(1, n + 1):
         if n % m:
             continue
-        sign = -1 if (n - n // m) % 2 else 1
-        total = total + _binomial_poly_in_q(m, n // m) * (sign * euler_phi(m))
-    total = total * factorial(n)
-    chi = total.divide_exact(MultiPoly.var(CHAR_VARS, "q"))
-    if not chi.has_integer_coefficients():
-        raise StructureError("weight-lattice characteristic is not integral")
-    return chi
+        k = n // m
+        sign = -1 if (n - k) % 2 else 1
+        scale = sign * euler_phi(m) * (factorial(n) // (factorial(k) * m**k))
+        total = total + _times_linear([scale], range(m, n, m))
+    return total

@@ -130,9 +130,12 @@ class LatticeBasis:
     def coordinates(self, v: Sequence[Q]) -> Tuple[int, ...]:
         """Integer coordinates of v in this lattice.
 
-        Raises SpanError if v is outside the rational span, and
-        LatticeMembershipError if the coordinates are not integral.
+        Raises StructureError if v has the wrong length, SpanError if it is
+        outside the rational span, and LatticeMembershipError if the
+        coordinates are not integral.
         """
+        if len(v) != self.ambient_dim:
+            raise StructureError("vector dimension differs from ambient")
         (w,), den = _over_one_denominator([v])
         if any(_dot(row, w) for row in self._cokernel):
             raise SpanError("vector outside the rational span of the basis")
@@ -150,10 +153,7 @@ class LatticeBasis:
         if sub.rank != self.rank:
             raise StructureError("sublattice of different rank")
         # |det| of the square coordinate matrix: its invariant factors' product.
-        factors = snf_invariant_factors([self.coordinates(col) for col in sub.basis])
-        if len(factors) < self.rank:
-            raise StructureError("claimed sublattice basis is degenerate")
-        return prod(factors)
+        return prod(snf_invariant_factors([self.coordinates(c) for c in sub.basis]))
 
 
 @dataclass(frozen=True)
@@ -167,11 +167,8 @@ class VectorConfig:
     def __post_init__(self):
         vecs = tuple(map(tuple, self.vectors))
         object.__setattr__(self, "vectors", vecs)
-        for v in vecs:
-            if len(v) != self.lattice.ambient_dim:
-                raise StructureError("vector dimension differs from ambient")
         # Columns of the coordinate matrix are lattice coordinates of vectors;
-        # membership is enforced here once and for all.
+        # length and membership are enforced here once and for all.
         coords = tuple(self.lattice.coordinates(v) for v in vecs)
         object.__setattr__(self, "coord_matrix", coords)
 

@@ -10,9 +10,10 @@ whose states are canonical component partitions with switching colourings,
 not graph by graph.  Every census places loops through `_loop_classes`:
 a component of size s takes k >= 1 loops in C(s, k) ways.  The engine
 produces exact multi-parameter censuses and an independent route to the
-root-system Tutte polynomials through the per-graph rank and multiplicity
-dictionary.  The tests check the censuses against graphs read one at a
-time by the union-find oracle `component_stats` of `tests/oracles.py`.
+root-system Tutte polynomials: the graph dictionary, one loop over the
+graph classes for all four families.  The tests check the censuses against
+graphs read one at a time by the union-find oracle `component_stats` of
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import CapacityError, StructureError
 from .poly import MultiPoly
+from .root_systems import FAMILIES, LATTICE_KINDS
 from .series import TruncSeries, deformed_exponential
 from .tutte import TuttePolynomial, poly_from_rank_rows
 
@@ -37,8 +39,8 @@ State = Tuple[int, ...]
 
 # Largest vertex counts the edge fold takes: 20,093 signed states at v = 7
 # and 115,975 unsigned ones (the Bell number) at v = 10, about a second
-# each.  The graph dictionary inherits them as rank guards (A from the
-# unsigned census, B/C/D from the signed one).
+# each.  Only `_graph_census` checks them; the graph dictionary reads A
+# from the unsigned census and B/C/D from the signed one.
 SIGNED_MAX_V = 7
 UNSIGNED_MAX_V = 10
 
@@ -127,8 +129,8 @@ def _loop_classes(
 
     Yields (c_plus, c_minus, c_zero, loops, has_odd_balanced, ways); a
     component of size s takes k >= 1 loops in C(s, k) ways and then counts
-    as a loop component regardless of balance.  Without `loops` (type D)
-    only the loopless placement is yielded.
+    as a loop component regardless of balance.  Without `loops` (types A
+    and D) only the loopless placement is yielded.
     """
     states: List[Tuple[int, int, int, int, bool, int]] = [(0, 0, 0, 0, False, 1)]
     for size, balanced in sig:
@@ -201,23 +203,26 @@ def unsigned_genfun_theorem(order: int) -> TruncSeries:
 
 
 def _dictionary_multiplicity(
-    family: str, lattice_kind: str, cp: int, cm: int, c0: int, has_odd_balanced: bool
+    family: str, lattice_kind: str, sig: Signature, cm: int, c0: int, odd: bool
 ) -> int:
-    if family == "B":
-        if lattice_kind in ("integer", "root"):
-            return 2**cm
-        return 2**cm if has_odd_balanced else 2 ** (cm + 1)
+    """m(B) of a graph class.
+
+    A: the gcd of the component sizes in the weight lattice, else 1.  C:
+    2^(cm + c0).  B and D: 2^cm, doubled in the weight lattice when no
+    balanced component is odd.  C's and D's root lattices halve it unless
+    it is 1.
+    """
+    if family == "A":
+        return gcd(*(s for s, _ in sig)) if lattice_kind == "weight" else 1
     if family == "C":
         if lattice_kind == "root":
             return 1 if (cm == 0 and c0 == 0) else 2 ** (cm + c0 - 1)
         return 2 ** (cm + c0)
-    if family == "D":
-        if lattice_kind == "integer":
-            return 2**cm
-        if lattice_kind == "root":
-            return 1 if cm == 0 else 2 ** (cm - 1)
-        return 2**cm if has_odd_balanced else 2 ** (cm + 1)
-    raise StructureError(f"no signed-graph dictionary for family {family!r}")
+    if lattice_kind == "weight" and not odd:
+        return 2 ** (cm + 1)
+    if family == "D" and lattice_kind == "root":
+        return 1 if cm == 0 else 2 ** (cm - 1)
+    return 2**cm
 
 
 def graph_dictionary_tutte(family: str, n: int, lattice_kind: str) -> TuttePolynomial:
@@ -225,28 +230,26 @@ def graph_dictionary_tutte(family: str, n: int, lattice_kind: str) -> TuttePolyn
 
     This path never touches lattice coordinate arithmetic: ranks and
     multiplicities come from component counts and balance alone, so it is
-    an independent oracle for the other engines.  Each graph class adds
-    its weight into by_rank[rank][size]: at (n - components, e) for type A,
-    and at (n - balanced loopless components, e + loops) for B, C and D.
+    an independent oracle for the other engines.  Each class of the simple
+    (A) or signed (B, C, D) graphs on [n] adds its weight into
+    by_rank[n - balanced loopless components][edges + loops].
     """
-    if family == "A":
-        if n > UNSIGNED_MAX_V:
-            raise CapacityError(f"type-A dictionary guarded at n <= {UNSIGNED_MAX_V}")
-        by_rank = {r: [0] * (n * (n - 1) // 2 + 1) for r in range(n)}
-        for sig, by_e in _graph_census(n, False).items():
-            m = gcd(*(s for s, _ in sig)) if lattice_kind == "weight" else 1
-            for e, count in by_e.items():
-                by_rank[n - len(sig)][e] += m * count
-        ambient = n if lattice_kind == "integer" else n - 1
-        poly = poly_from_rank_rows(by_rank, n - 1)
-        return TuttePolynomial(poly, n - 1, ambient, "arithmetic")
-
-    if n > SIGNED_MAX_V:
-        raise CapacityError(f"signed-graph dictionary guarded at n <= {SIGNED_MAX_V}")
-    by_rank = {r: [0] * (n * (n - 1) + n + 1) for r in range(n + 1)}
-    for sig, by_e in _graph_census(n, True).items():
-        for cp, cm, c0, l, odd, ways in _loop_classes(sig, loops=family != "D"):
-            m = _dictionary_multiplicity(family, lattice_kind, cp, cm, c0, odd) * ways
+    if family not in FAMILIES:
+        raise StructureError(f"no signed-graph dictionary for family {family!r}")
+    if lattice_kind not in LATTICE_KINDS:
+        raise StructureError(f"unknown lattice kind {lattice_kind!r}")
+    if n < 1:
+        raise StructureError(f"{family} requires n >= 1")
+    signed, loops = family != "A", family in ("B", "C")
+    full_rank = n if signed else n - 1
+    # Sizes run to C(n, 2) edges, twice that if signed, plus n loops (B, C).
+    width = n * (n - 1) // (1 if signed else 2) + n * loops + 1
+    by_rank = {r: [0] * width for r in range(full_rank + 1)}
+    for sig, by_e in _graph_census(n, signed).items():
+        for cp, cm, c0, l, odd, ways in _loop_classes(sig, loops):
+            m = _dictionary_multiplicity(family, lattice_kind, sig, cm, c0, odd) * ways
             for e, count in by_e.items():
                 by_rank[n - cp][e + l] += m * count
-    return TuttePolynomial(poly_from_rank_rows(by_rank, n), n, n, "arithmetic")
+    ambient = n if signed or lattice_kind == "integer" else n - 1
+    poly = poly_from_rank_rows(by_rank, full_rank)
+    return TuttePolynomial(poly, full_rank, ambient, "arithmetic")

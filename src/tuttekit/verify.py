@@ -27,7 +27,7 @@ polynomial psi of the baseline then feeds every structural check:
 
 A check is skipped only when its engine raises `CapacityError`: the
 census's vector guard (which also skips the finite-field checks, as they
-need L), the graph dictionary's rank guard, or the point cap of a group
+need L), the graph census guard, or the point cap of a group
 count.  The skip's detail is the error's message.  A run in which no second
 engine reached a verdict, that is no engine comparison ran and no group
 count passed or failed, ends with

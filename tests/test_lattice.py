@@ -291,14 +291,31 @@ REFUSALS = {
         StructureError,
         "sublattice of different rank",
     ),
-    # Only a basis of another space is degenerate in Z^2: `coordinates`
-    # reads the first two entries of (1, 0, 0) and (1, 0, 1) alike.
-    "degenerate index": (
+    # `coordinates` checks the length, so a basis of another space is
+    # refused rather than read off its first entries.
+    "index in another space": (
         lambda: LatticeBasis.standard(2).index_of_sublattice(
             LatticeBasis((V(1, 0, 0), V(1, 0, 1)))
         ),
         StructureError,
-        "claimed sublattice basis is degenerate",
+        "vector dimension differs from ambient",
+    ),
+    "index of a rank-3 lattice in Q^4": (
+        lambda: LatticeBasis.standard(3).index_of_sublattice(
+            LatticeBasis((V(2, 0, 0, 0), V(0, 2, 0, 0), V(0, 0, 2, 0)))
+        ),
+        StructureError,
+        "vector dimension differs from ambient",
+    ),
+    "coordinates of a longer vector": (
+        lambda: LatticeBasis.standard(3).coordinates(V(0, 0, 2, 5)),
+        StructureError,
+        "vector dimension differs from ambient",
+    ),
+    "coordinates of a shorter vector": (
+        lambda: LatticeBasis.standard(3).coordinates(V(1, 2)),
+        StructureError,
+        "vector dimension differs from ambient",
     ),
     "vector of another space": (
         lambda: VectorConfig((V(1, 0),), LatticeBasis.standard(3)),

@@ -15,6 +15,7 @@ from oracles import (
 )
 from tuttekit import signed_graphs
 from tuttekit.errors import CapacityError, StructureError
+from tuttekit.genfun import GenFunRequest, extract_polynomial
 from tuttekit.root_systems import RootSystemSpec, build_config
 from tuttekit.signed_graphs import (
     _edge_fold,
@@ -214,11 +215,27 @@ class TestGraphDictionary:
         gd = graph_dictionary_tutte("B", 1, "weight")
         assert gd.poly == bf.poly
 
-    def test_capacity_guards(self):
-        with pytest.raises(CapacityError):
-            graph_dictionary_tutte("B", 8, "integer")
-        with pytest.raises(CapacityError):
-            graph_dictionary_tutte("A", 11, "integer")
+    # At n = 8 the components (3, 5) tell the gcd rule from the minimum.
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_type_a_weight_gcd_rule_matches_genfun(self, n):
+        gd = graph_dictionary_tutte("A", n, "weight")
+        assert gd == extract_polynomial(GenFunRequest("A", "weight", n), n)
+
+    # The census is the dictionary's one guard site: it fires before the
+    # edge fold starts, under the census's own message.
+    @pytest.mark.parametrize("kind", ["integer", "root", "weight"])
+    @pytest.mark.parametrize(
+        "family, n, message",
+        [("A", 11, "unsigned census guarded at v <= 10")]
+        + [(f, 8, "signed-graph census guarded at v <= 7") for f in "BCD"],
+    )
+    def test_capacity_guards(self, monkeypatch, family, n, kind, message):
+        def refuse(*_):
+            raise AssertionError("edge fold ran past the guard")
+
+        monkeypatch.setattr(signed_graphs, "_edge_fold", refuse)
+        with pytest.raises(CapacityError, match=f"^{message}$"):
+            graph_dictionary_tutte(family, n, kind)
 
 
 REFUSALS = {
@@ -226,6 +243,17 @@ REFUSALS = {
         lambda: graph_dictionary_tutte("E", 2, "integer"),
         StructureError,
         "no signed-graph dictionary for family 'E'",
+    ),
+    # Refused before any work, not read as another lattice or a KeyError.
+    "unknown lattice kind": (
+        lambda: graph_dictionary_tutte("C", 2, "spin"),
+        StructureError,
+        "unknown lattice kind 'spin'",
+    ),
+    "rank zero": (
+        lambda: graph_dictionary_tutte("A", 0, "integer"),
+        StructureError,
+        "A requires n >= 1",
     ),
 }
 
