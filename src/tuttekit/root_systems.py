@@ -28,6 +28,15 @@ LATTICE_KINDS = ("integer", "root", "weight")
 Vector = Tuple[int, ...]
 
 
+def check_kind_and_rank(family: str, n: int, lattice_kind: str) -> None:
+    """Refuse a lattice kind outside LATTICE_KINDS or n below 2 (D) or 1."""
+    if lattice_kind not in LATTICE_KINDS:
+        raise StructureError(f"unknown lattice kind {lattice_kind!r}")
+    minimum = 2 if family == "D" else 1
+    if n < minimum:
+        raise StructureError(f"{family} requires n >= {minimum}")
+
+
 @dataclass(frozen=True)
 class RootSystemSpec:
     family: str
@@ -37,11 +46,7 @@ class RootSystemSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise StructureError(f"unknown family {self.family!r}")
-        if self.lattice_kind not in LATTICE_KINDS:
-            raise StructureError(f"unknown lattice kind {self.lattice_kind!r}")
-        minimum = 2 if self.family == "D" else 1
-        if self.n < minimum:
-            raise StructureError(f"{self.family} requires n >= {minimum}")
+        check_kind_and_rank(self.family, self.n, self.lattice_kind)
         if self.family == "A" and self.lattice_kind != "integer" and self.n < 2:
             raise StructureError("type A quotient coordinates need n >= 2")
 

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import CapacityError, StructureError
 from .poly import MultiPoly
-from .root_systems import FAMILIES, LATTICE_KINDS
+from .root_systems import FAMILIES, check_kind_and_rank
 from .series import TruncSeries, deformed_exponential
 from .tutte import TuttePolynomial, poly_from_rank_rows
 
@@ -98,10 +98,9 @@ def _edge_fold(v: int, signed: bool) -> Dict[State, int]:
 @lru_cache(maxsize=None)
 def _graph_census(v: int, signed: bool) -> Dict[Signature, Dict[int, int]]:
     """Loopless (signed) graphs on [v]: component signature -> e -> count."""
-    if signed and v > SIGNED_MAX_V:
-        raise CapacityError(f"signed-graph census guarded at v <= {SIGNED_MAX_V}")
-    if not signed and v > UNSIGNED_MAX_V:
-        raise CapacityError(f"unsigned census guarded at v <= {UNSIGNED_MAX_V}")
+    cap, name = (SIGNED_MAX_V, "signed-graph") if signed else (UNSIGNED_MAX_V, "unsigned")
+    if v > cap:
+        raise CapacityError(f"{name} census guarded at v <= {cap}")
     packed: Dict[Signature, int] = {}
     for state, c in _edge_fold(v, signed).items():
         comps: Dict[int, Tuple[int, bool]] = {}
@@ -214,15 +213,12 @@ def _dictionary_multiplicity(
     """
     if family == "A":
         return gcd(*(s for s, _ in sig)) if lattice_kind == "weight" else 1
-    if family == "C":
-        if lattice_kind == "root":
-            return 1 if (cm == 0 and c0 == 0) else 2 ** (cm + c0 - 1)
-        return 2 ** (cm + c0)
-    if lattice_kind == "weight" and not odd:
-        return 2 ** (cm + 1)
-    if family == "D" and lattice_kind == "root":
-        return 1 if cm == 0 else 2 ** (cm - 1)
-    return 2**cm
+    m = 2 ** (cm + c0) if family == "C" else 2**cm
+    if family != "C" and lattice_kind == "weight" and not odd:
+        m *= 2
+    if family in ("C", "D") and lattice_kind == "root":
+        return max(1, m // 2)
+    return m
 
 
 def graph_dictionary_tutte(family: str, n: int, lattice_kind: str) -> TuttePolynomial:
@@ -236,16 +232,14 @@ def graph_dictionary_tutte(family: str, n: int, lattice_kind: str) -> TuttePolyn
     """
     if family not in FAMILIES:
         raise StructureError(f"no signed-graph dictionary for family {family!r}")
-    if lattice_kind not in LATTICE_KINDS:
-        raise StructureError(f"unknown lattice kind {lattice_kind!r}")
-    if n < 1:
-        raise StructureError(f"{family} requires n >= 1")
+    check_kind_and_rank(family, n, lattice_kind)
     signed, loops = family != "A", family in ("B", "C")
+    census = _graph_census(n, signed)  # its guard fires before any rows exist
     full_rank = n if signed else n - 1
     # Sizes run to C(n, 2) edges, twice that if signed, plus n loops (B, C).
     width = n * (n - 1) // (1 if signed else 2) + n * loops + 1
     by_rank = {r: [0] * width for r in range(full_rank + 1)}
-    for sig, by_e in _graph_census(n, signed).items():
+    for sig, by_e in census.items():
         for cp, cm, c0, l, odd, ways in _loop_classes(sig, loops):
             m = _dictionary_multiplicity(family, lattice_kind, sig, cm, c0, odd) * ways
             for e, count in by_e.items():

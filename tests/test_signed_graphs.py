@@ -222,12 +222,17 @@ class TestGraphDictionary:
         assert gd == extract_polynomial(GenFunRequest("A", "weight", n), n)
 
     # The census is the dictionary's one guard site: it fires before the
-    # edge fold starts, under the census's own message.
+    # edge fold starts and before any rank row is allocated (at n = 10**6
+    # the rows alone would not fit in memory), under the census's message.
     @pytest.mark.parametrize("kind", ["integer", "root", "weight"])
     @pytest.mark.parametrize(
         "family, n, message",
-        [("A", 11, "unsigned census guarded at v <= 10")]
-        + [(f, 8, "signed-graph census guarded at v <= 7") for f in "BCD"],
+        [("A", n, "unsigned census guarded at v <= 10") for n in (11, 10**6)]
+        + [
+            (f, n, "signed-graph census guarded at v <= 7")
+            for f in "BCD"
+            for n in (8, 10**6)
+        ],
     )
     def test_capacity_guards(self, monkeypatch, family, n, kind, message):
         def refuse(*_):
@@ -254,6 +259,12 @@ REFUSALS = {
         lambda: graph_dictionary_tutte("A", 0, "integer"),
         StructureError,
         "A requires n >= 1",
+    ),
+    # D1 has no roots; the dictionary's full rank n would read it as rank 1.
+    "D below its minimum": (
+        lambda: graph_dictionary_tutte("D", 1, "integer"),
+        StructureError,
+        "D requires n >= 2",
     ),
 }
 
