@@ -30,7 +30,7 @@ def main():
 
     bf = arithmetic_tutte_bruteforce(config)
     gf = extract_polynomial(GenFunRequest("C", "integer", 8), 2)
-    gd = graph_dictionary_tutte("C", 2, "integer")
+    gd = graph_dictionary_tutte(spec)
     ip = tutte_via_interpolation(config)
     print(f"brute force:        M(x,y) = {bf.poly}")
     print(f"generating function M(x,y) = {gf.poly}")

@@ -39,8 +39,9 @@ def main():
     print()
 
     for family, n, kind in [("B", 3, "integer"), ("C", 3, "root"), ("D", 3, "weight")]:
-        via_graphs = graph_dictionary_tutte(family, n, kind)
-        direct = arithmetic_tutte_bruteforce(build_config(RootSystemSpec(family, n, kind)))
+        spec = RootSystemSpec(family, n, kind)
+        via_graphs = graph_dictionary_tutte(spec)
+        direct = arithmetic_tutte_bruteforce(build_config(spec))
         assert via_graphs.poly == direct.poly
         print(f"{family}{n} ({kind} lattice) via signed graphs: {via_graphs.poly}")
     print("graph dictionary agrees with direct enumeration.")

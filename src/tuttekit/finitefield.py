@@ -24,7 +24,7 @@ from math import factorial, gcd, lcm
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .errors import AdmissibilityError, CapacityError
+from .errors import AdmissibilityError, CapacityError, StructureError
 from .lattice import VectorConfig, _census_fold, multiplicity_lcm, snf_invariant_factors
 from .poly import MultiPoly, compose_affine
 from .tutte import (
@@ -245,12 +245,14 @@ def group_identity_holds(
     """Histogram over (Z/q)^d against q^(d-r) psi(q, Y), counted once.
 
     The identity holds when q is a multiple of every torsion exponent, as
-    every multiple of the multiplicity lcm is; the caller guarantees it.  A
-    q below 1 or a q^d past the point cap raises before counting.
+    every multiple of the multiplicity lcm is; the caller guarantees it.
+    A q below 1, a psi of rank past d or a q^d past the cap raises first.
     """
     if q < 1:
         raise AdmissibilityError(f"q = {q} is not a group order: it must be at least 1")
     d = config.lattice.rank
+    if psi.rank > d:
+        raise StructureError(f"psi has rank {psi.rank}, past the lattice rank {d}")
     _check_points(q, d)
     return _group_histogram(config, q) == _scaled_coboundary(psi, q, d)
 

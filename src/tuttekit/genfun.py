@@ -32,7 +32,7 @@ from typing import Tuple
 
 from .errors import ExactDivisionError, StructureError
 from .poly import MultiPoly
-from .root_systems import FAMILIES, LATTICE_KINDS
+from .root_systems import FAMILIES, LATTICE_KINDS, RootSystemSpec
 from .series import Products, TruncSeries, deformed_exponential, sum_of_products
 from .tutte import (
     COBOUNDARY_VARS,
@@ -136,6 +136,7 @@ def extract_coboundary(
     n counts coordinates (the configuration has rank n-1) and the series
     carries an extra factor of X, which is divided out exactly.
     """
+    RootSystemSpec(family, n, "integer")  # refuses what names no system
     if n > series.order:
         raise StructureError(f"n={n} exceeds series order {series.order}")
     psi = series.integer_coefficient(n, factorial(n))

@@ -21,6 +21,7 @@ from typing import Iterable, List, Tuple
 from .errors import StructureError
 from .genfun import euler_phi
 from .poly import MultiPoly, Scalar, compose_affine
+from .root_systems import RootSystemSpec
 from .tutte import TuttePolynomial
 
 CHAR_VARS = ("q",)
@@ -114,6 +115,7 @@ def closed_form_characteristic(
     through all even shifts (q-2)(q-4)...(q-2n), and each equals the
     brute-force derivation for every admissible evaluation point.
     """
+    RootSystemSpec(family, n, "integer")  # refuses what names no system
     if lattice_kind == "weight":
         if family != "A":
             raise StructureError(
@@ -130,12 +132,8 @@ def closed_form_characteristic(
         return _times_linear([-n, 1], range(2, 2 * n, 2))
     if family == "C":
         return _times_linear([1], range(2, 2 * n + 1, 2))
-    if family == "D":
-        if n < 2:
-            raise StructureError("type D needs n >= 2")
-        tail = [n * (n - 1), -2 * (n - 1), 1]  # q^2 - 2(n-1) q + n(n-1)
-        return _times_linear(tail, range(2, 2 * n - 2, 2))
-    raise StructureError(f"unknown family {family!r}")
+    tail = [n * (n - 1), -2 * (n - 1), 1]  # D: q^2 - 2(n-1) q + n(n-1)
+    return _times_linear(tail, range(2, 2 * n - 2, 2))
 
 
 def weight_characteristic_type_A(n: int) -> MultiPoly:
@@ -145,8 +143,7 @@ def weight_characteristic_type_A(n: int) -> MultiPoly:
     As k! m^k C(q/m, k) = q (q - m) ... (q - (k-1) m), each term is the int
     n!/(k! m^k) times (q - m) ... (q - (k-1) m), and nothing is divided by q.
     """
-    if n < 1:
-        raise StructureError("n must be positive")
+    RootSystemSpec("A", n, "integer")  # refuses n < 1
     total = MultiPoly.zero(CHAR_VARS)
     for m in range(1, n + 1):
         if n % m:

@@ -28,17 +28,9 @@ LATTICE_KINDS = ("integer", "root", "weight")
 Vector = Tuple[int, ...]
 
 
-def check_kind_and_rank(family: str, n: int, lattice_kind: str) -> None:
-    """Refuse a lattice kind outside LATTICE_KINDS or n below 2 (D) or 1."""
-    if lattice_kind not in LATTICE_KINDS:
-        raise StructureError(f"unknown lattice kind {lattice_kind!r}")
-    minimum = 2 if family == "D" else 1
-    if n < minimum:
-        raise StructureError(f"{family} requires n >= {minimum}")
-
-
 @dataclass(frozen=True)
 class RootSystemSpec:
+    """A root system in a lattice; the one place that refuses a non-system."""
     family: str
     n: int
     lattice_kind: str
@@ -46,7 +38,11 @@ class RootSystemSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise StructureError(f"unknown family {self.family!r}")
-        check_kind_and_rank(self.family, self.n, self.lattice_kind)
+        if self.lattice_kind not in LATTICE_KINDS:
+            raise StructureError(f"unknown lattice kind {self.lattice_kind!r}")
+        minimum = 2 if self.family == "D" else 1
+        if self.n < minimum:
+            raise StructureError(f"{self.family} requires n >= {minimum}")
         if self.family == "A" and self.lattice_kind != "integer" and self.n < 2:
             raise StructureError("type A quotient coordinates need n >= 2")
 
@@ -112,6 +108,7 @@ def weyl_group_order(family: str, n: int) -> int:
     """Order of the Weyl group; type A is indexed by coordinate count n."""
     import math
 
+    RootSystemSpec(family, n, "integer")  # refuses what names no system
     if family == "A":
         return math.factorial(n)
     if family in ("B", "C"):

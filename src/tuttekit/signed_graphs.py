@@ -23,9 +23,9 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import CapacityError, StructureError
+from .errors import CapacityError
 from .poly import MultiPoly
-from .root_systems import FAMILIES, check_kind_and_rank
+from .root_systems import RootSystemSpec
 from .series import TruncSeries, deformed_exponential
 from .tutte import TuttePolynomial, poly_from_rank_rows
 
@@ -221,8 +221,8 @@ def _dictionary_multiplicity(
     return m
 
 
-def graph_dictionary_tutte(family: str, n: int, lattice_kind: str) -> TuttePolynomial:
-    """Arithmetic Tutte polynomial via the (signed) graph dictionary.
+def graph_dictionary_tutte(spec: RootSystemSpec) -> TuttePolynomial:
+    """Arithmetic Tutte polynomial of `spec` via the (signed) graph dictionary.
 
     This path never touches lattice coordinate arithmetic: ranks and
     multiplicities come from component counts and balance alone, so it is
@@ -230,9 +230,7 @@ def graph_dictionary_tutte(family: str, n: int, lattice_kind: str) -> TuttePolyn
     (A) or signed (B, C, D) graphs on [n] adds its weight into
     by_rank[n - balanced loopless components][edges + loops].
     """
-    if family not in FAMILIES:
-        raise StructureError(f"no signed-graph dictionary for family {family!r}")
-    check_kind_and_rank(family, n, lattice_kind)
+    family, n, lattice_kind = spec.family, spec.n, spec.lattice_kind
     signed, loops = family != "A", family in ("B", "C")
     census = _graph_census(n, signed)  # its guard fires before any rows exist
     full_rank = n if signed else n - 1

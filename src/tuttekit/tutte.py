@@ -40,6 +40,8 @@ class TuttePolynomial:
             raise StructureError("Tutte polynomial must be over (x, y)")
         if self.flavor not in ("classical", "arithmetic"):
             raise StructureError(f"unknown flavor {self.flavor!r}")
+        if not 0 <= self.rank <= self.ambient_rank:
+            raise StructureError(f"rank {self.rank} outside 0..{self.ambient_rank}")
 
     def evaluate(self, x, y) -> Q:
         return self.poly.evaluate({"x": x, "y": y})
@@ -53,6 +55,8 @@ class CoboundaryPolynomial:
     def __post_init__(self):
         if self.poly.vars != COBOUNDARY_VARS:
             raise StructureError("coboundary polynomial must be over (X, Y)")
+        if self.rank < 0:
+            raise StructureError(f"rank {self.rank} is negative")
 
 
 # ----------------------------------------------------------------------

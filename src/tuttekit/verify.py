@@ -65,7 +65,7 @@ ENGINES: Dict[str, Callable[[RootSystemSpec], TuttePolynomial]] = {
     "genfun": lambda spec: extract_polynomial(
         GenFunRequest(spec.family, spec.lattice_kind, spec.n), spec.n
     ),
-    "graphs": lambda spec: graph_dictionary_tutte(spec.family, spec.n, spec.lattice_kind),
+    "graphs": graph_dictionary_tutte,
     "finitefield": lambda spec: tutte_via_interpolation(build_config(spec)),
 }
 

@@ -18,10 +18,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import configs, line_configs
+from conftest import assert_refused, configs, line_configs
 from oracles import subset_stats, torsion_exponent_lcm
 from tuttekit import finitefield, lattice
-from tuttekit.errors import AdmissibilityError, CapacityError
+from tuttekit.errors import AdmissibilityError, CapacityError, StructureError
 from tuttekit.finitefield import (
     DEFAULT_POINT_CAP,
     _enumerate_profile,
@@ -186,6 +186,23 @@ class TestTorusProfile:
         psi = coboundary_from_tutte(arithmetic_tutte_bruteforce(c))
         with pytest.raises(AdmissibilityError, match=f"^q = {q} is not a group order"):
             group_identity_holds(c, q, psi)
+
+    def test_psi_of_rank_past_the_lattice_rank_refused(self, monkeypatch):
+        # q^(d - r) would be a float below 1: at q = 2 this psi of B3 gave
+        # {1: 1.0, 2: 0.5, 4: 0.5}.  A psi of rank d still counts.
+        c = cfg("B", 2, "integer")
+        assert group_identity_holds(c, 2, coboundary_from_tutte(arithmetic_tutte_bruteforce(c)))
+        psi = coboundary_from_tutte(arithmetic_tutte_bruteforce(cfg("B", 3, "integer")))
+
+        def refuse(*_):
+            raise AssertionError("counted past the rank check")
+
+        monkeypatch.setattr(finitefield, "_group_histogram", refuse)
+        assert_refused(
+            lambda: group_identity_holds(c, 2, psi),
+            StructureError,
+            "psi has rank 3, past the lattice rank 2",
+        )
 
     def test_point_cap(self, monkeypatch):
         c = cfg("B", 3, "integer")

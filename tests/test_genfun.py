@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from conftest import assert_refused
 from tuttekit.errors import ExactDivisionError, StructureError
 from tuttekit.genfun import (
     GENFUN_KINDS,
@@ -224,7 +225,27 @@ def test_zn_read_alone_matches_the_expansion(family, kind, n):
         alone = sum_of_products(*_final_products(family, kind, order), low=n)
         assert alone == TruncSeries(tail)
         req = GenFunRequest(family, kind, order)
+        if (family, n) == ("D", 1):  # no system: both reads refuse it
+            for read in (
+                lambda: extract_polynomial(req, n),
+                lambda: tutte_from_series(series, family, kind, n),
+            ):
+                assert_refused(read, StructureError, "D requires n >= 2")
+            continue
         assert extract_polynomial(req, n) == tutte_from_series(series, family, kind, n)
+
+
+# D1 was read as M = -1 + x in every kind, which no arithmetic Tutte
+# polynomial is, and A0 failed on an inexact division by X.
+@pytest.mark.parametrize(
+    "family, n, message", [("D", 1, "D requires n >= 2"), ("A", 0, "A requires n >= 1")]
+)
+@pytest.mark.parametrize("kind", GENFUN_KINDS)
+def test_reads_refuse_what_names_no_system(family, n, message, kind):
+    req = GenFunRequest(family, kind, 3)
+    assert_refused(lambda: extract_polynomial(req, n), StructureError, message)
+    series = expanded(family, kind, 3)
+    assert_refused(lambda: extract_coboundary(series, family, n), StructureError, message)
 
 
 def test_type_a_weight_zn_read_lists_only_the_divisors_of_n():

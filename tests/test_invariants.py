@@ -251,7 +251,7 @@ REFUSALS = {
     "type D below rank 2": (
         lambda: closed_form_characteristic("D", 1),
         StructureError,
-        "type D needs n >= 2",
+        "D requires n >= 2",
     ),
     "unknown family": (
         lambda: closed_form_characteristic("E", 3),
@@ -261,8 +261,17 @@ REFUSALS = {
     "weight type A at n = 0": (
         lambda: weight_characteristic_type_A(0),
         StructureError,
-        "n must be positive",
+        "A requires n >= 1",
     ),
+    # The products read these as 1, q and 1.
+    **{
+        f"{family} at n = 0": (
+            lambda family=family: closed_form_characteristic(family, 0),
+            StructureError,
+            f"{family} requires n >= 1",
+        )
+        for family in "ABC"
+    },
     "prime case below 3": (
         lambda: prime_case_characteristic_type_A(2),
         StructureError,

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from conftest import assert_refused
 from oracles import subset_stats
 from tuttekit.errors import StructureError
 from tuttekit.lattice import int_matrix_rank
@@ -147,3 +148,47 @@ class TestWeylGroups:
     )
     def test_orders(self, family, n, order):
         assert weyl_group_order(family, n) == order
+
+
+# RootSystemSpec is the one gate for (family, n, lattice kind): the graph
+# dictionary, the genfun reads, the closed forms and the Weyl group orders
+# all refuse through it.
+REFUSALS = {
+    "unknown family": (
+        lambda: RootSystemSpec("E", 2, "integer"),
+        StructureError,
+        "unknown family 'E'",
+    ),
+    "unknown lattice kind": (
+        lambda: RootSystemSpec("C", 2, "spin"),
+        StructureError,
+        "unknown lattice kind 'spin'",
+    ),
+    "rank zero": (
+        lambda: RootSystemSpec("A", 0, "integer"),
+        StructureError,
+        "A requires n >= 1",
+    ),
+    # D1 has no roots; the graph dictionary's full rank n would read it as rank 1.
+    "D below its minimum": (
+        lambda: RootSystemSpec("D", 1, "integer"),
+        StructureError,
+        "D requires n >= 2",
+    ),
+    # Both were read by D's formula: 23,040 (E6 has 51,840) and 4 (G2 has 12).
+    "Weyl group of E6": (
+        lambda: weyl_group_order("E", 6),
+        StructureError,
+        "unknown family 'E'",
+    ),
+    "Weyl group of G2": (
+        lambda: weyl_group_order("G", 2),
+        StructureError,
+        "unknown family 'G'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusals(case):
+    assert_refused(*REFUSALS[case])

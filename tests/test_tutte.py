@@ -189,8 +189,10 @@ class TestCoboundaryToTutteOracle:
         assert back == t
         assert back == substitute_and_divide(psi, t.ambient_rank)
         wide = CoboundaryPolynomial(psi.poly + MultiPoly(COBOUNDARY_VARS, rows), t.rank)
-        assert tutte_from_coboundary(wide, 3, "classical") == substitute_and_divide(
-            wide, 3, "classical"
+        # The ambient rank plays no part in the transform; it must reach the rank.
+        ambient = max(3, t.rank)
+        assert tutte_from_coboundary(wide, ambient, "classical") == substitute_and_divide(
+            wide, ambient, "classical"
         )
 
     @given(tutte_with_rows(), st.data())
@@ -275,9 +277,33 @@ REFUSALS = {
         StructureError,
         "coboundary polynomial must be over (X, Y)",
     ),
+    # derive_all read this record's chi as 8q^-1-6+q.
+    "Tutte rank past the ambient rank": (
+        lambda: TuttePolynomial(MultiPoly.var(TUTTE_VARS, "x"), 2, 1, "arithmetic"),
+        StructureError,
+        "rank 2 outside 0..1",
+    ),
+    # derive_all read this record's Ehrhart polynomial as t^-1.
+    "negative Tutte rank": (
+        lambda: TuttePolynomial(MultiPoly.var(TUTTE_VARS, "x"), -1, 1, "arithmetic"),
+        StructureError,
+        "rank -1 outside 0..1",
+    ),
+    "negative coboundary rank": (
+        lambda: CoboundaryPolynomial(MultiPoly.var(COBOUNDARY_VARS, "X"), -1),
+        StructureError,
+        "rank -1 is negative",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", REFUSALS)
 def test_refusals(case):
     assert_refused(*REFUSALS[case])
+
+
+def test_record_ranks_at_their_bounds():
+    one = MultiPoly.const(TUTTE_VARS, 1)
+    assert TuttePolynomial(one, 0, 0, "arithmetic").rank == 0
+    assert TuttePolynomial(one, 2, 2, "classical").ambient_rank == 2
+    assert CoboundaryPolynomial(MultiPoly.const(COBOUNDARY_VARS, 1), 0).rank == 0

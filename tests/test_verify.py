@@ -178,7 +178,7 @@ def test_skips_carry_the_engines_own_messages(capsys):
     with pytest.raises(CapacityError) as census_error:
         lattice.sublattice_census(build_config(spec))
     with pytest.raises(CapacityError) as dictionary_error:
-        graph_dictionary_tutte("B", 8, "integer")
+        graph_dictionary_tutte(spec)
 
     results = verify_system(spec)
     skips = {r.name: r.detail for r in results if r.status == SKIP}
@@ -278,6 +278,8 @@ def test_the_engine_table_is_the_method_list():
     _, _, choices, _ = flags["--method"]
     assert list(verify.ENGINES) == ["bruteforce", "genfun", "graphs", "finitefield"]
     assert choices == (*verify.ENGINES, "all")
+    # The dictionary takes the spec itself, so the table needs no adapter.
+    assert verify.ENGINES["graphs"] is graph_dictionary_tutte
 
 
 def perturb(monkeypatch, engine):
