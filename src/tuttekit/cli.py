@@ -27,7 +27,6 @@ optional `-` and ASCII digits.  Anything else raises `StructureError`
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from types import SimpleNamespace
@@ -158,7 +157,7 @@ def cmd_table(args) -> int:
 def cmd_invariants(args) -> int:
     spec = parse_system(args.system)
     rep = derive_all(ENGINES["bruteforce"](spec))
-    fields = [(f.name, getattr(rep, f.name)) for f in dataclasses.fields(rep)]
+    fields = list(zip(rep._fields, rep))
     if args.output == "json":
         payload = {"system": str(spec)}
         payload.update(

@@ -25,12 +25,12 @@ to `tutte.tutte_from_coboundary`, with no rational polynomial in between.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import factorial, gcd
 from typing import Tuple
 
 from .errors import ExactDivisionError, StructureError
+from .lattice import FrozenRecord
 from .poly import MultiPoly
 from .root_systems import FAMILIES, LATTICE_KINDS, RootSystemSpec
 from .series import Products, TruncSeries, deformed_exponential, sum_of_products
@@ -46,19 +46,19 @@ DEFAULT_ORDER = 8
 GENFUN_KINDS = LATTICE_KINDS + ("classical",)
 
 
-@dataclass(frozen=True)
-class GenFunRequest:
-    family: str
-    lattice_kind: str  # integer | root | weight | classical
-    order: int
+class GenFunRequest(FrozenRecord):
+    __slots__ = _fields = ("family", "lattice_kind", "order")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise StructureError(f"unknown family {self.family!r}")
-        if self.lattice_kind not in GENFUN_KINDS:
-            raise StructureError(f"unknown lattice kind {self.lattice_kind!r}")
-        if self.order < 1:
+    def __init__(self, family: str, lattice_kind: str, order: int):
+        if family not in FAMILIES:
+            raise StructureError(f"unknown family {family!r}")
+        if lattice_kind not in GENFUN_KINDS:
+            raise StructureError(f"unknown lattice kind {lattice_kind!r}")
+        if type(order) is not int:
+            raise StructureError(f"order must be an int, not {order!r}")
+        if order < 1:
             raise StructureError("order must be at least 1")
+        self._set(family=family, lattice_kind=lattice_kind, order=order)
 
 
 def euler_phi(n: int) -> int:

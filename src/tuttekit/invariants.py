@@ -14,9 +14,8 @@ as oracles in `tests/oracles.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from .errors import StructureError
 from .genfun import euler_phi
@@ -34,8 +33,7 @@ def _as_int(value: Scalar, what: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     characteristic: MultiPoly  # over ("q",)
     ehrhart: MultiPoly  # over ("t",)
     poincare: MultiPoly  # over ("q",)

@@ -21,11 +21,10 @@ entry per (rank, m(B)) class: 51 for the 770 lattices of the `census` benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import CapacityError, LatticeMembershipError, SpanError, StructureError
 
@@ -52,8 +51,38 @@ def _over_one_denominator(rows: Sequence[Sequence[Q]]) -> Tuple[List[List[int]],
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class FrozenRecord:
+    """Immutable slots record; repr, same-type equality, hash and copy read `_fields`."""
+
+    __slots__ = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()  # so a copy is checked as the original was
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class LatticeBasis(FrozenRecord):
     """Full-column-rank rational basis; columns generate the lattice.
 
     The basis is written as an int matrix over one denominator, and one
@@ -67,14 +96,11 @@ class LatticeBasis:
     annihilate it.  A square basis has no such rows.
     """
 
-    basis: Tuple[Vector, ...]  # columns
-    _inverse: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _denominator: int = field(init=False, repr=False, compare=False)
-    _cokernel: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("basis", "_inverse", "_denominator", "_cokernel")
+    _fields = ("basis",)  # columns; the rest is derived from them
 
-    def __post_init__(self):
-        cols = tuple(map(tuple, self.basis))
-        object.__setattr__(self, "basis", cols)
+    def __init__(self, basis: Sequence[Vector]):
+        cols = tuple(map(tuple, basis))
         if not cols:
             raise StructureError("empty lattice basis")
         m = len(cols[0])
@@ -111,9 +137,8 @@ class LatticeBasis:
         ]
         g = gcd(den, *(x for row in inverse for x in row))
         inverse = tuple(tuple(x // g for x in row) for row in inverse)
-        object.__setattr__(self, "_inverse", inverse)
-        object.__setattr__(self, "_denominator", den // g)
-        object.__setattr__(self, "_cokernel", tuple(tuple(row[d:]) for row in rows[d:]))
+        cokernel = tuple(tuple(row[d:]) for row in rows[d:])
+        self._set(basis=cols, _inverse=inverse, _denominator=den // g, _cokernel=cokernel)
 
     @property
     def ambient_dim(self) -> int:
@@ -156,28 +181,26 @@ class LatticeBasis:
         return prod(snf_invariant_factors([self.coordinates(c) for c in sub.basis]))
 
 
-@dataclass(frozen=True)
-class VectorConfig:
+class VectorConfig(FrozenRecord):
     """Ordered vectors in an ambient rational space, with a reference lattice."""
 
-    vectors: Tuple[Vector, ...]
-    lattice: LatticeBasis
-    coord_matrix: Tuple[Tuple[int, ...], ...] = field(init=False)
+    __slots__ = _fields = ("vectors", "lattice", "coord_matrix")
 
-    def __post_init__(self):
-        vecs = tuple(map(tuple, self.vectors))
-        object.__setattr__(self, "vectors", vecs)
+    def __init__(self, vectors: Sequence[Vector], lattice: LatticeBasis):
+        vecs = tuple(map(tuple, vectors))
         # Columns of the coordinate matrix are lattice coordinates of vectors;
         # length and membership are enforced here once and for all.
-        coords = tuple(self.lattice.coordinates(v) for v in vecs)
-        object.__setattr__(self, "coord_matrix", coords)
+        coords = tuple(lattice.coordinates(v) for v in vecs)
+        self._set(vectors=vecs, lattice=lattice, coord_matrix=coords)
+
+    def __reduce__(self):
+        return VectorConfig, (self.vectors, self.lattice)
 
     def __len__(self) -> int:
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
-class SubsetStats:
+class SubsetStats(NamedTuple):
     rank: int
     multiplicity: int
 

@@ -15,12 +15,12 @@ lattice because the configuration is unimodular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import factorial
 from typing import Tuple
 
 from .errors import StructureError
-from .lattice import LatticeBasis, VectorConfig
+from .lattice import FrozenRecord, LatticeBasis, VectorConfig
 
 FAMILIES = ("A", "B", "C", "D")
 LATTICE_KINDS = ("integer", "root", "weight")
@@ -28,23 +28,23 @@ LATTICE_KINDS = ("integer", "root", "weight")
 Vector = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RootSystemSpec:
+class RootSystemSpec(FrozenRecord):
     """A root system in a lattice; the one place that refuses a non-system."""
-    family: str
-    n: int
-    lattice_kind: str
+    __slots__ = _fields = ("family", "n", "lattice_kind")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise StructureError(f"unknown family {self.family!r}")
-        if self.lattice_kind not in LATTICE_KINDS:
-            raise StructureError(f"unknown lattice kind {self.lattice_kind!r}")
-        minimum = 2 if self.family == "D" else 1
-        if self.n < minimum:
-            raise StructureError(f"{self.family} requires n >= {minimum}")
-        if self.family == "A" and self.lattice_kind != "integer" and self.n < 2:
+    def __init__(self, family: str, n: int, lattice_kind: str):
+        if family not in FAMILIES:
+            raise StructureError(f"unknown family {family!r}")
+        if lattice_kind not in LATTICE_KINDS:
+            raise StructureError(f"unknown lattice kind {lattice_kind!r}")
+        if type(n) is not int:  # a bool, float or numpy int too, as in lattice entries
+            raise StructureError(f"rank must be an int, not {n!r}")
+        minimum = 2 if family == "D" else 1
+        if n < minimum:
+            raise StructureError(f"{family} requires n >= {minimum}")
+        if family == "A" and lattice_kind != "integer" and n < 2:
             raise StructureError("type A quotient coordinates need n >= 2")
+        self._set(family=family, n=n, lattice_kind=lattice_kind)
 
     def __str__(self) -> str:
         return f"{self.family}:{self.n}:{self.lattice_kind}"
@@ -106,11 +106,9 @@ def build_config(spec: RootSystemSpec) -> VectorConfig:
 
 def weyl_group_order(family: str, n: int) -> int:
     """Order of the Weyl group; type A is indexed by coordinate count n."""
-    import math
-
     RootSystemSpec(family, n, "integer")  # refuses what names no system
     if family == "A":
-        return math.factorial(n)
+        return factorial(n)
     if family in ("B", "C"):
-        return 2**n * math.factorial(n)
-    return 2 ** (n - 1) * math.factorial(n)
+        return 2**n * factorial(n)
+    return 2 ** (n - 1) * factorial(n)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import StructureError
 from .poly import MultiPoly
@@ -57,8 +56,7 @@ def parse_poly_terms(text: str, variables: Tuple[str, ...]) -> MultiPoly:
     return MultiPoly(variables, terms)
 
 
-@dataclass(frozen=True)
-class TableFixture:
+class TableFixture(NamedTuple):
     row: str  # e.g. "B3"
     printed: str  # verbatim printed string
     variables: Tuple[str, ...]

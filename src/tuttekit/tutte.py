@@ -15,48 +15,44 @@ on coefficient rows around one kernel, `_shift_x`: P(x, y) -> P(x + a, y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import accumulate, zip_longest
 from typing import Dict, List
 
 from .errors import ExactDivisionError, StructureError
-from .lattice import Census, VectorConfig, sublattice_census
+from .lattice import Census, FrozenRecord, VectorConfig, sublattice_census
 from .poly import MultiPoly, Scalar, compose_affine
 
 TUTTE_VARS = ("x", "y")
 COBOUNDARY_VARS = ("X", "Y")
 
 
-@dataclass(frozen=True)
-class TuttePolynomial:
-    poly: MultiPoly  # over ("x", "y")
-    rank: int  # rank of the full configuration
-    ambient_rank: int  # rank of the reference lattice
-    flavor: str  # "classical" or "arithmetic"
+class TuttePolynomial(FrozenRecord):
+    # M over ("x", "y"), the ranks of the configuration and of its lattice
+    __slots__ = _fields = ("poly", "rank", "ambient_rank", "flavor")
 
-    def __post_init__(self):
-        if self.poly.vars != TUTTE_VARS:
+    def __init__(self, poly: MultiPoly, rank: int, ambient_rank: int, flavor: str):
+        if poly.vars != TUTTE_VARS:
             raise StructureError("Tutte polynomial must be over (x, y)")
-        if self.flavor not in ("classical", "arithmetic"):
-            raise StructureError(f"unknown flavor {self.flavor!r}")
-        if not 0 <= self.rank <= self.ambient_rank:
-            raise StructureError(f"rank {self.rank} outside 0..{self.ambient_rank}")
+        if flavor not in ("classical", "arithmetic"):
+            raise StructureError(f"unknown flavor {flavor!r}")
+        if not 0 <= rank <= ambient_rank:
+            raise StructureError(f"rank {rank} outside 0..{ambient_rank}")
+        self._set(poly=poly, rank=rank, ambient_rank=ambient_rank, flavor=flavor)
 
     def evaluate(self, x, y) -> Q:
         return self.poly.evaluate({"x": x, "y": y})
 
 
-@dataclass(frozen=True)
-class CoboundaryPolynomial:
-    poly: MultiPoly  # over ("X", "Y")
-    rank: int
+class CoboundaryPolynomial(FrozenRecord):
+    __slots__ = _fields = ("poly", "rank")  # poly over ("X", "Y")
 
-    def __post_init__(self):
-        if self.poly.vars != COBOUNDARY_VARS:
+    def __init__(self, poly: MultiPoly, rank: int):
+        if poly.vars != COBOUNDARY_VARS:
             raise StructureError("coboundary polynomial must be over (X, Y)")
-        if self.rank < 0:
-            raise StructureError(f"rank {self.rank} is negative")
+        if rank < 0:
+            raise StructureError(f"rank {rank} is negative")
+        self._set(poly=poly, rank=rank)
 
 
 # ----------------------------------------------------------------------

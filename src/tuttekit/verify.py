@@ -36,9 +36,8 @@ count passed or failed, ends with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
-from typing import Callable, Dict, List, TypeVar, Union
+from typing import Callable, Dict, List, NamedTuple, TypeVar, Union
 
 from .errors import CapacityError
 from .finitefield import group_identity_holds, tutte_via_interpolation
@@ -70,8 +69,7 @@ ENGINES: Dict[str, Callable[[RootSystemSpec], TuttePolynomial]] = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # pass | fail | skip
     detail: str = ""

@@ -205,18 +205,21 @@ class TestExitCodes:
         assert first[0] == EXIT_OK and again == first
 
     def test_a_command_loads_no_argparse_gettext_or_locale(self):
-        # argparse's constructors call gettext, which imports locale.
+        # argparse's constructors call gettext, which imports locale; dataclasses
+        # imports inspect, which imports ast, dis and tokenize.  Each costs start-up.
         src = str(Path(__file__).resolve().parents[1] / "src")
+        slow = ("argparse", "gettext", "locale", "dataclasses", "inspect")
         code = (
             f"import sys; sys.path.insert(0, {src!r}); from tuttekit import cli; "
-            'code = cli.main(["compute", "--method", "bruteforce", "--system", "C:2:integer"]); '
-            'print(code, [m for m in ("argparse", "gettext", "locale") if m in sys.modules])'
+            'codes = [cli.main(["compute", "--method", "bruteforce", "--system", "C:2:integer"]), '
+            'cli.main(["verify", "--system", "C:2:integer"])]; '
+            f"print(*codes, [m for m in {slow!r} if m in sys.modules])"
         )
         done = subprocess.run(
             [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "0 []"
+        assert done.stdout.splitlines()[-1] == "0 0 []"
 
     def test_mismatch(self, capsys, monkeypatch):
         failed = [CheckResult("genfun-vs-bruteforce", FAIL)]

@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from conftest import assert_refused
@@ -62,6 +63,11 @@ class TestTypeAWeight:
     def test_series_order_guard(self):
         with pytest.raises(StructureError):
             GenFunRequest("A", "weight", 0)
+
+    @pytest.mark.parametrize("order", [True, 2.0, "3", np.int64(3)], ids=repr)
+    def test_order_must_be_an_int(self, order):
+        message = f"order must be an int, not {order!r}"
+        assert_refused(lambda: GenFunRequest("B", "integer", order), StructureError, message)
 
 
 class TestFixedRows:

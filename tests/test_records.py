@@ -1,0 +1,121 @@
+"""The value records: equal fields give equal records with equal hashes,
+fields can be neither assigned nor deleted, repr is `Name(field=value, ...)`
+(verify's fail detail prints it), and a record that checks its fields has no
+constructor that skips the check."""
+
+import copy
+from fractions import Fraction as Q
+
+import pytest
+
+from conftest import assert_refused
+from tuttekit.errors import StructureError
+from tuttekit.genfun import GenFunRequest
+from tuttekit.invariants import derive_all
+from tuttekit.lattice import LatticeBasis, SubsetStats
+from tuttekit.poly import MultiPoly
+from tuttekit.root_systems import RootSystemSpec, build_config
+from tuttekit.tables import TableFixture
+from tuttekit.tutte import CoboundaryPolynomial, TuttePolynomial, arithmetic_tutte_bruteforce
+from tuttekit.verify import CheckResult
+
+B2_WEIGHT = RootSystemSpec("B", 2, "weight")
+
+
+def b2_tutte():
+    return arithmetic_tutte_bruteforce(build_config(B2_WEIGHT))
+
+
+def coboundary(rank=1):
+    return CoboundaryPolynomial(MultiPoly(("X", "Y"), {(1, 0): 1}), rank)
+
+
+# Each record: a fresh build on every call, and the fields that its repr,
+# equality and hash read, in order.
+RECORDS = {
+    "LatticeBasis": (lambda: LatticeBasis(((1, 0), (Q(1, 2), Q(1, 2)))), ("basis",)),
+    "VectorConfig": (
+        lambda: build_config(B2_WEIGHT),
+        ("vectors", "lattice", "coord_matrix"),
+    ),
+    "SubsetStats": (lambda: SubsetStats(2, 3), ("rank", "multiplicity")),
+    "TuttePolynomial": (b2_tutte, ("poly", "rank", "ambient_rank", "flavor")),
+    "CoboundaryPolynomial": (coboundary, ("poly", "rank")),
+    "RootSystemSpec": (lambda: RootSystemSpec("C", 3, "root"), ("family", "n", "lattice_kind")),
+    "GenFunRequest": (
+        lambda: GenFunRequest("D", "classical", 4),
+        ("family", "lattice_kind", "order"),
+    ),
+    "InvariantReport": (
+        lambda: derive_all(b2_tutte()),
+        (
+            "characteristic",
+            "ehrhart",
+            "poincare",
+            "volume",
+            "lattice_points",
+            "interior_points",
+            "toric_regions",
+            "dm_dimension",
+            "dpv_dimension",
+        ),
+    ),
+    "TableFixture": (
+        lambda: TableFixture("B2", "3+4 x+x^2+4 y+2 y^2", ("x", "y")),
+        ("row", "printed", "variables", "note"),
+    ),
+    "CheckResult": (
+        lambda: CheckResult("genfun-vs-bruteforce", "fail", "polynomials differ"),
+        ("name", "status", "detail"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_value_record_contract(name):
+    build, fields = RECORDS[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name and a is not b
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert copy.copy(a) == a
+    values = ", ".join(f"{field}={getattr(a, field)!r}" for field in fields)
+    assert repr(a) == f"{name}({values})"
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert a == b
+
+
+# Each checked record: a good build, a bad one and its refusal.  The record
+# must have no `_make` or `_replace` (a NamedTuple's build around `__new__`),
+# no `__replace__` (copy.replace) and no `__dict__` to patch.
+CHECKED = {
+    "RootSystemSpec": (
+        lambda: RootSystemSpec("B", 2, "integer"),
+        lambda: RootSystemSpec("B", 0, "integer"),
+        "B requires n >= 1",
+    ),
+    "GenFunRequest": (
+        lambda: GenFunRequest("B", "integer", 2),
+        lambda: GenFunRequest("B", "spin", 2),
+        "unknown lattice kind 'spin'",
+    ),
+    "TuttePolynomial": (
+        b2_tutte,
+        lambda: TuttePolynomial(b2_tutte().poly, 3, 2, "arithmetic"),
+        "rank 3 outside 0..2",
+    ),
+    "CoboundaryPolynomial": (coboundary, lambda: coboundary(-1), "rank -1 is negative"),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_checked_records_have_no_unchecked_constructor(name):
+    build, bad, message = CHECKED[name]
+    assert_refused(bad, StructureError, message)
+    record = build()
+    for way in ("_make", "_replace", "__replace__", "__dict__"):
+        assert not hasattr(record, way), way
+    assert copy.copy(record) == record

@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from conftest import assert_refused
@@ -174,6 +175,28 @@ REFUSALS = {
         lambda: RootSystemSpec("D", 1, "integer"),
         StructureError,
         "D requires n >= 2",
+    ),
+    # A bool ran as B1; a float or numpy int passed the gate and failed in an
+    # engine; a string failed the n >= 1 test with a bare TypeError.
+    "bool rank": (
+        lambda: RootSystemSpec("B", True, "integer"),
+        StructureError,
+        "rank must be an int, not True",
+    ),
+    "float rank": (
+        lambda: RootSystemSpec("B", 2.0, "integer"),
+        StructureError,
+        "rank must be an int, not 2.0",
+    ),
+    "string rank": (
+        lambda: RootSystemSpec("A", "3", "integer"),
+        StructureError,
+        "rank must be an int, not '3'",
+    ),
+    "numpy int rank": (
+        lambda: RootSystemSpec("B", np.int64(3), "integer"),
+        StructureError,
+        f"rank must be an int, not {np.int64(3)!r}",
     ),
     # Both were read by D's formula: 23,040 (E6 has 51,840) and 4 (G2 has 12).
     "Weyl group of E6": (

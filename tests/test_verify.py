@@ -1,6 +1,5 @@
 import inspect
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -310,9 +309,9 @@ def test_verify_runs_the_table_entries(monkeypatch, capsys, engine, check):
 
 # The right polynomial in a wrong record.
 WRONG_RECORDS = {
-    "ambient_rank": lambda t: replace(t, ambient_rank=t.ambient_rank + 1),
-    "rank": lambda t: replace(t, rank=t.rank - 1),
-    "flavor": lambda t: replace(t, flavor="classical"),
+    "ambient_rank": lambda t: TuttePolynomial(t.poly, t.rank, t.ambient_rank + 1, t.flavor),
+    "rank": lambda t: TuttePolynomial(t.poly, t.rank - 1, t.ambient_rank, t.flavor),
+    "flavor": lambda t: TuttePolynomial(t.poly, t.rank, t.ambient_rank, "classical"),
 }
 
 
