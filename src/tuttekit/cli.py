@@ -57,6 +57,14 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _print_rows(output: str, head: dict, lines: List[str]) -> None:
+    """Print each row's line, or `head` as JSON with its last key's list holding the
+    JSON rows: the bytes `_json_dump` gives for the whole payload, without its tree."""
+    if output == "json":
+        lines = [_json_dump(head)[: -len("]}")] + ",".join(lines) + "]}"]
+    print("\n".join(lines))
+
+
 def _tutte_payload(spec: RootSystemSpec, method: str, t: TuttePolynomial) -> dict:
     return {
         "system": str(spec),
@@ -105,17 +113,7 @@ def cmd_verify(args) -> int:
     spec = parse_system(args.system)
     results = verify_system(spec)
     if args.output == "json":
-        print(
-            _json_dump(
-                {
-                    "system": str(spec),
-                    "checks": [
-                        {"name": r.name, "status": r.status, "detail": r.detail}
-                        for r in results
-                    ],
-                }
-            )
-        )
+        print(_json_dump({"system": str(spec), "checks": [r._asdict() for r in results]}))
     else:
         for r in results:
             line = f"{spec}  {r.name}: {r.status}"
@@ -133,24 +131,21 @@ def cmd_table(args) -> int:
     if args.max_n < 2:
         raise StructureError(f"--max-n must be at least 2, got {args.max_n}")
     keys = [key for name, key in REPORTS.items() if name in reports]
-    rows = []
+    lines = []
     for family in FAMILIES:
         # The Z^n coefficients do not depend on the order once it is n or more.
         series = expand_genfun(GenFunRequest(family, args.lattice, args.max_n))
         for n in range(2, args.max_n + 1):
             t = tutte_from_series(series, family, args.lattice, n)
             rep = derive_all(t)
+            row = f"{family}{n}"
             cells = [(k, t.poly if k == "tutte" else getattr(rep, k)) for k in keys]
-            rows.append((f"{family}{n}", cells))
-    if args.output == "json":
-        out = [
-            {"row": row, **{key: p.to_json_dict() for key, p in polys}}
-            for row, polys in rows
-        ]
-        print(_json_dump({"lattice": args.lattice, "rows": out}))
-    else:
-        for row, polys in rows:
-            print("\t".join([row, *(str(p) for _, p in polys)]))
+            lines.append(
+                _json_dump({"row": row, **{k: p.to_json_dict() for k, p in cells}})
+                if args.output == "json"
+                else "\t".join([row, *(str(p) for _, p in cells)])
+            )
+    _print_rows(args.output, {"lattice": args.lattice, "rows": []}, lines)
     return EXIT_OK
 
 
@@ -172,27 +167,23 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    entries = []
+    lines = []
     for row in all_rows():
         for kind in FIXTURES:
             fx = fixture(kind, row)
-            entries.append(
-                {
-                    "row": row,
-                    "kind": kind,
-                    "source": "reference-table",
-                    "printed": fx.printed,
-                    "partial": fx.partial,
-                    "note": fx.note,
-                    "polynomial": fx.poly.to_json_dict(),
-                }
-            )
-    if args.output == "json":
-        print(_json_dump({"fixtures": entries}))
-    else:
-        for e in entries:
-            flag = " [partial]" if e["partial"] else ""
-            print(f"{e['row']} {e['kind']}{flag}: {e['printed']}")
+            entry = {
+                "row": row,
+                "kind": kind,
+                "source": "reference-table",
+                "printed": fx.printed,
+                "partial": fx.partial,
+                "note": fx.note,
+                "polynomial": fx.poly.to_json_dict(),
+            }
+            flag = " [partial]" if fx.partial else ""
+            text = f"{row} {kind}{flag}: {fx.printed}"
+            lines.append(_json_dump(entry) if args.output == "json" else text)
+    _print_rows(args.output, {"fixtures": []}, lines)
     return EXIT_OK
 
 

@@ -85,6 +85,9 @@ class MultiPoly:
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
 
+    def __reduce__(self):
+        return MultiPoly, (self.vars, self.terms)  # so a copy is checked as the original was
+
     # ------------------------------------------------------------------
     # constructors
 

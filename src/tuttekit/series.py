@@ -137,6 +137,10 @@ class TruncSeries:
     def __setattr__(self, *_):
         raise AttributeError("TruncSeries is immutable")
 
+    def __reduce__(self):
+        coeffs = [self.coefficient(k) for k in range(self.order + 1)]
+        return TruncSeries, (coeffs,)  # so a copy is checked as the original was
+
     # ------------------------------------------------------------------
 
     @staticmethod

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import ModuleType
 
@@ -411,6 +412,36 @@ class TestTable:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"usage: --max-n must be at least 2, got {max_n}\n"
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_a_failing_row_prints_nothing(self, capsys, monkeypatch, output):
+        derive, calls = cli.derive_all, []
+
+        def third_fails(t):
+            calls.append(t)
+            if len(calls) == 3:
+                raise ExactDivisionError("boom")
+            return derive(t)
+
+        monkeypatch.setattr(cli, "derive_all", third_fails)
+        got = run(capsys, "table", "--max-n", "4", "--output", output)
+        assert got == (EXIT_ERROR, "", "error: boom\n")
+        assert len(calls) == 3
+
+    def test_rows_are_kept_only_as_printed_lines(self, capsys):
+        # Holding every row's polynomials and then the whole payload's dict
+        # tree peaked at 6.1 MiB here; the printed lines alone need about 1.1.
+        argv = ["table", "--lattice", "weight", "--max-n", "12", "--report",
+                "tutte,char,ehrhart", "--output", "json"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == EXIT_OK and len(json.loads(out)["rows"]) == 4 * 11
+        assert peak < 3 * 2**20
+
     # sha256 of the stdout of `table --lattice <lattice> --max-n 14 --report
     # tutte,char,ehrhart --output json`, computed at commit 95057f2, before
     # the series powers moved to Miller's recurrence.
@@ -484,6 +515,21 @@ class TestFixturesVerb:
         assert len(payload["fixtures"]) == 48
         for entry in payload["fixtures"]:
             MultiPoly.from_json_dict(entry["polynomial"])  # decodes cleanly
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_a_failing_fixture_prints_nothing(self, capsys, monkeypatch, output):
+        lookup, calls = cli.fixture, []
+
+        def tenth_fails(kind, row):
+            calls.append(row)
+            if len(calls) == 10:
+                raise StructureError("boom")
+            return lookup(kind, row)
+
+        monkeypatch.setattr(cli, "fixture", tenth_fails)
+        got = run(capsys, "fixtures", "--output", output)
+        assert got == (EXIT_USAGE, "", "usage: boom\n")
+        assert len(calls) == 10
 
     def test_partial_row_marked(self, capsys):
         _, out, _ = run(capsys, "fixtures")

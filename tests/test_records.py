@@ -4,19 +4,25 @@ fields can be neither assigned nor deleted, repr is `Name(field=value, ...)`
 constructor that skips the check."""
 
 import copy
+import pickle
 from fractions import Fraction as Q
 
 import pytest
 
 from conftest import assert_refused
 from tuttekit.errors import StructureError
-from tuttekit.genfun import GenFunRequest
+from tuttekit.genfun import GenFunRequest, expand_genfun
 from tuttekit.invariants import derive_all
 from tuttekit.lattice import LatticeBasis, SubsetStats
 from tuttekit.poly import MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config
 from tuttekit.tables import TableFixture
-from tuttekit.tutte import CoboundaryPolynomial, TuttePolynomial, arithmetic_tutte_bruteforce
+from tuttekit.tutte import (
+    CoboundaryPolynomial,
+    TuttePolynomial,
+    arithmetic_tutte_bruteforce,
+    coboundary_from_tutte,
+)
 from tuttekit.verify import CheckResult
 
 B2_WEIGHT = RootSystemSpec("B", 2, "weight")
@@ -119,3 +125,31 @@ def test_checked_records_have_no_unchecked_constructor(name):
     for way in ("_make", "_replace", "__replace__", "__dict__"):
         assert not hasattr(record, way), way
     assert copy.copy(record) == record
+
+
+def b2_integer_tutte():
+    return arithmetic_tutte_bruteforce(build_config(RootSystemSpec("B", 2, "integer")))
+
+
+# Values that hold a MultiPoly: each copy is rebuilt through the checked
+# constructors, so `__setattr__`'s refusal never meets the restored state.
+COPYABLE = {
+    "MultiPoly": lambda: MultiPoly(("x", "y"), {(1, 0): Q(1, 2), (0, 2): -3}),
+    "TruncSeries": lambda: expand_genfun(GenFunRequest("B", "integer", 4)),
+    "TuttePolynomial": b2_integer_tutte,
+    "CoboundaryPolynomial": lambda: coboundary_from_tutte(b2_integer_tutte()),
+    "InvariantReport": lambda: derive_all(b2_integer_tutte()),
+}
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("way", COPIES)
+@pytest.mark.parametrize("name", COPYABLE)
+def test_copies_and_pickles_are_equal(name, way):
+    value = COPYABLE[name]()
+    twin = COPIES[way](value)
+    assert type(twin) is type(value) and twin == value
