@@ -30,8 +30,7 @@ from math import factorial, gcd
 from typing import Tuple
 
 from .errors import ExactDivisionError, StructureError
-from .lattice import FrozenRecord
-from .poly import MultiPoly
+from .poly import FrozenRecord, MultiPoly
 from .root_systems import FAMILIES, LATTICE_KINDS, RootSystemSpec
 from .series import Products, TruncSeries, deformed_exponential, sum_of_products
 from .tutte import (

@@ -27,6 +27,7 @@ from operator import mul
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import CapacityError, LatticeMembershipError, SpanError, StructureError
+from .poly import FrozenRecord
 
 Vector = Tuple[Union[int, Q], ...]
 
@@ -49,37 +50,6 @@ def _over_one_denominator(rows: Sequence[Sequence[Q]]) -> Tuple[List[List[int]],
     except TypeError:
         raise StructureError("lattice entries must be ints or Fractions") from None
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
-
-
-class FrozenRecord:
-    """Immutable slots record; repr, same-type equality, hash and copy read `_fields`."""
-
-    __slots__ = ()
-
-    def _set(self, **values) -> None:
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        return type(self), self._key()  # so a copy is checked as the original was
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
 
 
 class LatticeBasis(FrozenRecord):

@@ -7,6 +7,9 @@ constructor and every ring operation keep that invariant, so integer
 polynomials stay on ints.  All arithmetic is exact; there is no floating
 point anywhere in this package.
 
+`FrozenRecord` is the one immutable base of every slots value class in the
+package, MultiPoly and TruncSeries among them.
+
 `rows` and `from_rows` are the one dense layout of a polynomial in two
 variables, and `str` the one printer.  `compose_affine` is the one change
 of variables v -> a + b*v on a univariate coefficient list; it keeps int
@@ -29,11 +32,46 @@ def _grlex_key(exps: Exps) -> Tuple[int, Exps]:
     return (sum(exps), exps)
 
 
+class FrozenRecord:
+    """Immutable slots record; repr, same-type equality, hash and copy read `_fields`."""
+
+    __slots__ = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()  # so a copy is checked as the original was
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 def _narrow(c) -> Scalar:
-    """c as an int when it is integral, as a Fraction otherwise."""
+    """c as an int when it is integral, as a Fraction otherwise.
+
+    Any other c, a float, bool, string or numpy int too, raises StructureError.
+    """
     if type(c) is int:
         return c
-    c = Q(c)
+    if type(c) is not Q:
+        raise StructureError(f"coefficient {c!r} is neither an int nor a Fraction")
     return c.numerator if c.denominator == 1 else c
 
 
@@ -55,10 +93,10 @@ def compose_affine(coeffs: Sequence[Scalar], a: Scalar, b: Scalar = 1) -> List[S
     return out
 
 
-class MultiPoly:
+class MultiPoly(FrozenRecord):
     """Immutable sparse polynomial over Q in named variables."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = _fields = ("vars", "terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exps, Scalar]):
         vs = tuple(variables)
@@ -71,22 +109,14 @@ class MultiPoly:
             c = _narrow(c)
             if c:
                 canon[tuple(exps)] = c
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "terms", canon)
+        self._set(vars=vs, terms=canon)
 
     @classmethod
     def _trusted(cls, vs: Tuple[str, ...], terms: Dict[Exps, Scalar]) -> "MultiPoly":
         """Wrap canonical nonzero coefficients under len(vs)-tuples, unchecked."""
         p = object.__new__(cls)
-        object.__setattr__(p, "vars", vs)
-        object.__setattr__(p, "terms", terms)
+        p._set(vars=vs, terms=terms)
         return p
-
-    def __setattr__(self, *_):
-        raise AttributeError("MultiPoly is immutable")
-
-    def __reduce__(self):
-        return MultiPoly, (self.vars, self.terms)  # so a copy is checked as the original was
 
     # ------------------------------------------------------------------
     # constructors
@@ -123,14 +153,7 @@ class MultiPoly:
     def has_integer_coefficients(self) -> bool:
         return all(type(c) is int for c in self.terms.values())
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.vars == other.vars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # terms is a dict
         return hash((self.vars, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:

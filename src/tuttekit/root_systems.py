@@ -20,7 +20,8 @@ from math import factorial
 from typing import Tuple
 
 from .errors import StructureError
-from .lattice import FrozenRecord, LatticeBasis, VectorConfig
+from .lattice import LatticeBasis, VectorConfig
+from .poly import FrozenRecord
 
 FAMILIES = ("A", "B", "C", "D")
 LATTICE_KINDS = ("integer", "root", "weight")

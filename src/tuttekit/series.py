@@ -37,7 +37,7 @@ from math import comb, factorial, gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import CapacityError, ExactDivisionError, PrecisionError, StructureError
-from .poly import Exps, MultiPoly, Scalar
+from .poly import Exps, FrozenRecord, MultiPoly, Scalar
 
 Nums = Dict[int, int]  # packed exponent key -> integer numerator
 Coeff = Tuple[Nums, int]  # integer numerators over one positive denominator
@@ -107,10 +107,11 @@ def _sum_of_products(
     return {e: c // g for e, c in acc.items()}, den // g
 
 
-class TruncSeries:
+class TruncSeries(FrozenRecord):
     """Immutable truncated series with polynomial coefficients."""
 
     __slots__ = ("order", "vars", "_coeffs")
+    _fields = ("vars", "_coeffs")  # the order is one less than len(_coeffs)
 
     def __init__(self, coeffs: Sequence[MultiPoly]):
         cs = tuple(coeffs)
@@ -120,22 +121,14 @@ class TruncSeries:
         for c in cs:
             if c.vars != vs:
                 raise StructureError("series coefficients over differing variables")
-        self._fill(vs, [_from_poly(c) for c in cs])
-
-    def _fill(self, vs: Tuple[str, ...], coeffs: List[Coeff]) -> None:
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "_coeffs", tuple(coeffs))
-        object.__setattr__(self, "order", len(coeffs) - 1)
+        self._set(vars=vs, _coeffs=tuple(map(_from_poly, cs)), order=len(cs) - 1)
 
     @classmethod
     def _make(cls, vs: Tuple[str, ...], coeffs: List[Coeff]) -> "TruncSeries":
         """Wrap canonical coefficient pairs as they are, unchecked."""
         s = object.__new__(cls)
-        s._fill(vs, coeffs)
+        s._set(vars=vs, _coeffs=tuple(coeffs), order=len(coeffs) - 1)
         return s
-
-    def __setattr__(self, *_):
-        raise AttributeError("TruncSeries is immutable")
 
     def __reduce__(self):
         coeffs = [self.coefficient(k) for k in range(self.order + 1)]
@@ -170,14 +163,7 @@ class TruncSeries:
         nv = len(self.vars)
         return {_unpack(e, nv): c * scale for e, c in nums.items()}
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncSeries)
-            and self.vars == other.vars
-            and self._coeffs == other._coeffs
-        )
-
-    def __hash__(self):
+    def __hash__(self):  # each coefficient's numerators are a dict
         return hash(
             (self.vars, tuple((frozenset(n.items()), d) for n, d in self._coeffs))
         )

@@ -20,8 +20,8 @@ from itertools import accumulate, zip_longest
 from typing import Dict, List
 
 from .errors import ExactDivisionError, StructureError
-from .lattice import Census, FrozenRecord, VectorConfig, sublattice_census
-from .poly import MultiPoly, Scalar, compose_affine
+from .lattice import Census, VectorConfig, sublattice_census
+from .poly import FrozenRecord, MultiPoly, Scalar, compose_affine
 
 TUTTE_VARS = ("x", "y")
 COBOUNDARY_VARS = ("X", "Y")
@@ -36,6 +36,8 @@ class TuttePolynomial(FrozenRecord):
             raise StructureError("Tutte polynomial must be over (x, y)")
         if flavor not in ("classical", "arithmetic"):
             raise StructureError(f"unknown flavor {flavor!r}")
+        if type(rank) is not int or type(ambient_rank) is not int:  # as RootSystemSpec's n
+            raise StructureError(f"ranks must be ints, not {rank!r} and {ambient_rank!r}")
         if not 0 <= rank <= ambient_rank:
             raise StructureError(f"rank {rank} outside 0..{ambient_rank}")
         self._set(poly=poly, rank=rank, ambient_rank=ambient_rank, flavor=flavor)
@@ -50,6 +52,8 @@ class CoboundaryPolynomial(FrozenRecord):
     def __init__(self, poly: MultiPoly, rank: int):
         if poly.vars != COBOUNDARY_VARS:
             raise StructureError("coboundary polynomial must be over (X, Y)")
+        if type(rank) is not int:
+            raise StructureError(f"rank must be an int, not {rank!r}")
         if rank < 0:
             raise StructureError(f"rank {rank} is negative")
         self._set(poly=poly, rank=rank)

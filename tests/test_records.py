@@ -1,20 +1,26 @@
 """The value records: equal fields give equal records with equal hashes,
 fields can be neither assigned nor deleted, repr is `Name(field=value, ...)`
 (verify's fail detail prints it), and a record that checks its fields has no
-constructor that skips the check."""
+constructor that skips the check.  Every slots value class, `MultiPoly` and
+`TruncSeries` too, is a `poly.FrozenRecord`."""
 
 import copy
+import inspect
 import pickle
 from fractions import Fraction as Q
+from importlib import import_module
+from pkgutil import iter_modules
 
+import numpy as np
 import pytest
 
+import tuttekit
 from conftest import assert_refused
 from tuttekit.errors import StructureError
 from tuttekit.genfun import GenFunRequest, expand_genfun
 from tuttekit.invariants import derive_all
 from tuttekit.lattice import LatticeBasis, SubsetStats
-from tuttekit.poly import MultiPoly
+from tuttekit.poly import FrozenRecord, MultiPoly
 from tuttekit.root_systems import RootSystemSpec, build_config
 from tuttekit.tables import TableFixture
 from tuttekit.tutte import (
@@ -153,3 +159,53 @@ def test_copies_and_pickles_are_equal(name, way):
     value = COPYABLE[name]()
     twin = COPIES[way](value)
     assert type(twin) is type(value) and twin == value
+
+
+def test_every_slots_value_class_is_a_frozen_record():
+    modules = [import_module(f"tuttekit.{m.name}") for m in iter_modules(tuttekit.__path__)]
+    slots_classes = {
+        cls
+        for module in modules
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__
+        and "__slots__" in vars(cls)
+        and not issubclass(cls, tuple)  # a NamedTuple declares empty slots
+        and cls is not FrozenRecord
+    }
+    assert sorted(cls.__name__ for cls in slots_classes) == [
+        "CoboundaryPolynomial", "GenFunRequest", "LatticeBasis", "MultiPoly",
+        "RootSystemSpec", "TruncSeries", "TuttePolynomial", "VectorConfig",
+    ]
+    assert all(issubclass(cls, FrozenRecord) for cls in slots_classes)
+
+
+# The two ring values: their repr is their own, but like the records they are
+# equal by value with equal hashes, and no slot can be assigned or deleted.
+RING_VALUES = {name: COPYABLE[name] for name in ("MultiPoly", "TruncSeries")}
+
+
+@pytest.mark.parametrize("name", RING_VALUES)
+def test_ring_values_are_frozen(name):
+    a, b = RING_VALUES[name](), RING_VALUES[name]()
+    assert a is not b and a == b and hash(a) == hash(b)
+    for slot in type(a).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, slot, getattr(b, slot))
+        with pytest.raises(AttributeError):
+            delattr(a, slot)
+    assert a == b
+
+
+# Each was taken before: 0.1 as 3602879701896397/36028797018963968, True as
+# 1, "1/2" parsed as a Fraction and a numpy int as the int it holds.
+NOT_SCALARS = {"float": 0.1, "bool": True, "string": "1/2", "numpy int": np.int64(3)}
+
+
+@pytest.mark.parametrize("kind", NOT_SCALARS)
+def test_multipoly_takes_only_int_and_fraction_coefficients(kind):
+    bad = NOT_SCALARS[kind]
+    message = f"coefficient {bad!r} is neither an int nor a Fraction"
+    x = MultiPoly.var(("x",), "x")
+    assert_refused(lambda: MultiPoly(("x",), {(1,): bad}), StructureError, message)
+    assert_refused(lambda: x * bad, StructureError, message)
+    assert (x * 3).terms == {(1,): 3} and (x * Q(1, 2)).terms == {(1,): Q(1, 2)}

@@ -294,6 +294,23 @@ REFUSALS = {
         StructureError,
         "rank -1 is negative",
     ),
+    # derive_all read this record's chi as -q+q^2.0, with a float exponent.
+    "float Tutte rank": (
+        lambda: TuttePolynomial(MultiPoly.var(TUTTE_VARS, "x"), 1.0, 2, "arithmetic"),
+        StructureError,
+        "ranks must be ints, not 1.0 and 2",
+    ),
+    "bool ambient rank": (
+        lambda: TuttePolynomial(MultiPoly.var(TUTTE_VARS, "x"), 1, True, "arithmetic"),
+        StructureError,
+        "ranks must be ints, not 1 and True",
+    ),
+    # tutte_from_coboundary raised a bare TypeError on this record.
+    "float coboundary rank": (
+        lambda: CoboundaryPolynomial(MultiPoly.var(COBOUNDARY_VARS, "X"), 1.0),
+        StructureError,
+        "rank must be an int, not 1.0",
+    ),
 }
 
 
