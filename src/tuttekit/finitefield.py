@@ -26,7 +26,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import AdmissibilityError, CapacityError, StructureError
 from .lattice import VectorConfig, _census_fold, multiplicity_lcm, snf_invariant_factors
-from .poly import MultiPoly, compose_affine
+from .poly import MultiPoly, compose_affine, exact_int
 from .tutte import (
     COBOUNDARY_VARS,
     CoboundaryPolynomial,
@@ -248,7 +248,7 @@ def group_identity_holds(
     every multiple of the multiplicity lcm is; the caller guarantees it.
     A q below 1, a psi of rank past d or a q^d past the cap raises first.
     """
-    if q < 1:
+    if exact_int(q, "q") < 1:
         raise AdmissibilityError(f"q = {q} is not a group order: it must be at least 1")
     d = config.lattice.rank
     if psi.rank > d:

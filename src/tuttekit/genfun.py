@@ -30,7 +30,7 @@ from math import factorial, gcd
 from typing import Tuple
 
 from .errors import ExactDivisionError, StructureError
-from .poly import FrozenRecord, MultiPoly
+from .poly import FrozenRecord, MultiPoly, exact_int
 from .root_systems import FAMILIES, LATTICE_KINDS, RootSystemSpec
 from .series import Products, TruncSeries, deformed_exponential, sum_of_products
 from .tutte import (
@@ -53,9 +53,7 @@ class GenFunRequest(FrozenRecord):
             raise StructureError(f"unknown family {family!r}")
         if lattice_kind not in GENFUN_KINDS:
             raise StructureError(f"unknown lattice kind {lattice_kind!r}")
-        if type(order) is not int:
-            raise StructureError(f"order must be an int, not {order!r}")
-        if order < 1:
+        if exact_int(order, "order") < 1:
             raise StructureError("order must be at least 1")
         self._set(family=family, lattice_kind=lattice_kind, order=order)
 

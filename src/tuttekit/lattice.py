@@ -27,7 +27,7 @@ from operator import mul
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import CapacityError, LatticeMembershipError, SpanError, StructureError
-from .poly import FrozenRecord
+from .poly import FrozenRecord, _narrow
 
 Vector = Tuple[Union[int, Q], ...]
 
@@ -42,13 +42,11 @@ def _dot(row: Sequence[int], v: Sequence[int]) -> int:
 def _over_one_denominator(rows: Sequence[Sequence[Q]]) -> Tuple[List[List[int]], int]:
     """Integer numerators of rational rows over their least common denominator.
 
-    Any entry but an int or a Fraction, a float or numpy int too, raises StructureError.
+    Each entry is read through `poly._narrow`, so a float or numpy int raises
+    StructureError.
     """
-    dens = (x.denominator if type(x) in (int, Q) else None for row in rows for x in row)
-    try:
-        den = lcm(*dens)
-    except TypeError:
-        raise StructureError("lattice entries must be ints or Fractions") from None
+    rows = [[_narrow(x, "lattice entry") for x in row] for row in rows]
+    den = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 

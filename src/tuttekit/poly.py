@@ -8,7 +8,10 @@ polynomials stay on ints.  All arithmetic is exact; there is no floating
 point anywhere in this package.
 
 `FrozenRecord` is the one immutable base of every slots value class in the
-package, MultiPoly and TruncSeries among them.
+package, MultiPoly and TruncSeries among them.  The three input rules of the
+package live here too, each once: `exact_int` (an integer argument is a plain
+int), `_narrow` (an exact scalar is an int or a Fraction) and `common_vars`
+(operands share one variable list).
 
 `rows` and `from_rows` are the one dense layout of a polynomial in two
 variables, and `str` the one printer.  `compose_affine` is the one change
@@ -63,7 +66,14 @@ class FrozenRecord:
         return f"{type(self).__name__}({fields})"
 
 
-def _narrow(c) -> Scalar:
+def exact_int(value, what: str) -> int:
+    """value itself if it is an int; a bool, float or numpy int raises StructureError."""
+    if type(value) is not int:
+        raise StructureError(f"{what} must be an int, not {value!r}")
+    return value
+
+
+def _narrow(c, what: str = "coefficient") -> Scalar:
     """c as an int when it is integral, as a Fraction otherwise.
 
     Any other c, a float, bool, string or numpy int too, raises StructureError.
@@ -71,8 +81,16 @@ def _narrow(c) -> Scalar:
     if type(c) is int:
         return c
     if type(c) is not Q:
-        raise StructureError(f"coefficient {c!r} is neither an int nor a Fraction")
+        raise StructureError(f"{what} {c!r} is neither an int nor a Fraction")
     return c.numerator if c.denominator == 1 else c
+
+
+def common_vars(first, *rest) -> Tuple[str, ...]:
+    """The variable list of every operand; two that differ raise StructureError."""
+    for other in rest:
+        if other.vars != first.vars:
+            raise StructureError(f"variable lists differ: {first.vars} vs {other.vars}")
+    return first.vars
 
 
 def _canonical(terms: Dict[Exps, Scalar]) -> Dict[Exps, Scalar]:
@@ -135,6 +153,8 @@ class MultiPoly(FrozenRecord):
         vs = tuple(variables)
         if name not in vs:
             raise StructureError(f"unknown variable {name!r} among {vs}")
+        if exact_int(power, "power") < 0:
+            raise StructureError("negative polynomial power")
         exps = tuple(power if v == name else 0 for v in vs)
         return MultiPoly(vs, {exps: 1})
 
@@ -162,15 +182,9 @@ class MultiPoly(FrozenRecord):
     # ------------------------------------------------------------------
     # arithmetic
 
-    def _check_vars(self, other: "MultiPoly") -> None:
-        if self.vars != other.vars:
-            raise StructureError(
-                f"variable lists differ: {self.vars} vs {other.vars}"
-            )
-
     def _coerce(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         if isinstance(other, MultiPoly):
-            self._check_vars(other)
+            common_vars(self, other)
             return other
         return MultiPoly.const(self.vars, other)
 
@@ -200,7 +214,7 @@ class MultiPoly(FrozenRecord):
             return MultiPoly._trusted(
                 self.vars, _canonical({e: cc * c for e, cc in self.terms.items()})
             )
-        self._check_vars(other)
+        common_vars(self, other)
         terms: Dict[Exps, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -211,7 +225,7 @@ class MultiPoly(FrozenRecord):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
+        if exact_int(n, "power") < 0:
             raise StructureError("negative polynomial power")
         result = MultiPoly.const(self.vars, 1)
         base = self
@@ -229,23 +243,15 @@ class MultiPoly(FrozenRecord):
     def substitute(self, bindings: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Substitute polynomials for variables; unbound variables pass through.
 
-        The binding values (if any) fix the output variable list; it defaults
-        to this polynomial's own list.  Every unbound variable must exist in
-        the output list.
+        The binding values (if any) share one variable list, the output's; it
+        defaults to this polynomial's own list.  Every unbound variable must
+        exist in the output list.
         """
-        out_vars = self.vars
-        for b in bindings.values():
-            out_vars = b.vars
-            break
-        images = {}
-        for v in self.vars:
-            if v in bindings:
-                img = bindings[v]
-                if img.vars != out_vars:
-                    raise StructureError("bindings use inconsistent variable lists")
-                images[v] = img
-            else:
-                images[v] = MultiPoly.var(out_vars, v)
+        out_vars = common_vars(*bindings.values()) if bindings else self.vars
+        images = {
+            v: bindings[v] if v in bindings else MultiPoly.var(out_vars, v)
+            for v in self.vars
+        }
         result = MultiPoly.zero(out_vars)
         for exps, c in self.terms.items():
             term = MultiPoly.const(out_vars, c)
@@ -262,7 +268,7 @@ class MultiPoly(FrozenRecord):
         term is the exact Fraction of two leading coefficients, narrowed, so
         int polynomials never pass through a float.
         """
-        self._check_vars(d)
+        common_vars(self, d)
         if d.is_zero():
             raise ExactDivisionError("division by zero polynomial")
         d_lead = max(d.terms, key=_grlex_key)
@@ -284,7 +290,7 @@ class MultiPoly(FrozenRecord):
         for v in self.vars:
             if v not in values:
                 raise StructureError(f"no value for variable {v!r}")
-            vals.append(Q(values[v]))
+            vals.append(_narrow(values[v], "value"))
         total = Q(0)
         for exps, c in self.terms.items():
             t = c

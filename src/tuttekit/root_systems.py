@@ -21,7 +21,7 @@ from typing import Tuple
 
 from .errors import StructureError
 from .lattice import LatticeBasis, VectorConfig
-from .poly import FrozenRecord
+from .poly import FrozenRecord, exact_int
 
 FAMILIES = ("A", "B", "C", "D")
 LATTICE_KINDS = ("integer", "root", "weight")
@@ -38,8 +38,7 @@ class RootSystemSpec(FrozenRecord):
             raise StructureError(f"unknown family {family!r}")
         if lattice_kind not in LATTICE_KINDS:
             raise StructureError(f"unknown lattice kind {lattice_kind!r}")
-        if type(n) is not int:  # a bool, float or numpy int too, as in lattice entries
-            raise StructureError(f"rank must be an int, not {n!r}")
+        n = exact_int(n, "rank")
         minimum = 2 if family == "D" else 1
         if n < minimum:
             raise StructureError(f"{family} requires n >= {minimum}")

@@ -37,7 +37,7 @@ from math import comb, factorial, gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import CapacityError, ExactDivisionError, PrecisionError, StructureError
-from .poly import Exps, FrozenRecord, MultiPoly, Scalar
+from .poly import Exps, FrozenRecord, MultiPoly, Scalar, common_vars
 
 Nums = Dict[int, int]  # packed exponent key -> integer numerator
 Coeff = Tuple[Nums, int]  # integer numerators over one positive denominator
@@ -117,10 +117,7 @@ class TruncSeries(FrozenRecord):
         cs = tuple(coeffs)
         if not cs:
             raise StructureError("a series needs at least the constant coefficient")
-        vs = cs[0].vars
-        for c in cs:
-            if c.vars != vs:
-                raise StructureError("series coefficients over differing variables")
+        vs = common_vars(*cs)
         self._set(vars=vs, _coeffs=tuple(map(_from_poly, cs)), order=len(cs) - 1)
 
     @classmethod
@@ -173,12 +170,10 @@ class TruncSeries(FrozenRecord):
 
     def _operand(self, other: Union[Scalar, MultiPoly]) -> Coeff:
         """A scalar or MultiPoly operand as a coefficient pair."""
-        if not isinstance(other, MultiPoly):
+        if isinstance(other, MultiPoly):
+            common_vars(self, other)
+        else:
             other = MultiPoly.const(self.vars, other)
-        elif other.vars != self.vars:
-            raise StructureError(
-                f"variable lists differ: {self.vars} vs {other.vars}"
-            )
         return _from_poly(other)
 
     def __add__(self, other: Union["TruncSeries", Scalar, MultiPoly]) -> "TruncSeries":
@@ -188,8 +183,7 @@ class TruncSeries(FrozenRecord):
             return TruncSeries._make(
                 self.vars, [_sum_of_products(nv, head)] + list(self._coeffs[1:])
             )
-        if self.vars != other.vars:
-            raise StructureError("series over differing variable lists")
+        common_vars(self, other)
         return TruncSeries._make(
             self.vars,
             [
@@ -258,8 +252,7 @@ class TruncSeries(FrozenRecord):
         g' f = a f' g.  One pass, with (a+1) f_k formed once per k and every
         k with f_k = 0 skipped.
         """
-        if exponent.vars != self.vars:
-            raise StructureError("exponent over differing variable list")
+        common_vars(self, exponent)
         f, nv = self._coeffs, len(self.vars)
         if f[0] != ONE:
             raise PrecisionError("a polynomial power requires constant term 1")
@@ -299,9 +292,7 @@ def sum_of_products(products: Products, divisor: int = 1, low: int = 0) -> Trunc
     Only the coefficients of Z^low and up are computed, each by one kernel
     call; the ones below are left zero.
     """
-    vs = products[0][1].vars
-    if any(s.vars != vs for _, a, b in products for s in (a, b)):
-        raise StructureError("series over differing variable lists")
+    vs = common_vars(*(s for _, a, b in products for s in (a, b)))
     order = min(min(a.order, b.order) for _, a, b in products)
     coeffs = [ZERO] * min(low, order + 1)
     for k in range(low, order + 1):
@@ -323,11 +314,10 @@ def deformed_exponential(alpha: MultiPoly, beta: MultiPoly, order: int) -> Trunc
     monomial.  Otherwise alpha^n, beta^n and beta^C(n,2) are carried from one
     coefficient to the next by products.
     """
-    if alpha.vars != beta.vars:
-        raise StructureError("alpha and beta over differing variable lists")
+    vs = common_vars(alpha, beta)
     if order < 0:
         raise StructureError("order must be non-negative")
-    vs, nv = alpha.vars, len(alpha.vars)
+    nv = len(vs)
     coeffs = []
     if len(alpha.terms) <= 1 and len(beta.terms) == 1:
         e_a, c_a = next(iter(alpha.terms.items()), ((0,) * nv, 0))

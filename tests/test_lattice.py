@@ -326,18 +326,18 @@ REFUSALS = {
     "float basis entry": (
         lambda: LatticeBasis(((0.5, 0), V(0, 1))),
         StructureError,
-        "lattice entries must be ints or Fractions",
+        "lattice entry 0.5 is neither an int nor a Fraction",
     ),
     "float vector entry": (
         lambda: VectorConfig(((1, 0.5),), LatticeBasis.standard(2)),
         StructureError,
-        "lattice entries must be ints or Fractions",
+        "lattice entry 0.5 is neither an int nor a Fraction",
     ),
     # A fixed-width int could wrap in the elimination.
     "numpy int entry": (
         lambda: VectorConfig(((np.int64(1), 0),), LatticeBasis.standard(2)),
         StructureError,
-        "lattice entries must be ints or Fractions",
+        f"lattice entry {np.int64(1)!r} is neither an int nor a Fraction",
     ),
 }
 

@@ -1,12 +1,25 @@
+import ast
 from fractions import Fraction as Q
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tuttekit
 from conftest import VARS_XY, assert_refused, fractions, nonzero_polys, polys
 from tuttekit.errors import ExactDivisionError, StructureError
+from tuttekit.finitefield import group_identity_holds
+from tuttekit.genfun import GenFunRequest
 from tuttekit.poly import MultiPoly, compose_affine
+from tuttekit.root_systems import RootSystemSpec, build_config
+from tuttekit.tutte import (
+    COBOUNDARY_VARS,
+    TUTTE_VARS,
+    CoboundaryPolynomial,
+    TuttePolynomial,
+)
 
 
 def P(terms):
@@ -128,10 +141,13 @@ class TestSubstituteEvaluate:
         p = x**2 + y
         sub = p.substitute({"x": y + 1})
         assert sub == y**2 + y * 3 + 1
+        assert p.substitute({"x": MultiPoly.zero(VARS_XY)}) == y
 
     def test_evaluate(self):
         p = P({(2, 0): Q(1), (0, 1): Q(2), (0, 0): Q(3)})
         assert p.evaluate({"x": 2, "y": Q(1, 2)}) == 8
+        got = p.evaluate({"x": 2, "y": 1})  # int values give a Fraction too
+        assert type(got) is Q and got == 9
 
     @given(polys(), polys())
     @settings(max_examples=40, deadline=None)
@@ -239,12 +255,17 @@ REFUSALS = {
         "variable lists differ: ('x', 'y') vs ('q',)",
     ),
     "negative power": (lambda: X**-1, StructureError, "negative polynomial power"),
+    "negative var power": (
+        lambda: MultiPoly.var(VARS_XY, "x", -1),
+        StructureError,
+        "negative polynomial power",
+    ),
     "bindings over two lists": (
         lambda: (X * MultiPoly.var(VARS_XY, "y")).substitute(
             {"x": Q_ONLY, "y": MultiPoly.var(("t",), "t")}
         ),
         StructureError,
-        "bindings use inconsistent variable lists",
+        "variable lists differ: ('q',) vs ('t',)",
     ),
     "division by zero": (
         lambda: X.divide_exact(MultiPoly.zero(VARS_XY)),
@@ -266,3 +287,84 @@ def test_refusals(case):
 
 def test_truth_is_being_nonzero():
     assert X and not MultiPoly.zero(VARS_XY)
+
+
+# ----------------------------------------------------------------------
+# The input rules, each checked once in `poly`: an integer argument is a
+# plain int (`exact_int`), an exact scalar an int or a Fraction (`_narrow`),
+# and two operands share one variable list (`common_vars`).
+
+C2 = build_config(RootSystemSpec("C", 2, "integer"))
+TUTTE_X = MultiPoly.var(TUTTE_VARS, "x")
+COBOUNDARY_X = MultiPoly.var(COBOUNDARY_VARS, "X")
+PSI = CoboundaryPolynomial(MultiPoly.const(COBOUNDARY_VARS, 1), 0)
+
+# name -> (call taking the argument, what the refusal calls it)
+INT_ARGUMENTS = {
+    "RootSystemSpec n": (lambda n: RootSystemSpec("B", n, "integer"), "rank"),
+    "GenFunRequest order": (lambda k: GenFunRequest("B", "integer", k), "order"),
+    "Tutte rank": (lambda r: TuttePolynomial(TUTTE_X, r, 2, "arithmetic"), "rank"),
+    "Tutte ambient rank": (
+        lambda r: TuttePolynomial(TUTTE_X, 1, r, "arithmetic"),
+        "ambient rank",
+    ),
+    "coboundary rank": (lambda r: CoboundaryPolynomial(COBOUNDARY_X, r), "rank"),
+    "power": (lambda n: X**n, "power"),
+    "var power": (lambda n: MultiPoly.var(VARS_XY, "x", n), "power"),
+    "group order q": (lambda q: group_identity_holds(C2, q, PSI), "q"),
+}
+NOT_INTS = {"bool": True, "float": 2.0, "numpy int": np.int64(2)}
+
+
+@pytest.mark.parametrize("bad", NOT_INTS)
+@pytest.mark.parametrize("entry", INT_ARGUMENTS)
+def test_integer_arguments_are_plain_ints(entry, bad):
+    call, what = INT_ARGUMENTS[entry]
+    value = NOT_INTS[bad]
+    message = f"{what} must be an int, not {value!r}"
+    assert_refused(lambda: call(value), StructureError, message)
+
+
+@pytest.mark.parametrize("bad", NOT_INTS)
+def test_evaluation_points_are_exact(bad):
+    value = NOT_INTS[bad]
+    assert_refused(
+        lambda: X.evaluate({"x": value, "y": 1}),
+        StructureError,
+        f"value {value!r} is neither an int nor a Fraction",
+    )
+
+
+def _input_checks(node, scope=()):
+    """(scope, rule) for each `type(...) is not int` and each comparison of
+    a `.vars` with anything but a module constant, under `node`."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope += (node.name,)
+    if isinstance(node, ast.Compare):
+        sides = [node.left, *node.comparators]
+        if (
+            isinstance(node.left, ast.Call)
+            and getattr(node.left.func, "id", None) == "type"
+            and any(isinstance(op, ast.IsNot) for op in node.ops)
+            and any(getattr(side, "id", None) == "int" for side in sides)
+        ):
+            yield ".".join(scope), "int"
+        if any(getattr(side, "attr", None) == "vars" for side in sides) and not any(
+            getattr(side, "id", "").isupper() for side in sides
+        ):
+            yield ".".join(scope), "vars"
+    for child in ast.iter_child_nodes(node):
+        yield from _input_checks(child, scope)
+
+
+def test_each_input_rule_is_written_once_in_poly():
+    found = {
+        (path.stem, scope, rule)
+        for path in Path(tuttekit.__file__).parent.glob("*.py")
+        for scope, rule in _input_checks(ast.parse(path.read_text()))
+    }
+    assert found == {
+        ("poly", "exact_int", "int"),
+        ("poly", "MultiPoly.to_json_dict", "int"),
+        ("poly", "common_vars", "vars"),
+    }

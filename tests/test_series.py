@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as Q
 from math import comb, factorial
 from typing import Iterable, List, Sequence, Union
@@ -495,9 +496,10 @@ class TestAgainstOracle:
     def test_sum_of_products_refuses_differing_variables(self):
         a = TruncSeries((MultiPoly.const(XY, 1),))
         other = TruncSeries((MultiPoly.const(("X",), 1),))
-        with pytest.raises(StructureError, match="differing variable lists"):
+        message = re.escape("variable lists differ: ('X', 'Y') vs ('X',)")
+        with pytest.raises(StructureError, match=message):
             sum_of_products([(1, a, a), (1, other, other)])
-        with pytest.raises(StructureError, match="differing variable lists"):
+        with pytest.raises(StructureError, match=message):
             a * other
 
     @given(
@@ -543,7 +545,7 @@ REFUSALS = {
     "coefficients over two lists": (
         lambda: TruncSeries([y_mono(1), Q_ONLY]),
         StructureError,
-        "series coefficients over differing variables",
+        "variable lists differ: ('X', 'Y') vs ('q',)",
     ),
     "assignment": (
         lambda: setattr(ONE_PLUS_Y, "order", 3),
@@ -558,7 +560,7 @@ REFUSALS = {
     "series over another list": (
         lambda: ONE_PLUS_Y + TruncSeries([Q_ONLY]),
         StructureError,
-        "series over differing variable lists",
+        "variable lists differ: ('X', 'Y') vs ('q',)",
     ),
     "log off constant term 1": (
         lambda: TruncSeries([MultiPoly.const(XY, 2)]).log(),
@@ -568,7 +570,7 @@ REFUSALS = {
     "exponent over another list": (
         lambda: ONE_PLUS_Y.pow_poly(Q_ONLY),
         StructureError,
-        "exponent over differing variable list",
+        "variable lists differ: ('X', 'Y') vs ('q',)",
     ),
     "filter stride 0": (
         lambda: ONE_PLUS_Y.filter_every_nth(0),
@@ -578,7 +580,7 @@ REFUSALS = {
     "alpha and beta over two lists": (
         lambda: deformed_exponential(y_mono(1), Q_ONLY, 2),
         StructureError,
-        "alpha and beta over differing variable lists",
+        "variable lists differ: ('X', 'Y') vs ('q',)",
     ),
 }
 

@@ -298,12 +298,12 @@ REFUSALS = {
     "float Tutte rank": (
         lambda: TuttePolynomial(MultiPoly.var(TUTTE_VARS, "x"), 1.0, 2, "arithmetic"),
         StructureError,
-        "ranks must be ints, not 1.0 and 2",
+        "rank must be an int, not 1.0",
     ),
     "bool ambient rank": (
         lambda: TuttePolynomial(MultiPoly.var(TUTTE_VARS, "x"), 1, True, "arithmetic"),
         StructureError,
-        "ranks must be ints, not 1 and True",
+        "ambient rank must be an int, not True",
     ),
     # tutte_from_coboundary raised a bare TypeError on this record.
     "float coboundary rank": (
