@@ -59,7 +59,7 @@ class GenFunRequest(FrozenRecord):
 
 
 def euler_phi(n: int) -> int:
-    return sum(1 for m in range(1, n + 1) if gcd(m, n) == 1)
+    return sum(1 for m in range(1, exact_int(n, "n") + 1) if gcd(m, n) == 1)
 
 
 def _x_poly(x_coeff: Q, const: Q) -> MultiPoly:

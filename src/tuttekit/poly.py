@@ -170,9 +170,6 @@ class MultiPoly(FrozenRecord):
             return 0
         return max(e[i] for e in self.terms)
 
-    def has_integer_coefficients(self) -> bool:
-        return all(type(c) is int for c in self.terms.values())
-
     def __hash__(self) -> int:  # terms is a dict
         return hash((self.vars, frozenset(self.terms.items())))
 

@@ -37,7 +37,7 @@ from math import comb, factorial, gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import CapacityError, ExactDivisionError, PrecisionError, StructureError
-from .poly import Exps, FrozenRecord, MultiPoly, Scalar, common_vars
+from .poly import Exps, FrozenRecord, MultiPoly, Scalar, common_vars, exact_int
 
 Nums = Dict[int, int]  # packed exponent key -> integer numerator
 Coeff = Tuple[Nums, int]  # integer numerators over one positive denominator
@@ -271,7 +271,7 @@ class TruncSeries(FrozenRecord):
 
     def filter_every_nth(self, n: int) -> "TruncSeries":
         """Zero every coefficient of Z^k with n not dividing k."""
-        if n <= 0:
+        if exact_int(n, "filter stride") <= 0:
             raise PrecisionError("filter stride must be positive")
         return TruncSeries._make(
             self.vars,
@@ -315,7 +315,7 @@ def deformed_exponential(alpha: MultiPoly, beta: MultiPoly, order: int) -> Trunc
     coefficient to the next by products.
     """
     vs = common_vars(alpha, beta)
-    if order < 0:
+    if exact_int(order, "order") < 0:
         raise StructureError("order must be non-negative")
     nv = len(vs)
     coeffs = []

@@ -24,7 +24,7 @@ from math import comb, gcd
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import CapacityError
-from .poly import MultiPoly
+from .poly import MultiPoly, exact_int
 from .root_systems import RootSystemSpec
 from .series import TruncSeries, deformed_exponential
 from .tutte import TuttePolynomial, poly_from_rank_rows
@@ -152,7 +152,7 @@ def master_census(v: int) -> MultiPoly:
     count at tp^c+ tm^c- t0^c0 x^l y^e.
     """
     terms: Dict[Tuple[int, ...], int] = {}
-    for sig, by_e in _graph_census(v, True).items():
+    for sig, by_e in _graph_census(exact_int(v, "vertex count"), True).items():
         for cp, cm, c0, l, _, ways in _loop_classes(sig, loops=True):
             for e, count in by_e.items():
                 key = (cp, cm, c0, l, e)
@@ -184,7 +184,7 @@ def master_genfun_theorem(order: int) -> TruncSeries:
 def unsigned_census(v: int) -> MultiPoly:
     """Census of simple graphs on [v] over (t, y)."""
     total: Dict[Tuple[int, int], int] = {}
-    for sig, by_e in _graph_census(v, False).items():
+    for sig, by_e in _graph_census(exact_int(v, "vertex count"), False).items():
         for e, count in by_e.items():
             total[(len(sig), e)] = total.get((len(sig), e), 0) + count
     return MultiPoly(UNSIGNED_VARS, total)

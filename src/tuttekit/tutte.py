@@ -15,7 +15,6 @@ on coefficient rows around one kernel, `_shift_x`: P(x, y) -> P(x + a, y).
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from itertools import accumulate, zip_longest
 from typing import Dict, List
 
@@ -40,9 +39,6 @@ class TuttePolynomial(FrozenRecord):
         if not 0 <= rank <= ambient_rank:
             raise StructureError(f"rank {rank} outside 0..{ambient_rank}")
         self._set(poly=poly, rank=rank, ambient_rank=ambient_rank, flavor=flavor)
-
-    def evaluate(self, x, y) -> Q:
-        return self.poly.evaluate({"x": x, "y": y})
 
 
 class CoboundaryPolynomial(FrozenRecord):
@@ -90,7 +86,7 @@ def poly_from_rank_rows(by_rank: Dict[int, List[int]], full_rank: int) -> MultiP
     with y - 1; those below size r are 0, as a k-subset has rank at most k.
     The x-shift by -1 then turns the row powers into powers of x - 1.
     """
-    rows: List[List[int]] = [[] for _ in range(full_rank + 1)]
+    rows: List[List[int]] = [[] for _ in range(exact_int(full_rank, "full rank") + 1)]
     for r, weights in by_rank.items():
         rows[full_rank - r] = compose_affine(weights[r:], -1)
     return MultiPoly.from_rows(TUTTE_VARS, _shift_x(rows, -1))
@@ -119,13 +115,6 @@ def tutte_from_census(
 def arithmetic_tutte_bruteforce(config: VectorConfig) -> TuttePolynomial:
     """Arithmetic Tutte polynomial by exact summation over all subsets."""
     return tutte_from_census(sublattice_census(config), config.lattice.rank)
-
-
-def classical_tutte_bruteforce(config: VectorConfig) -> TuttePolynomial:
-    """Classical Tutte polynomial: the same census with unit multiplicities."""
-    return tutte_from_census(
-        sublattice_census(config), config.lattice.rank, flavor="classical"
-    )
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,8 @@ and counts for identities the engines' results must satisfy.
   `tuttekit.lattice._census_fold`, unpacked from the fold's keys and
   digits: the per-lattice data that `sublattice_census` groups into
   (rank, m) classes.
+- `classical_tutte` is the classical Tutte polynomial of a configuration:
+  the census engine's fold with every multiplicity taken as 1.
 - `torsion_exponent_lcm` gives the lcm, over every subset, of the largest
   invariant factor of its coordinate matrix, one Smith normal form per
   subset.  It is the oracle of the sampling step of
@@ -56,9 +58,11 @@ from tuttekit.lattice import (
     _key_multiplicity,
     int_matrix_rank,
     snf_invariant_factors,
+    sublattice_census,
 )
 from tuttekit.poly import MultiPoly
 from tuttekit.signed_graphs import master_census, unsigned_census
+from tuttekit.tutte import TuttePolynomial, tutte_from_census
 
 
 # ----------------------------------------------------------------------
@@ -202,6 +206,13 @@ def lattice_census(config: VectorConfig) -> Census:
         )
         for rows, packed in _census_fold(config).items()
     ]
+
+
+def classical_tutte(config: VectorConfig) -> TuttePolynomial:
+    """The classical Tutte polynomial: the census with unit multiplicities."""
+    return tutte_from_census(
+        sublattice_census(config), config.lattice.rank, flavor="classical"
+    )
 
 
 def torsion_exponent_lcm(config: VectorConfig) -> int:

@@ -9,6 +9,7 @@ from math import factorial
 
 from oracles import (
     char_coeffs_via_permutations,
+    classical_tutte,
     marked_graph_identity_holds,
     necklace_count,
     necklace_count_direct,
@@ -47,7 +48,6 @@ from tuttekit.tables import (
 from tuttekit.tutte import (
     COBOUNDARY_VARS,
     arithmetic_tutte_bruteforce,
-    classical_tutte_bruteforce,
     coboundary_from_tutte,
 )
 from tuttekit.verify import ENGINES
@@ -205,7 +205,7 @@ def test_criterion_9_property_suite():
     # classical = arithmetic when every multiplicity is 1 (type A).
     cfg = build_config(RootSystemSpec("A", 4, "integer"))
     assert (
-        classical_tutte_bruteforce(cfg).poly == arithmetic_tutte_bruteforce(cfg).poly
+        classical_tutte(cfg).poly == arithmetic_tutte_bruteforce(cfg).poly
     )
     # histogram totals (p-1)^d.
     for family, n, kind, p in [("C", 2, "integer", 5), ("B", 2, "weight", 5)]:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import configs
-from oracles import lattice_census, subset_stats
+from oracles import classical_tutte, lattice_census, subset_stats
 from tuttekit import lattice
 from tuttekit.errors import StructureError
 from tuttekit.lattice import (
@@ -37,7 +37,6 @@ from tuttekit.root_systems import RootSystemSpec, build_config, parse_system
 from tuttekit.tutte import (
     TUTTE_VARS,
     arithmetic_tutte_bruteforce,
-    classical_tutte_bruteforce,
 )
 
 XM1 = MultiPoly(TUTTE_VARS, {(1, 0): 1, (0, 0): -1})
@@ -70,7 +69,7 @@ class TestAgainstSweep:
     def test_random_configurations(self, config):
         arithmetic, classical, lcm_all = sweep(config)
         assert arithmetic_tutte_bruteforce(config).poly == arithmetic
-        assert classical_tutte_bruteforce(config).poly == classical
+        assert classical_tutte(config).poly == classical
         assert multiplicity_lcm(config) == lcm_all
 
     @pytest.mark.parametrize(
@@ -88,7 +87,7 @@ class TestAgainstSweep:
         config = build_config(RootSystemSpec(family, n, kind))
         arithmetic, classical, lcm_all = sweep(config)
         assert arithmetic_tutte_bruteforce(config).poly == arithmetic
-        assert classical_tutte_bruteforce(config).poly == classical
+        assert classical_tutte(config).poly == classical
         assert multiplicity_lcm(config) == lcm_all
 
 
@@ -125,8 +124,8 @@ class TestSymmetries:
             == arithmetic_tutte_bruteforce(config).poly
         )
         assert (
-            classical_tutte_bruteforce(moved).poly
-            == classical_tutte_bruteforce(config).poly
+            classical_tutte(moved).poly
+            == classical_tutte(config).poly
         )
 
 

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_refused, configs, line_configs
-from oracles import subset_stats, torsion_exponent_lcm
+from oracles import classical_tutte, subset_stats, torsion_exponent_lcm
 from tuttekit import finitefield, lattice
 from tuttekit.errors import AdmissibilityError, CapacityError, StructureError
 from tuttekit.finitefield import (
@@ -40,7 +40,6 @@ from tuttekit.root_systems import RootSystemSpec, build_config
 from tuttekit.tutte import (
     COBOUNDARY_VARS,
     arithmetic_tutte_bruteforce,
-    classical_tutte_bruteforce,
     coboundary_from_tutte,
 )
 
@@ -241,12 +240,12 @@ class TestClassicalMode:
     @pytest.mark.parametrize("q", [2, 4, 6])
     def test_type_a_any_q(self, q):
         c = cfg("A", 3, "integer")
-        psi = coboundary_from_tutte(classical_tutte_bruteforce(c))
+        psi = coboundary_from_tutte(classical_tutte(c))
         assert group_identity_holds(c, q, psi)
 
     def test_classical_equals_arithmetic_when_unimodular(self):
         c = cfg("A", 3, "integer")
-        classical = classical_tutte_bruteforce(c)
+        classical = classical_tutte(c)
         arithmetic = arithmetic_tutte_bruteforce(c)
         assert classical.poly == arithmetic.poly
 
@@ -262,7 +261,7 @@ class TestClassicalMode:
     def test_holds_exactly_at_q_prime_to_the_lcm(self, family, n, kind, lcm, holds, fails):
         c = cfg(family, n, kind)
         assert multiplicity_lcm(c) == lcm
-        psi = coboundary_from_tutte(classical_tutte_bruteforce(c))
+        psi = coboundary_from_tutte(classical_tutte(c))
         for q in holds:
             assert group_identity_holds(c, q, psi), q
         for q in fails:
@@ -558,7 +557,7 @@ class TestRandomConfigurations:
         # at x = y = 2 as soon as one m(B) exceeds 1.
         same = (
             arithmetic_tutte_bruteforce(config).poly
-            == classical_tutte_bruteforce(config).poly
+            == classical_tutte(config).poly
         )
         assert same == (multiplicity_lcm(config) == 1)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_refused
+from oracles import classical_tutte
 from tuttekit.errors import ExactDivisionError, StructureError
 from tuttekit.genfun import (
     GENFUN_KINDS,
@@ -31,7 +32,6 @@ from tuttekit.tutte import (
     COBOUNDARY_VARS,
     TUTTE_VARS,
     arithmetic_tutte_bruteforce,
-    classical_tutte_bruteforce,
 )
 
 ORDER = 6
@@ -98,7 +98,7 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
     def test_classical_kind_matches_classical_bruteforce(self, family):
         spec = RootSystemSpec(family, 3, "integer")
-        bf = classical_tutte_bruteforce(build_config(spec))
+        bf = classical_tutte(build_config(spec))
         gf = extract_polynomial(GenFunRequest(family, "classical", ORDER), 3)
         assert gf.poly == bf.poly
         assert gf.flavor == "classical"

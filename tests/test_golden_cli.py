@@ -4,11 +4,12 @@
 sha256 of its stdout and its exit code.  The hashes were generated once from
 the code that preceded the engine table (the `fixtures` lines and the `table`
 lines with one report or reports out of print order, from the code that
-preceded the one fixture lookup, and the single-method `genfun` lines from
-the code that preceded the generating-function product lists); a refactor
-that changes any output byte fails here.  To regenerate after a deliberate
-output change, run every argv of `ARGVS` through `tuttekit.cli.main` and
-hash what it prints.
+preceded the one fixture lookup, the single-method `genfun` lines from the
+code that preceded the generating-function product lists, and the text-mode
+single-engine and `invariants` lines from the code that preceded the
+product-reach list); a refactor that changes any output byte fails here.  To
+regenerate after a deliberate output change, run every argv of `ARGVS`
+through `tuttekit.cli.main` and hash what it prints.
 """
 
 import hashlib
@@ -98,6 +99,10 @@ _ALL = BENCH_JOBS + [
     ["table", "--report", "tutte,bogus"],
     ["table", "--max-n", "1"],
     ["compute", "--method", "graphs", "--system", "B:8:integer"],
+    # Each engine alone and the invariant report, in text mode.
+    *(["compute", "--method", method, "--system", "C:2:integer"]
+      for method in ("bruteforce", "genfun", "graphs", "finitefield")),
+    ["invariants", "--system", "C:2:integer"],
 ]
 ARGVS = list({" ".join(argv): argv for argv in _ALL}.values())  # bench verify jobs repeat
 

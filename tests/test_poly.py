@@ -11,14 +11,22 @@ import tuttekit
 from conftest import VARS_XY, assert_refused, fractions, nonzero_polys, polys
 from tuttekit.errors import ExactDivisionError, StructureError
 from tuttekit.finitefield import group_identity_holds
-from tuttekit.genfun import GenFunRequest
+from tuttekit.genfun import GenFunRequest, euler_phi
 from tuttekit.poly import MultiPoly, compose_affine
 from tuttekit.root_systems import RootSystemSpec, build_config
+from tuttekit.series import TruncSeries, deformed_exponential
+from tuttekit.signed_graphs import (
+    master_census,
+    master_genfun_theorem,
+    unsigned_census,
+    unsigned_genfun_theorem,
+)
 from tuttekit.tutte import (
     COBOUNDARY_VARS,
     TUTTE_VARS,
     CoboundaryPolynomial,
     TuttePolynomial,
+    poly_from_rank_rows,
 )
 
 
@@ -78,7 +86,9 @@ def assert_canonical(p):
         assert all(type(e) is int for e in exps)
     rebuilt = MultiPoly(p.vars, dict(p.terms))
     assert rebuilt == p and rebuilt.terms == p.terms
-    assert p.has_integer_coefficients() == rebuilt.has_integer_coefficients()
+    assert all(type(c) is int for c in p.terms.values()) == all(
+        type(c) is int for c in rebuilt.terms.values()
+    )
 
 
 scalars = st.one_of(st.integers(min_value=-5, max_value=5), fractions())
@@ -240,8 +250,8 @@ class TestQueries:
         assert p.degree_in("y") == 3
 
     def test_integer_coefficient_check(self):
-        assert P({(1, 0): Q(4, 2)}).has_integer_coefficients()
-        assert not P({(1, 0): Q(1, 2)}).has_integer_coefficients()
+        assert all(type(c) is int for c in P({(1, 0): Q(4, 2)}).terms.values())
+        assert not all(type(c) is int for c in P({(1, 0): Q(1, 2)}).terms.values())
 
 
 X = MultiPoly.var(VARS_XY, "x")
@@ -298,6 +308,7 @@ C2 = build_config(RootSystemSpec("C", 2, "integer"))
 TUTTE_X = MultiPoly.var(TUTTE_VARS, "x")
 COBOUNDARY_X = MultiPoly.var(COBOUNDARY_VARS, "X")
 PSI = CoboundaryPolynomial(MultiPoly.const(COBOUNDARY_VARS, 1), 0)
+SERIES = TruncSeries.constant(VARS_XY, 1, 2)
 
 # name -> (call taking the argument, what the refusal calls it)
 INT_ARGUMENTS = {
@@ -312,6 +323,14 @@ INT_ARGUMENTS = {
     "power": (lambda n: X**n, "power"),
     "var power": (lambda n: MultiPoly.var(VARS_XY, "x", n), "power"),
     "group order q": (lambda q: group_identity_holds(C2, q, PSI), "q"),
+    "deformed exponential order": (lambda k: deformed_exponential(X, X, k), "order"),
+    "filter stride": (SERIES.filter_every_nth, "filter stride"),
+    "master genfun order": (master_genfun_theorem, "order"),
+    "unsigned genfun order": (unsigned_genfun_theorem, "order"),
+    "master census v": (master_census, "vertex count"),
+    "unsigned census v": (unsigned_census, "vertex count"),
+    "euler phi n": (euler_phi, "n"),
+    "rank rows full rank": (lambda r: poly_from_rank_rows({0: [1]}, r), "full rank"),
 }
 NOT_INTS = {"bool": True, "float": 2.0, "numpy int": np.int64(2)}
 

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_refused
+from oracles import classical_tutte
 from tuttekit.errors import CapacityError, ExactDivisionError, StructureError
 from tuttekit.lattice import LatticeBasis, VectorConfig
 from tuttekit.poly import MultiPoly
@@ -16,7 +17,6 @@ from tuttekit.tutte import (
     CoboundaryPolynomial,
     TuttePolynomial,
     arithmetic_tutte_bruteforce,
-    classical_tutte_bruteforce,
     coboundary_from_tutte,
     poly_from_rank_rows,
     tutte_from_coboundary,
@@ -48,27 +48,27 @@ class TestClassicalVersusArithmetic:
         cfg = build_config(RootSystemSpec("A", 4, "integer"))
         assert (
             arithmetic_tutte_bruteforce(cfg).poly
-            == classical_tutte_bruteforce(cfg).poly
+            == classical_tutte(cfg).poly
         )
 
     def test_multiplicities_change_the_polynomial(self):
         cfg = build_config(RootSystemSpec("C", 2, "integer"))
         assert (
             arithmetic_tutte_bruteforce(cfg).poly
-            != classical_tutte_bruteforce(cfg).poly
+            != classical_tutte(cfg).poly
         )
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_classical_cannot_distinguish_b_and_c(self, n):
-        b = classical_tutte_bruteforce(build_config(RootSystemSpec("B", n, "integer")))
-        c = classical_tutte_bruteforce(build_config(RootSystemSpec("C", n, "integer")))
+        b = classical_tutte(build_config(RootSystemSpec("B", n, "integer")))
+        c = classical_tutte(build_config(RootSystemSpec("C", n, "integer")))
         assert b.poly == c.poly
 
     def test_classical_evaluation_counts_bases(self):
         # T(1,1) counts bases: every pair among the 4 vectors of C2 is
         # linearly independent, so there are C(4, 2) = 6 bases.
         cfg = build_config(RootSystemSpec("C", 2, "integer"))
-        assert classical_tutte_bruteforce(cfg).evaluate(1, 1) == 6
+        assert classical_tutte(cfg).poly.evaluate({"x": 1, "y": 1}) == 6
 
 
 class TestCapacityGuard:
@@ -257,7 +257,7 @@ class TestEvaluations:
     def test_corner_evaluations_are_nonnegative_integers(self, family, n, kind):
         t = tutte(family, n, kind)
         for x, y in [(1, 0), (0, 1), (1, 1), (2, 1)]:
-            v = t.evaluate(x, y)
+            v = t.poly.evaluate({"x": x, "y": y})
             assert v.denominator == 1 and v >= 0
 
 
